@@ -33,6 +33,7 @@ from .mat2 import pi_identity_check
 from .membership import decide, decide_Q, decide_Q_semantic, decide_corollaries
 from .model import witness_XY
 from .oracle import construct_witness_Q, enum_sweep_fp, oracle_enum_fp
+from .poly import BiPoly, _mono_text, parse_bipoly
 from .sequences import f_st
 
 SCHEMA_VERSION = 1
@@ -105,7 +106,7 @@ def cmd_structure(parser, args) -> int:
         monomials = "infinite"
     else:
         dimension = len(qb)
-        monomials = [_mono_name(m) for m in qb]
+        monomials = [_mono_text(m) or "1" for m in qb]
     result = {
         "generators": [g.text() for g in ideal.generators],
         "reduced_basis": [g.text() for g in gb.polys],
@@ -117,18 +118,6 @@ def cmd_structure(parser, args) -> int:
     _emit(_record("structure", params, result))
     _verbose(args, f"basis size {len(gb.polys)}, dimension {dimension}")
     return 0
-
-
-def _mono_name(mono) -> str:
-    es, et = mono
-    if es == 0 and et == 0:
-        return "1"
-    parts = []
-    if es:
-        parts.append("s" if es == 1 else f"s^{es}")
-    if et:
-        parts.append("t" if et == 1 else f"t^{et}")
-    return "*".join(parts)
 
 
 def cmd_witness(parser, args) -> int:
@@ -153,7 +142,7 @@ def cmd_witness(parser, args) -> int:
 
 def _quotient_basis_names(gb):
     qb = gb.quotient_basis()
-    return "infinite" if qb is INFINITE else [_mono_name(m) for m in qb]
+    return "infinite" if qb is INFINITE else [_mono_text(m) or "1" for m in qb]
 
 
 def cmd_oracle(parser, args) -> int:
@@ -282,8 +271,6 @@ def _selftest_checks(cfg: SelftestConfig):
         return True
 
     def check_sequences():
-        from .poly import BiPoly, parse_bipoly
-
         t = BiPoly.t(QQ)
         s = BiPoly.s(QQ)
         if f_st(7) != parse_bipoly("t^6 + 5*s*t^4 + 6*s^2*t^2 + s^3", QQ):

@@ -23,7 +23,6 @@ import heapq
 import itertools
 import math
 import random
-import re
 from dataclasses import dataclass, field as dc_field
 
 from .errors import Inconsistency, UnsupportedParameters
@@ -31,7 +30,7 @@ from .fields import QQ
 from .groebner import structure_basis
 from .mat2 import Mat2
 from .model import witness_XY
-from .poly import _join_terms, _term_text
+from .poly import _join_terms, _parse_terms, _term_text
 
 
 class RewriteFuelExhausted(RuntimeError):
@@ -242,69 +241,11 @@ class NCPoly:
         return self.text()
 
 
-_WORD_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[xy]|\^|\*|\+|-)")
-
-
 def parse_word_expr(text: str, field=QQ) -> NCPoly:
     """Parse expressions like ``x^2*y + y*x - 1`` (order of factors matters)."""
-    tokens, pos = [], 0
-    while pos < len(text):
-        m = _WORD_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse near {text[pos:]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
     result = NCPoly.zero(field)
-    k = 0
-
-    def term(sign):
-        nonlocal k, result
-        coeff = field.one if sign > 0 else -field.one
-        runs: list[tuple[str, int]] = []
-        saw = False
-        while k < len(tokens) and tokens[k] not in ("+", "-"):
-            tok = tokens[k]
-            if tok == "*":
-                k += 1
-                continue
-            if tok in ("x", "y"):
-                k += 1
-                e = 1
-                if k < len(tokens) and tokens[k] == "^":
-                    k += 1
-                    if k >= len(tokens) or not tokens[k].isdigit():
-                        raise ValueError("malformed exponent")
-                    e = int(tokens[k])
-                    k += 1
-                runs.append((tok, e))
-            elif tok[0].isdigit():
-                coeff = coeff * field.parse_coeff(tok)
-                k += 1
-            else:
-                raise ValueError(f"unexpected token {tok!r}")
-            saw = True
-        if not saw:
-            raise ValueError("empty term")
-        result = result + NCPoly.of_word(Word(runs), field, coeff)
-
-    sign = 1
-    while k < len(tokens) and tokens[k] in ("+", "-"):
-        if tokens[k] == "-":
-            sign = -sign
-        k += 1
-    if k >= len(tokens):
-        raise ValueError("empty expression")
-    term(sign)
-    while k < len(tokens):
-        sign = 1 if tokens[k] == "+" else -1
-        k += 1
-        while k < len(tokens) and tokens[k] in ("+", "-"):
-            if tokens[k] == "-":
-                sign = -sign
-            k += 1
-        term(sign)
+    for coeff, factors in _parse_terms(text, field, ("x", "y")):
+        result = result + NCPoly.of_word(Word(factors), field, coeff)
     return result
 
 

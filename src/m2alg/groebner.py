@@ -23,6 +23,7 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
     order_key,
 )
 from .sequences import f_st
@@ -78,88 +79,110 @@ def build_ideal_I(i: int, j: int, field=QQ) -> Ideal:
     return Ideal(gens, field, (i, j))
 
 
-def _reduce_once(p: BiPoly, basis: list[BiPoly]):
-    """One full division pass; returns (normal form, quotients per divisor)."""
+def _divide(p: BiPoly, polys, lms, cofs=(), poly_cofs=()):
+    """Remainder of p on division by the monic polys, whose LMs are lms.
+
+    Returns (remainder, cofactors).  When p carries cofactors cofs over some
+    fixed generators and polys[k] carries poly_cofs[k], the returned
+    cofactors express the remainder over the same generators.
+    """
     field = p.field
-    quotients = [BiPoly.zero(field) for _ in basis]
-    remainder = BiPoly.zero(field)
-    work = p
-    while not work.is_zero():
-        lm = work.lm()
-        lc = work.lc()
-        for k, g in enumerate(basis):
-            glm = g.lm()
-            if mono_divides(glm, lm):
-                factor = lc / g.lc()
-                mono = mono_div(lm, glm)
-                work = work - g.mul_monomial(factor, mono)
-                quotients[k] = quotients[k] + BiPoly.monomial(factor, mono, field)
+    work = dict(p.terms)
+    remainder = {}
+    cofs = list(cofs)
+    while work:
+        lm = max(work, key=order_key)
+        lc = work.pop(lm)
+        for k, (gs, gt) in enumerate(lms):
+            if gs <= lm[0] and gt <= lm[1]:
+                shift = (lm[0] - gs, lm[1] - gt)
+                for (es, et), c in polys[k].terms.items():
+                    m = (es + shift[0], et + shift[1])
+                    if m == lm:
+                        continue  # the monic leading term cancels lc exactly
+                    v = work.get(m)
+                    v = -(lc * c) if v is None else v - lc * c
+                    if v:
+                        work[m] = v
+                    elif m in work:
+                        del work[m]
+                if cofs:
+                    cofs = [c - h.mul_monomial(lc, shift) for c, h in zip(cofs, poly_cofs[k])]
                 break
         else:
-            lt = BiPoly.monomial(lc, lm, field)
-            remainder = remainder + lt
-            work = work - lt
-    return remainder, quotients
+            remainder[lm] = lc
+    return BiPoly(remainder, field, _clean=False), cofs
 
 
-def reduce_by(p: BiPoly, basis) -> BiPoly:
-    """Multivariate division remainder of p by the given polynomials."""
-    basis = [g for g in basis if not g.is_zero()]
-    if not basis:
-        return p
-    return _reduce_once(p, list(basis))[0]
+def _monic(p: BiPoly, cofs):
+    inv = p.field.one / p.lc()
+    return p.scale(inv), [c.scale(inv) for c in cofs]
 
 
-def _spoly(f: BiPoly, g: BiPoly) -> BiPoly:
-    l = mono_lcm(f.lm(), g.lm())
-    cf = f.field.one / f.lc()
-    cg = g.field.one / g.lc()
-    return f.mul_monomial(cf, mono_div(l, f.lm())) - g.mul_monomial(
-        cg, mono_div(l, g.lm())
-    )
+def _buchberger(gens, cofs=()):
+    """Reduced Groebner basis of the nonzero gens, ascending by LM.
 
-
-def buchberger_basis(generators, field) -> list[BiPoly]:
-    """Reduced Groebner basis of the given generators, ascending by LM."""
-    basis = [g.monic() for g in generators if not g.is_zero()]
-    if not basis:
-        return []
-    pairs = {(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))}
+    cofs is empty, or cofs[k] lists the cofactors of gens[k] over some fixed
+    generators; returns (basis, cofactors of each basis element), the
+    cofactor lists being empty when cofs is.
+    """
+    basis, basis_cofs = [], []
+    for g, g_cofs in zip(gens, cofs or [()] * len(gens)):
+        if not g.is_zero():
+            g, g_cofs = _monic(g, g_cofs)
+            basis.append(g)
+            basis_cofs.append(g_cofs)
+    lms = [g.lm() for g in basis]
+    pairs = {(a, b) for b in range(len(basis)) for a in range(b)}
     while pairs:
         # normal selection: smallest lcm in the monomial order, then indices
-        a, b = min(
-            pairs, key=lambda ab: (order_key(mono_lcm(basis[ab[0]].lm(), basis[ab[1]].lm())), ab)
-        )
+        a, b = min(pairs, key=lambda ab: (order_key(mono_lcm(lms[ab[0]], lms[ab[1]])), ab))
         pairs.discard((a, b))
-        la, lb = basis[a].lm(), basis[b].lm()
-        if mono_lcm(la, lb) == (la[0] + lb[0], la[1] + lb[1]):
+        la, lb = lms[a], lms[b]
+        lcm = mono_lcm(la, lb)
+        if lcm == mono_mul(la, lb):
             continue  # coprime leading monomials: S-polynomial reduces to zero
-        r = reduce_by(_spoly(basis[a], basis[b]), basis)
+        one = basis[a].field.one
+        ma, mb = mono_div(lcm, la), mono_div(lcm, lb)
+        spoly = basis[a].mul_monomial(one, ma) - basis[b].mul_monomial(one, mb)
+        sp_cofs = [
+            ca.mul_monomial(one, ma) - cb.mul_monomial(one, mb)
+            for ca, cb in zip(basis_cofs[a], basis_cofs[b])
+        ]
+        r, r_cofs = _divide(spoly, basis, lms, sp_cofs, basis_cofs)
         if r.is_zero():
             continue
-        basis.append(r.monic())
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        r, r_cofs = _monic(r, r_cofs)
+        basis.append(r)
+        basis_cofs.append(r_cofs)
+        lms.append(r.lm())
+        pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
     # minimalize: drop elements whose LM is divisible by another's
-    keep = []
-    for k, g in enumerate(basis):
-        lm = g.lm()
-        if any(
-            mono_divides(h.lm(), lm) and (h.lm() != lm or m < k)
-            for m, h in enumerate(basis)
+    keep = [
+        k
+        for k, lm in enumerate(lms)
+        if not any(
+            mono_divides(h, lm) and (h != lm or m < k)
+            for m, h in enumerate(lms)
             if m != k
-        ):
-            continue
-        keep.append(g)
-    # fully reduce each survivor against the others
+        )
+    ]
+    # fully reduce each survivor against the others; its monic leading term
+    # is divisible by no other LM, so it survives and stays leading
     reduced = []
-    for k, g in enumerate(keep):
-        others = keep[:k] + keep[k + 1 :]
-        r = reduce_by(g, others) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: order_key(g.lm()))
-    return reduced
+    for k in keep:
+        others = [m for m in keep if m != k]
+        reduced.append(
+            _divide(
+                basis[k],
+                [basis[m] for m in others],
+                [lms[m] for m in others],
+                basis_cofs[k],
+                [basis_cofs[m] for m in others],
+            )
+        )
+    reduced.sort(key=lambda r: order_key(r[0].lm()))
+    return [r for r, _ in reduced], [c for _, c in reduced]
 
 
 class GroebnerBasis:
@@ -172,28 +195,15 @@ class GroebnerBasis:
         self.field = field
         self.params = params
         self._lms = tuple(g.lm() for g in self.polys)
+        if any(g.terms[lm] != field.one for g, lm in zip(self.polys, self._lms)):
+            raise ValueError("basis polynomials must be monic")
 
     def leading_monomials(self):
         return self._lms
 
     def normal_form(self, p: BiPoly) -> BiPoly:
         """The unique remainder of p modulo the basis; zero iff p is in the ideal."""
-        field = self.field
-        remainder = BiPoly.zero(field)
-        work = p
-        polys = self.polys
-        lms = self._lms
-        while work.terms:
-            lm = work.lm()
-            lc = work.terms[lm]
-            for glm, g in zip(lms, polys):
-                if glm[0] <= lm[0] and glm[1] <= lm[1]:
-                    work = work - g.mul_monomial(lc, (lm[0] - glm[0], lm[1] - glm[1]))
-                    break
-            else:
-                remainder = remainder + BiPoly.monomial(lc, lm, field)
-                work = work - BiPoly.monomial(lc, lm, field)
-        return remainder
+        return _divide(p, self.polys, self._lms)[0]
 
     def contains(self, p: BiPoly) -> bool:
         return self.normal_form(p).is_zero()
@@ -256,53 +266,11 @@ def buchberger(ideal_or_gens, field=None, params=None) -> GroebnerBasis:
             if not gens:
                 raise ValueError("field required for an empty generator list")
             field = gens[0].field
-    return GroebnerBasis(buchberger_basis(gens, field), field, params)
+    return GroebnerBasis(_buchberger(gens)[0], field, params)
 
 
 def structure_basis(i: int, j: int, field=QQ) -> GroebnerBasis:
     return buchberger(build_ideal_I(i, j, field))
-
-
-class _Tracked:
-    """A polynomial together with cofactors over the original generators."""
-
-    __slots__ = ("poly", "cofs")
-
-    def __init__(self, poly, cofs):
-        self.poly = poly
-        self.cofs = cofs
-
-    def scaled(self, c):
-        return _Tracked(self.poly.scale(c), [q.scale(c) for q in self.cofs])
-
-    def monic(self):
-        if self.poly.is_zero():
-            return self
-        return self.scaled(self.poly.field.one / self.poly.lc())
-
-
-def _tracked_reduce(p: _Tracked, basis: list[_Tracked]) -> _Tracked:
-    work = p.poly
-    cofs = list(p.cofs)
-    field = work.field
-    remainder = BiPoly.zero(field)
-    while not work.is_zero():
-        lm = work.lm()
-        lc = work.lc()
-        for g in basis:
-            glm = g.poly.lm()
-            if mono_divides(glm, lm):
-                factor = lc / g.poly.lc()
-                mono = mono_div(lm, glm)
-                q = BiPoly.monomial(factor, mono, field)
-                work = work - g.poly.mul_monomial(factor, mono)
-                cofs = [c - q * gc for c, gc in zip(cofs, g.cofs)]
-                break
-        else:
-            lt = BiPoly.monomial(lc, lm, field)
-            remainder = remainder + lt
-            work = work - lt
-    return _Tracked(remainder, cofs)
 
 
 def buchberger_with_certificate(ideal: Ideal):
@@ -314,74 +282,12 @@ def buchberger_with_certificate(ideal: Ideal):
     engine that produced the basis.
     """
     field = ideal.field
-    gens = [g for g in ideal.generators if not g.is_zero()]
-    n = len(gens)
-    unit = lambda k, c: [
-        BiPoly.monomial(c, (0, 0), field) if m == k else BiPoly.zero(field)
-        for m in range(n)
+    n = len(ideal.generators)
+    units = [
+        [BiPoly.const(int(m == k), field) for m in range(n)] for k in range(n)
     ]
-    basis = [
-        _Tracked(g, unit(k, field.one)).monic() for k, g in enumerate(gens)
-    ]
-    pairs = {(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))}
-    while pairs:
-        a, b = min(
-            pairs,
-            key=lambda ab: (
-                order_key(mono_lcm(basis[ab[0]].poly.lm(), basis[ab[1]].poly.lm())),
-                ab,
-            ),
-        )
-        pairs.discard((a, b))
-        fa, fb = basis[a], basis[b]
-        la, lb = fa.poly.lm(), fb.poly.lm()
-        if mono_lcm(la, lb) == (la[0] + lb[0], la[1] + lb[1]):
-            continue
-        l = mono_lcm(la, lb)
-        qa = BiPoly.monomial(field.one / fa.poly.lc(), mono_div(l, la), field)
-        qb = BiPoly.monomial(field.one / fb.poly.lc(), mono_div(l, lb), field)
-        sp = _Tracked(
-            qa * fa.poly - qb * fb.poly,
-            [qa * ca - qb * cb for ca, cb in zip(fa.cofs, fb.cofs)],
-        )
-        r = _tracked_reduce(sp, basis)
-        if r.poly.is_zero():
-            continue
-        basis.append(r.monic())
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
-    keep = []
-    for k, g in enumerate(basis):
-        lm = g.poly.lm()
-        if any(
-            mono_divides(h.poly.lm(), lm) and (h.poly.lm() != lm or m < k)
-            for m, h in enumerate(basis)
-            if m != k
-        ):
-            continue
-        keep.append(g)
-    reduced = []
-    for k, g in enumerate(keep):
-        others = keep[:k] + keep[k + 1 :]
-        r = _tracked_reduce(g, others) if others else g
-        if not r.poly.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda g: order_key(g.poly.lm()))
-    gb = GroebnerBasis([g.poly for g in reduced], field, ideal.params)
-    return gb, [g.cofs for g in reduced]
-
-
-def normal_form(p: BiPoly, gb: GroebnerBasis) -> "QuotientElem":
-    """Normal-form representative of p in the quotient ring."""
-    return QuotientRing(gb).of(p)
-
-
-def is_trivial(gb: GroebnerBasis) -> bool:
-    return gb.is_trivial()
-
-
-def quotient_basis(gb: GroebnerBasis):
-    return gb.quotient_basis()
+    polys, certificates = _buchberger(ideal.generators, units)
+    return GroebnerBasis(polys, field, ideal.params), certificates
 
 
 class QuotientElem:

@@ -16,7 +16,6 @@ s-exponent.  Canonical text is written descending in that order, e.g.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -419,20 +418,6 @@ class BiPoly:
         return self.text()
 
 
-@dataclass(frozen=True)
-class EvalAtS:
-    """The evaluation homomorphism A[s,t] -> A[t], s -> value, t -> t."""
-
-    value: object
-
-    def __call__(self, p: BiPoly) -> UniPoly:
-        return p.evaluate_s(self.value)
-
-
-def evaluate_s(p: BiPoly, v) -> UniPoly:
-    return p.evaluate_s(v)
-
-
 class BiPolyRing:
     """Ring wrapper so generic matrix code can make 0, 1 and integer images."""
 
@@ -480,86 +465,66 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_terms(text: str, field, vars_ok=("s", "t")):
-    """Parse canonical polynomial text into a monomial->coeff dict.
+def _parse_terms(text: str, field, variables):
+    """Yield (coeff, [(var, exp), ...]) for each signed term of text.
 
-    Grammar: terms joined by + / -, each term a '*'-separated product of an
-    optional rational coefficient and variable factors ``v`` or ``v^k``
-    (the '*' may be omitted).
+    Grammar: terms joined by + / -, each term a '*'-separated product of
+    rational coefficients and variable factors ``v`` or ``v^k`` (the '*'
+    may be omitted).  Factors keep their order, so the caller decides
+    whether variables commute.  Anything else raises ValueError.
     """
     tokens = _tokenize(text)
-    terms: dict[tuple[int, int], object] = {}
     pos = 0
-
-    def parse_term(sign: int):
-        nonlocal pos
-        coeff = field.one if sign > 0 else -field.one
-        exps = {v: 0 for v in vars_ok}
-        saw_factor = False
-        while pos < len(tokens):
-            tok = tokens[pos]
-            if tok in ("+", "-"):
-                break
-            if tok == "*":
-                pos += 1
-                continue
-            if tok == "^":
-                raise ValueError("exponent without a variable")
-            if tok in vars_ok:
-                pos += 1
-                e = 1
-                if pos < len(tokens) and tokens[pos] == "^":
-                    pos += 1
-                    if pos >= len(tokens) or not tokens[pos].isdigit():
-                        raise ValueError("malformed exponent")
-                    e = int(tokens[pos])
-                    pos += 1
-                exps[tok] += e
-            elif tok[0].isdigit():
-                coeff = coeff * field.parse_coeff(tok)
-                pos += 1
-            else:
-                raise ValueError(f"unexpected token {tok!r}")
-            saw_factor = True
-        if not saw_factor:
-            raise ValueError("empty term")
-        mono = (exps.get("s", 0), exps.get("t", 0))
-        prev = terms.get(mono)
-        val = coeff if prev is None else prev + coeff
-        if val:
-            terms[mono] = val
-        elif mono in terms:
-            del terms[mono]
-
-    sign = 1
-    while pos < len(tokens) and tokens[pos] in ("+", "-"):
-        if tokens[pos] == "-":
-            sign = -sign
-        pos += 1
-    parse_term(sign)
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if tok not in ("+", "-"):
-            raise ValueError(f"expected + or - at {tok!r}")
-        sign = 1 if tok == "+" else -1
-        pos += 1
+    while True:
+        coeff = field.one
         while pos < len(tokens) and tokens[pos] in ("+", "-"):
             if tokens[pos] == "-":
-                sign = -sign
+                coeff = -coeff
             pos += 1
-        parse_term(sign)
-    return terms
+        factors = []
+        empty = True
+        while pos < len(tokens) and tokens[pos] not in ("+", "-"):
+            tok = tokens[pos]
+            pos += 1
+            if tok == "*":
+                continue
+            if tok in variables:
+                e = 1
+                if pos < len(tokens) and tokens[pos] == "^":
+                    if pos + 1 >= len(tokens) or not tokens[pos + 1].isdigit():
+                        raise ValueError("malformed exponent")
+                    e = int(tokens[pos + 1])
+                    pos += 2
+                factors.append((tok, e))
+            elif tok[0].isdigit():
+                coeff = coeff * field.parse_coeff(tok)
+            else:
+                raise ValueError(f"unexpected token {tok!r}")
+            empty = False
+        if empty:
+            raise ValueError("empty term")
+        yield coeff, factors
+        if pos == len(tokens):
+            return
+
+
+def _exponent(factors, var) -> int:
+    return sum(e for v, e in factors if v == var)
 
 
 def parse_bipoly(text: str, field) -> BiPoly:
     """Inverse of BiPoly.text() on canonical output."""
-    return BiPoly(_parse_terms(text, field), field)
+    terms: dict = {}
+    for coeff, factors in _parse_terms(text, field, ("s", "t")):
+        mono = (_exponent(factors, "s"), _exponent(factors, "t"))
+        terms[mono] = terms.get(mono, field.zero) + coeff
+    return BiPoly(terms, field)
 
 
 def parse_unipoly(text: str, field, var="t") -> UniPoly:
-    terms = _parse_terms(text.replace(var, "t"), field, vars_ok=("t",))
-    deg = max((m[1] for m in terms), default=-1)
-    coeffs = [field.zero] * (deg + 1)
-    for (_, et), c in terms.items():
-        coeffs[et] = coeffs[et] + c
-    return UniPoly(coeffs, field, var=var)
+    coeffs: dict = {}
+    for coeff, factors in _parse_terms(text, field, (var,)):
+        k = _exponent(factors, var)
+        coeffs[k] = coeffs.get(k, field.zero) + coeff
+    deg = max(coeffs, default=-1)
+    return UniPoly([coeffs.get(k, field.zero) for k in range(deg + 1)], field, var=var)

@@ -20,6 +20,7 @@ from .poly import BiPoly, BiPolyRing, UniPoly
 _F_ST: dict = {}
 _FBAR: dict = {}
 _TRACE: dict = {}
+_TRACE_INTS: list = [(2,), (0, 1)]
 
 
 def f_st(n: int, field=QQ) -> BiPoly:
@@ -46,13 +47,16 @@ def trace_poly(n: int, field=QQ) -> UniPoly:
     """The n-th trace polynomial in x."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    memo = _TRACE.setdefault(
-        field,
-        [UniPoly.const(2, field, var="x"), UniPoly.gen(field, var="x")],
-    )
-    x = UniPoly.gen(field, var="x")
-    while len(memo) <= n:
-        memo.append(x * memo[-1] - memo[-2])
+    # The coefficients are integers in every field, so the recurrence runs
+    # on ints once and each field only converts the indices it asks for.
+    while len(_TRACE_INTS) <= n:
+        shifted = [0, *_TRACE_INTS[-1]]
+        for k, c in enumerate(_TRACE_INTS[-2]):
+            shifted[k] -= c
+        _TRACE_INTS.append(tuple(shifted))
+    memo = _TRACE.setdefault(field, {})
+    if n not in memo:
+        memo[n] = UniPoly.of_ints(_TRACE_INTS[n], field, var="x")
     return memo[n]
 
 

@@ -176,8 +176,10 @@ def test_criterion_6_structure_theorem_suite(capsys):
                 unit_entries = [ok for name, ok in rep.entries if name.startswith("e")]
                 assert len(unit_entries) == 17 and all(unit_entries), (i, j, field)
                 dim = gb.dimension()
-                if dim is not INFINITE:
-                    assert 4 * dim <= 2 * (i + j - 1) * (i - j), (i, j, field)
+                if (i, j) == (1, 1):
+                    assert dim is INFINITE
+                else:
+                    assert 2 * dim == (i + j - 1) * (i - j), (i, j, field)
 
 
 # -- criterion 7 helpers: an independent integer-coefficient polynomial

@@ -7,13 +7,14 @@ from m2alg.errors import UnsupportedParameters
 from m2alg.fields import GF, QQ
 from m2alg.groebner import (
     INFINITE,
+    GroebnerBasis,
     QuotientRing,
     buchberger,
     buchberger_with_certificate,
     build_ideal_I,
     structure_basis,
 )
-from m2alg.poly import BiPoly, evaluate_s, parse_bipoly, uni_gcd
+from m2alg.poly import BiPoly, parse_bipoly, uni_gcd
 from m2alg.sequences import f_st, fbar
 
 
@@ -69,6 +70,12 @@ def test_trivial_input_basis():
     assert gb.is_trivial()
 
 
+def test_basis_must_be_monic():
+    # division assumes monic divisors; a non-monic one used to loop forever
+    with pytest.raises(ValueError):
+        GroebnerBasis([parse_bipoly("2*s + 1", QQ)], QQ)
+
+
 def test_normal_form_examples():
     gb21 = structure_basis(2, 1)
     assert gb21.normal_form(parse_bipoly("t - 1", QQ)).is_zero()
@@ -93,35 +100,36 @@ def test_nontrivial_for_coprime_pairs_at_scale():
 
 
 def test_dimension_bound():
-    # 4 * dim(quotient) <= 2 (i+j-1)(i-j) for coprime i > j
+    # dim(quotient) = (i+j-1)(i-j)/2 exactly for coprime i > j
     for field in (QQ, GF(3)):
         for i, j in coprime_pairs(10, include_diag=False):
             dim = structure_basis(i, j, field).dimension()
             assert dim is not INFINITE
-            assert 4 * dim <= 2 * (i + j - 1) * (i - j), (i, j, field)
+            assert 2 * dim == (i + j - 1) * (i - j), (i, j, field)
 
 
 def test_certificate_soundness():
     # each reduced-basis element is an explicit combination of the inputs
-    for i, j in [(2, 1), (4, 3), (5, 2), (7, 4)]:
-        ideal = build_ideal_I(i, j)
-        gb, certs = buchberger_with_certificate(ideal)
-        assert gb == buchberger(ideal)
-        for g, cofs in zip(gb.polys, certs):
-            acc = BiPoly.zero(QQ)
-            for q, gen in zip(cofs, ideal.generators):
-                acc = acc + q * gen
-            assert acc == g
-        # and every input generator reduces to zero against the basis
-        for gen in ideal.generators:
-            assert gb.normal_form(gen).is_zero()
+    for field in (QQ, GF(3)):
+        for i, j in [(2, 1), (4, 3), (5, 2), (7, 4)]:
+            ideal = build_ideal_I(i, j, field)
+            gb, certs = buchberger_with_certificate(ideal)
+            assert gb == buchberger(ideal)
+            for g, cofs in zip(gb.polys, certs):
+                acc = BiPoly.zero(field)
+                for q, gen in zip(cofs, ideal.generators):
+                    acc = acc + q * gen
+                assert acc == g, (i, j, field)
+            # and every input generator reduces to zero against the basis
+            for gen in ideal.generators:
+                assert gb.normal_form(gen).is_zero()
 
 
 def test_evaluation_route_even_sum():
     # i + j even (both odd): every generator maps into (t) under s -> 1
     for i, j in [(1, 1), (3, 1), (5, 3), (7, 5), (9, 7)]:
         for gen in build_ideal_I(i, j).generators:
-            img = evaluate_s(gen, QQ.of(1))
+            img = gen.evaluate_s(QQ.of(1))
             assert img.constant_term() == QQ.zero, (i, j, gen)
 
 
@@ -130,7 +138,7 @@ def test_evaluation_route_odd_sum():
     # univariate polynomials with a nonconstant common factor
     for i, j in [(2, 1), (4, 3), (5, 2), (7, 4), (8, 3)]:
         sign = QQ.of((-1) ** (j - 1))
-        g1 = evaluate_s(f_st(i + j), QQ.of(-1))
+        g1 = f_st(i + j).evaluate_s(QQ.of(-1))
         g2 = fbar(i + j - 1) - sign
         assert g1.leading_coeff() == QQ.one
         assert g2.leading_coeff() == QQ.one

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 from m2alg.fields import GF, QQ
 from m2alg.poly import (
     BiPoly,
-    EvalAtS,
     NEG_INF,
     UniPoly,
-    evaluate_s,
     parse_bipoly,
     parse_unipoly,
     uni_gcd,
@@ -107,11 +105,11 @@ def test_bipoly_text_canonical():
 
 
 def test_evaluate_s_golden():
-    img = evaluate_s(f_st(7), QQ.of(-1))
+    img = f_st(7).evaluate_s(QQ.of(-1))
     assert img.text() == "t^6 - 5*t^4 + 6*t^2 - 1"
-    assert evaluate_s(bp("s + 1"), QQ.of(-1)).is_zero()
+    assert bp("s + 1").evaluate_s(QQ.of(-1)).is_zero()
     # s -> 0 keeps the s-free part
-    assert evaluate_s(bp("s*t + t^2 + s^3"), QQ.of(0)).text() == "t^2"
+    assert bp("s*t + t^2 + s^3").evaluate_s(QQ.of(0)).text() == "t^2"
 
 
 @st.composite
@@ -127,9 +125,9 @@ def bipolys(draw, field=QQ):
 @settings(max_examples=50)
 @given(bipolys(), bipolys(), st.integers(-3, 3))
 def test_evaluate_s_is_homomorphic(p, q, v):
-    ev = EvalAtS(QQ.of(v))
-    assert ev(p * q) == ev(p) * ev(q)
-    assert ev(p + q) == ev(p) + ev(q)
+    v = QQ.of(v)
+    assert (p * q).evaluate_s(v) == p.evaluate_s(v) * q.evaluate_s(v)
+    assert (p + q).evaluate_s(v) == p.evaluate_s(v) + q.evaluate_s(v)
 
 
 @settings(max_examples=60)
