@@ -16,6 +16,7 @@ from .freealg import (
     RewriteSystem,
     Word,
     build_rewrite_system,
+    certify_normal_forms,
     check_identities,
     matrix_model,
     parse_word_expr,

@@ -22,6 +22,7 @@ from .errors import Inconsistency, UnsupportedParameters
 from .fields import GF, QQ, is_prime
 from .freealg import (
     build_rewrite_system,
+    certify_normal_forms,
     check_identities,
     matrix_model,
     parse_word_expr,
@@ -304,6 +305,8 @@ def _selftest_checks(cfg: SelftestConfig):
                 seed=cfg.seed,
             )
             if not rep.ok:
+                return False
+            if i != j and not certify_normal_forms(rs):
                 return False
             if not check_identities(i, j, n_max=4).ok:
                 return False

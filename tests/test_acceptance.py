@@ -11,7 +11,13 @@ import time
 
 from m2alg.cli import main as cli_main
 from m2alg.fields import GF, GF2, QQ, nu2
-from m2alg.freealg import build_rewrite_system, check_identities, matrix_model, validate_system
+from m2alg.freealg import (
+    build_rewrite_system,
+    certify_normal_forms,
+    check_identities,
+    matrix_model,
+    validate_system,
+)
 from m2alg.groebner import INFINITE, structure_basis
 from m2alg.mat2 import Mat2, mat_pow
 from m2alg.membership import (
@@ -339,3 +345,5 @@ def test_criterion_9_rewriting_soundness(capsys):
             assert rep.confluence_divergences == [], (i, j)
             assert rep.normal_form_escapes == [], (i, j)
             assert check_identities(i, j, n_max=6).ok, (i, j)
+            if i > j:
+                assert certify_normal_forms(rs), (i, j)

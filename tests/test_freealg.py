@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -9,7 +11,9 @@ from m2alg.fields import GF, QQ
 from m2alg.freealg import (
     NCPoly,
     Word,
+    _rewrite,
     build_rewrite_system,
+    certify_normal_forms,
     check_identities,
     matrix_model,
     parse_word_expr,
@@ -223,3 +227,66 @@ def test_check_identities_over_fp():
 def test_check_identities_rejects():
     with pytest.raises(UnsupportedParameters):
         check_identities(6, 3)
+
+
+FIELDS = (QQ, GF(2), GF(3))
+
+
+def random_word(rng, max_len=12):
+    return w("".join(rng.choice("xy") for _ in range(rng.randint(0, max_len))))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("i,j", [(2, 1), (3, 2), (4, 3), (5, 4), (5, 2), (7, 3)])
+def test_table_route_agrees_with_heap(i, j, field):
+    rs = build_rewrite_system(i, j, field)
+    rng = random.Random(100 * i + j)
+    for _ in range(30):
+        p = NCPoly.of_word(random_word(rng), field)
+        assert reduce(p, rs) == _rewrite(p, rs), (i, j, p)
+    for _ in range(10):
+        p = NCPoly.zero(field)
+        for _ in range(rng.randint(2, 4)):
+            p = p + NCPoly.of_word(random_word(rng), field, rng.randint(-3, 3))
+        assert reduce(p, rs) == _rewrite(p, rs), (i, j, p)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_certify_normal_forms(field):
+    for i in range(2, 8):
+        for j in range(1, i):
+            if math.gcd(i, j) == 1:
+                rs = build_rewrite_system(i, j, field)
+                assert certify_normal_forms(rs), (i, j, field.name)
+
+
+def test_certify_normal_forms_needs_finite_basis():
+    with pytest.raises(UnsupportedParameters):
+        certify_normal_forms(build_rewrite_system(1, 1))
+
+
+def test_certify_normal_forms_detects_failures():
+    rs = build_rewrite_system(3, 2)
+    broken = dataclasses.replace(rs, yx_rhs=rs.yx_rhs + NCPoly.y(QQ))
+    assert not certify_normal_forms(broken)
+    repeated = dataclasses.replace(rs, basis=rs.basis[:-1] + rs.basis[:1])
+    assert not certify_normal_forms(repeated)
+
+
+def test_model_powers_stay_bounded():
+    i, j = 5, 4
+    M = i * i - j * j
+    rs = build_rewrite_system(i, j)
+    model = matrix_model(i, j)
+    e = 500_000
+    p = NCPoly.x(QQ, e) * NCPoly.y(QQ)
+    folded = (NCPoly.x(QQ, e % M) * NCPoly.y(QQ)).scale((-1) ** ((i + j) * (e // M)))
+    assert model.image(p) == model.image(folded)
+    assert len(model._xpow) <= M
+    assert reduce(p, rs) == reduce(folded, rs) == _rewrite(folded, rs)
+
+
+def test_one_model_per_ring():
+    assert matrix_model(4, 5) is matrix_model(5, 4)
+    assert matrix_model(4, 5, GF(3)) is matrix_model(5, 4, GF(3))
+    assert matrix_model(4, 5) is not matrix_model(4, 5, GF(3))
