@@ -21,6 +21,7 @@ from .config import SelftestConfig
 from .errors import Inconsistency, UnsupportedParameters
 from .fields import GF, QQ, is_prime
 from .freealg import (
+    RewriteFuelExhausted,
     build_rewrite_system,
     certify_normal_forms,
     check_identities,
@@ -179,7 +180,10 @@ def cmd_reduce(parser, args) -> int:
     except ValueError as exc:
         parser.error(f"bad expression: {exc}")
     rs = build_rewrite_system(args.i, args.j, QQ)
-    nf = nc_reduce(expr, rs)
+    try:
+        nf = nc_reduce(expr, rs)
+    except RewriteFuelExhausted as exc:
+        parser.error(str(exc))
     model = matrix_model(max(args.i, args.j), min(args.i, args.j), QQ)
     sound = model.image(expr) == model.image(nf)
     if not sound:
@@ -306,7 +310,7 @@ def _selftest_checks(cfg: SelftestConfig):
             )
             if not rep.ok:
                 return False
-            if i != j and not certify_normal_forms(rs):
+            if not certify_normal_forms(rs):
                 return False
             if not check_identities(i, j, n_max=4).ok:
                 return False

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from m2alg import freealg
 from m2alg.cli import main
 
 
@@ -147,6 +148,15 @@ def test_usage_errors_exit_2(capsys):
             main(args)
         assert exc.value.code == 2, args
         capsys.readouterr()
+
+
+def test_reduce_fuel_exhaustion_exits_2(capsys, monkeypatch):
+    # y*x^n takes n rewrite steps at (1, 1)
+    monkeypatch.setattr(freealg, "REWRITE_FUEL", 10)
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "1", "1", "y*x^20"])
+    assert exc.value.code == 2
+    assert "no normal form within 10 steps" in capsys.readouterr().err
 
 
 def test_verbose_writes_to_stderr(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from m2alg import freealg
 from m2alg.errors import UnsupportedParameters
 from m2alg.fields import GF, QQ
 from m2alg.freealg import (
@@ -21,7 +22,7 @@ from m2alg.freealg import (
     validate_system,
     word_image,
 )
-from m2alg.mat2 import Mat2
+from m2alg.mat2 import Mat2, mat_pow
 
 
 def w(letters):
@@ -260,9 +261,9 @@ def test_certify_normal_forms(field):
                 assert certify_normal_forms(rs), (i, j, field.name)
 
 
-def test_certify_normal_forms_needs_finite_basis():
-    with pytest.raises(UnsupportedParameters):
-        certify_normal_forms(build_rewrite_system(1, 1))
+def test_certify_normal_forms_at_1_1():
+    for field in FIELDS:
+        assert certify_normal_forms(build_rewrite_system(1, 1, field)), field.name
 
 
 def test_certify_normal_forms_detects_failures():
@@ -271,6 +272,20 @@ def test_certify_normal_forms_detects_failures():
     assert not certify_normal_forms(broken)
     repeated = dataclasses.replace(rs, basis=rs.basis[:-1] + rs.basis[:1])
     assert not certify_normal_forms(repeated)
+    # y*x -> 1 + x*y leaves the overlap y*y*x at 2*y
+    rs = build_rewrite_system(1, 1)
+    broken = dataclasses.replace(rs, yx_rhs=parse_word_expr("1 + x*y", QQ))
+    assert not certify_normal_forms(broken)
+
+
+@pytest.mark.parametrize("i,j", [(5, 4), (7, 3)])
+def test_tables_need_no_rewriting(i, j, monkeypatch):
+    def refuse(p, rs):
+        raise AssertionError("_rewrite called")
+
+    monkeypatch.setattr(freealg, "_rewrite", refuse)
+    rs = build_rewrite_system(i, j)
+    assert len(rs.rx) == len(rs.ry) == len(rs.basis)
 
 
 def test_model_powers_stay_bounded():
@@ -284,6 +299,15 @@ def test_model_powers_stay_bounded():
     assert model.image(p) == model.image(folded)
     assert len(model._xpow) <= M
     assert reduce(p, rs) == reduce(folded, rs) == _rewrite(folded, rs)
+
+
+def test_model_powers_stay_bounded_at_1_1():
+    model = matrix_model(1, 1)
+    X, Y = model.pair.X, model.pair.Y
+    for e in (20_000, 20_001):
+        p = NCPoly.x(QQ, e) * NCPoly.y(QQ)
+        assert model.image(p) == mat_pow(X, e) * Y
+    assert len(model._xpow) <= 2
 
 
 def test_one_model_per_ring():
