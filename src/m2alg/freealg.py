@@ -47,6 +47,11 @@ class RewriteFuelExhausted(RuntimeError):
     """A reduction exceeded its step budget (possible nontermination)."""
 
 
+# one shared tuple per short run, so that stored words hold pointers to
+# these instead of a fresh pair per run
+_RUNS = {(letter, e): (letter, e) for letter in "xy" for e in range(1, 65)}
+
+
 class Word:
     """A word in x and y, stored as alternating run-length pairs."""
 
@@ -65,7 +70,7 @@ class Word:
                 merged[-1] = (letter, merged[-1][1] + e)
             else:
                 merged.append((letter, e))
-        self.runs = tuple(merged)
+        self.runs = tuple([_RUNS.get(run, run) for run in merged])
 
     @classmethod
     def one(cls):
@@ -151,8 +156,9 @@ class NCPoly:
 
     @classmethod
     def of_word(cls, w: Word, field, coeff=1):
-        c = field.of(coeff) if isinstance(coeff, int) else coeff
-        return cls({w: c} if c else {}, field, _clean=False)
+        if isinstance(coeff, int):
+            coeff = field.one if coeff == 1 else field.of(coeff)
+        return cls({w: coeff} if coeff else {}, field, _clean=False)
 
     @classmethod
     def one(cls, field):
@@ -561,6 +567,14 @@ class MatrixModel:
     The represented algebra is isomorphic to the full 2x2 matrix algebra
     over the quotient, so equality of images decides equality in the
     presented ring.
+
+    Y is the matrix unit e12, which is checked once at construction, so
+    e12 M e12 = M_21 e12 for every M.  A word x^a0 y x^a1 y ... y x^ak with
+    single y's therefore maps to c * col_1(X^a0) (x) row_2(X^ak), with
+    c = (X^a1)_21 ... (X^a(k-1))_21 and a missing first or last x-run read
+    as X^0 = I: at most k + 4 products in L instead of a matrix product
+    per run.  A word containing y^2 maps to zero.  The model uses only X,
+    Y and their powers, never the rewrite rules.
     """
 
     def __init__(self, i: int, j: int, field=QQ):
@@ -570,6 +584,8 @@ class MatrixModel:
         self.gb = structure_basis(i, j, field)
         self.pair = witness_XY(i, j, field, gb=self.gb)
         self.ring = self.pair.ring
+        if self.pair.Y != Mat2.e12(self.ring):
+            raise Inconsistency(f"Y is not the matrix unit e12 for (i, j) = ({i}, {j})")
         self.identity = Mat2.identity(self.ring)
         self.zero_mat = Mat2.zero(self.ring)
         self._xpow = [self.identity, self.pair.X]
@@ -594,23 +610,44 @@ class MatrixModel:
         return -self._xpow[e] if self._flip and folds % 2 else self._xpow[e]
 
     def word_matrix(self, w: Word) -> Mat2:
-        m = self.identity
+        # the x-exponents around the y's, a missing run counting as 0
+        xs = [0]
         for letter, e in w.runs:
             if letter == "x":
-                m = m * self.xpow(e)
+                xs[-1] = e
             elif e >= 2:
                 return self.zero_mat
             else:
-                m = m * self.pair.Y
-        return m
+                xs.append(0)
+        if len(xs) == 1:
+            return self.xpow(xs[0])
+        c = None
+        for e in xs[1:-1]:
+            entry = self.xpow(e).c
+            c = entry if c is None else c * entry
+            if not c:
+                return self.zero_mat
+        first, last = self.xpow(xs[0]), self.xpow(xs[-1])
+        col = (first.a, first.c) if c is None else (c * first.a, c * first.c)
+        return Mat2(
+            self.ring,
+            col[0] * last.c,
+            col[0] * last.d,
+            col[1] * last.c,
+            col[1] * last.d,
+        )
 
     def image(self, p) -> Mat2:
         if isinstance(p, Word):
             return self.word_matrix(p)
-        total = self.zero_mat
+        one = self.field.one
+        total = None
         for w, c in p.terms.items():
-            total = total + self.word_matrix(w).scale(self.ring.of(c))
-        return total
+            m = self.word_matrix(w)
+            if c != one:
+                m = m.scale(c)
+            total = m if total is None else total + m
+        return self.zero_mat if total is None else total
 
     def equal_in_ring(self, p, q) -> bool:
         return self.image(p) == self.image(q)

@@ -316,10 +316,26 @@ class QuotientElem:
         return QuotientElem(-self.poly, self.ring)
 
     def __mul__(self, other):
-        other = self.ring.of(other)
-        return QuotientElem(self.ring.gb.normal_form(self.poly * other.poly), self.ring)
+        ring = self.ring
+        if not isinstance(other, (QuotientElem, BiPoly)):
+            return self._times_constant(ring.field.of(other))
+        other = ring.of(other)
+        a, b = self.poly.terms, other.poly.terms
+        if not a or not b:
+            return ring.zero
+        # a constant times a normal form is a normal form: no product, no division
+        if len(b) == 1 and (0, 0) in b:
+            return self._times_constant(b[0, 0])
+        if len(a) == 1 and (0, 0) in a:
+            return other._times_constant(a[0, 0])
+        return QuotientElem(ring.gb.normal_form(self.poly * other.poly), ring)
 
     __rmul__ = __mul__
+
+    def _times_constant(self, c):
+        if c == self.ring.field.one:
+            return self
+        return QuotientElem(self.poly.scale(c), self.ring)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -338,7 +354,9 @@ class QuotientElem:
             other = self.ring.of(other)
         if not isinstance(other, QuotientElem):
             return NotImplemented
-        return self.poly == other.poly and self.ring.gb == other.ring.gb
+        return self.poly == other.poly and (
+            self.ring is other.ring or self.ring.gb == other.ring.gb
+        )
 
     def __hash__(self):
         return hash((self.poly, self.ring.gb))
@@ -365,7 +383,7 @@ class QuotientRing:
 
     def of(self, x) -> QuotientElem:
         if isinstance(x, QuotientElem):
-            if x.ring.gb != self.gb:
+            if x.ring is not self and x.ring.gb != self.gb:
                 raise ValueError("element of a different quotient")
             return x
         if not isinstance(x, BiPoly):

@@ -66,12 +66,13 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
         X = mat_pow(companion, alpha + beta).scale(_s_inverse(ring, hi, lo) ** beta)
     Y = Mat2.e12(ring)
     ident = Mat2.identity(ring)
+    power = {e: mat_pow(X, e) for e in {lo, hi}}
     checks = [
         (Y * Y).is_zero(),
-        mat_pow(X, i) * Y + Y * mat_pow(X, j) == ident,
-        mat_pow(X, j) * Y + Y * mat_pow(X, i) == ident,
-        mat_pow(X, lo) == companion,
-        mat_pow(X, hi) == Mat2(ring, ring.zero, ring.s(), ring.one, -ring.t()),
+        power[i] * Y + Y * power[j] == ident,
+        power[j] * Y + Y * power[i] == ident,
+        power[lo] == companion,
+        power[hi] == Mat2(ring, ring.zero, ring.s(), ring.one, -ring.t()),
     ]
     if not all(checks):
         raise Inconsistency(f"witness construction failed for (i, j) = ({i}, {j})")

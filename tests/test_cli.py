@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,23 @@ def test_structure_infinite(capsys):
     assert code == 0
     assert record["result"]["dimension"] == "infinite"
     assert record["result"]["reduced_basis"] == ["t"]
+
+
+GOLDENS = Path(__file__).parent / "goldens"
+
+
+@pytest.mark.parametrize(
+    "args,golden",
+    [
+        (["verify", "5", "4"], "verify_5_4.json"),
+        (["reduce", "7", "3", "y*x^5*y*x^2*y + x^4*y*x"], "reduce_7_3.json"),
+    ],
+)
+def test_output_bytes_golden(capsys, args, golden):
+    code, out, err = run_cli(args, capsys)
+    assert code == 0
+    assert err == ""
+    assert out == (GOLDENS / golden).read_text()
 
 
 def test_decide_golden(capsys):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m2alg import freealg
-from m2alg.errors import UnsupportedParameters
+from m2alg import freealg, groebner
+from m2alg.errors import Inconsistency, UnsupportedParameters
 from m2alg.fields import GF, QQ
 from m2alg.freealg import (
     NCPoly,
@@ -314,3 +314,86 @@ def test_one_model_per_ring():
     assert matrix_model(4, 5) is matrix_model(5, 4)
     assert matrix_model(4, 5, GF(3)) is matrix_model(5, 4, GF(3))
     assert matrix_model(4, 5) is not matrix_model(4, 5, GF(3))
+
+
+def _plain_product(pair, word):
+    """The image of word as a left-to-right product of X and Y powers."""
+    m = Mat2.identity(pair.ring)
+    for letter, e in word.runs:
+        m = m * mat_pow(pair.X if letter == "x" else pair.Y, e)
+    return m
+
+
+def _model_words(rng, period):
+    fixed = [
+        Word.one(),
+        w("y"),
+        w("yy"),
+        w("yxy"),
+        w("xyyx"),
+        Word((("x", period + 1), ("y", 1))),
+        Word((("y", 1), ("x", 2 * period + 1), ("y", 1), ("x", period))),
+    ]
+    drawn = []
+    for _ in range(20):
+        runs = []
+        letter = rng.choice("xy")
+        length, target = 0, rng.randint(1, 14)
+        while length < target:
+            if letter == "y":
+                e = 2 if rng.random() < 0.15 else 1
+            elif rng.random() < 0.2:
+                e = rng.randint(period, 2 * period + 2)
+            else:
+                e = rng.randint(1, 4)
+            runs.append((letter, e))
+            length += min(e, 4)
+            letter = "y" if letter == "x" else "x"
+        drawn.append(Word(runs))
+    return fixed + drawn
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("i,j", [(1, 1), (2, 1), (3, 2), (5, 4), (7, 3), (10, 7), (4, 5)])
+def test_word_matrix_matches_plain_product(i, j, field):
+    model = matrix_model(i, j, field)
+    rng = random.Random(100 * i + j)
+    for word in _model_words(rng, model._period):
+        assert model.word_matrix(word) == _plain_product(model.pair, word), word.text()
+
+
+def test_model_requires_y_to_be_e12(monkeypatch):
+    real = freealg.witness_XY
+
+    def with_e21(*args, **kwargs):
+        pair = real(*args, **kwargs)
+        ring = pair.ring
+        return dataclasses.replace(pair, Y=Mat2(ring, ring.zero, ring.zero, ring.one, ring.zero))
+
+    monkeypatch.setattr(freealg, "witness_XY", with_e21)
+    with pytest.raises(Inconsistency):
+        freealg.MatrixModel(5, 4, QQ)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+def test_word_matrix_multiply_count(monkeypatch, k):
+    """A word with k single y's costs at most k + 4 general products in L."""
+    model = matrix_model(10, 7)
+    rng = random.Random(k)
+    runs = [("x", rng.randint(1, 2 * model._period))]
+    for _ in range(k):
+        runs += [("y", 1), ("x", rng.randint(1, 2 * model._period))]
+    word = Word(runs)
+    model.word_matrix(word)  # caches the x-powers
+    calls = []
+    real = groebner._divide
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_divide", counting)
+    image = model.word_matrix(word)
+    assert len(calls) <= k + 4
+    monkeypatch.undo()
+    assert image == _plain_product(model.pair, word)

@@ -8,6 +8,7 @@ from m2alg.fields import GF, QQ
 from m2alg.groebner import (
     INFINITE,
     GroebnerBasis,
+    QuotientElem,
     QuotientRing,
     buchberger,
     buchberger_with_certificate,
@@ -146,14 +147,35 @@ def test_evaluation_route_odd_sum():
         assert common.degree >= 1, (i, j)
 
 
+def _draw_operand(ring, rng):
+    """An operand: a random, zero or constant quotient element, or a raw int or field scalar."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ring.zero
+    if kind == 1:
+        return ring.of(ring.field.random_element(rng))
+    if kind == 2:
+        return rng.randint(-4, 4)
+    if kind == 3:
+        return ring.field.random_element(rng)
+    return ring.random_element(rng)
+
+
+def _as_poly(ring, x):
+    return x.poly if isinstance(x, QuotientElem) else BiPoly.const(x, ring.field)
+
+
 def test_normal_form_respects_multiplication():
-    ring = QuotientRing(structure_basis(4, 3))
-    rng = random.Random(7)
-    for _ in range(150):
-        p = ring.random_element(rng)
-        q = ring.random_element(rng)
-        direct = ring.gb.normal_form(p.poly * q.poly)
-        assert (p * q).poly == direct
+    for field in (QQ, GF(3)):
+        ring = QuotientRing(structure_basis(4, 3, field))
+        rng = random.Random(7)
+        for _ in range(300):
+            p = ring.random_element(rng) if rng.random() < 0.5 else ring.of(_draw_operand(ring, rng))
+            q = _draw_operand(ring, rng)
+            direct = ring.gb.normal_form(p.poly * _as_poly(ring, q))
+            assert (p * q).poly == direct
+            assert (q * p).poly == direct
+            assert (p * q).ring is ring
 
 
 def test_quotient_ring_arithmetic():
