@@ -214,13 +214,6 @@ class PrimeField:
     def random_element(self, rng) -> FpElem:
         return FpElem(rng.randrange(self.p), self.p)
 
-    def sqrt(self, c: FpElem):
-        """A square root of c in F_p, or None.  Brute scan; p stays small."""
-        for r in range(self.p):
-            if (r * r - c.value) % self.p == 0:
-                return FpElem(r, self.p)
-        return None
-
     def coeff_text(self, c) -> tuple[bool, str]:
         return (False, str(c.value))
 

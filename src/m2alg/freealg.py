@@ -243,9 +243,6 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        return set(self.terms)
-
     def text(self) -> str:
         pieces = []
         for w in sorted(self.terms, key=Word.key, reverse=True):

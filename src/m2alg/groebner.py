@@ -198,9 +198,6 @@ class GroebnerBasis:
         if any(g.terms[lm] != field.one for g, lm in zip(self.polys, self._lms)):
             raise ValueError("basis polynomials must be monic")
 
-    def leading_monomials(self):
-        return self._lms
-
     def normal_form(self, p: BiPoly) -> BiPoly:
         """The unique remainder of p modulo the basis; zero iff p is in the ideal."""
         return _divide(p, self.polys, self._lms)[0]

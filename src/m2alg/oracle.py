@@ -10,7 +10,9 @@ matrices satisfying x^i y + y x^j = 1, y^2 = 0.
   order so the first witness is reproducible.  ``enum_sweep_fp`` amortizes
   one scan over many (i, j) pairs.
 * ``oracle_roots_fp2``: decides via the root analysis of x^2 - ax + b over
-  F_p and its quadratic extension, then reconstructs a witness from the
+  F_p and its quadratic extension.  The scan is plain int arithmetic:
+  F_{p^2} elements are int pairs, square roots come from a per-call table of
+  smallest roots.  A witness is then rebuilt as ``Mat2`` over GF(p) from the
   companion matrix and an exact linear solve.
 * ``construct_witness_Q``: builds verified rational witnesses for members
   over Q from the semantic root data.
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import Inconsistency, UnsupportedParameters
-from .fields import GF, GF2, QQ, is_prime
+from .fields import GF, QQ, is_prime, smallest_nonresidue
 from .mat2 import Mat2, SylvesterSolution, mat_pow, solve_sylvester
 from .membership import decide_Q, decide_Q_semantic
 
@@ -256,23 +258,51 @@ def _witness_from_quadratic(p: int, a: int, b: int, i: int, j: int) -> tuple[Mat
     return x, y
 
 
+# F_{p^2} = F_p(w) with w^2 = u as int pairs (a, b) = a + b*w
+
+
+def _pow2(z, e, p, u):
+    """z^e in F_{p^2} by square-and-multiply on int pairs."""
+    a, b = z
+    ra, rb = 1, 0
+    while e:
+        if e & 1:
+            ra, rb = (ra * a + u * rb * b) % p, (ra * b + rb * a) % p
+        a, b = (a * a + u * b * b) % p, 2 * a * b % p
+        e >>= 1
+    return ra, rb
+
+
+def _sqrt_table(p):
+    """{c: smallest r with r^2 = c} over the squares c of F_p."""
+    table = {}
+    for r in range(p):
+        table.setdefault(r * r % p, r)
+    return table
+
+
 def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     """Membership over F_p via the roots of x^2 - ax + b in F_p or F_{p^2}.
 
     Scans all (a, b).  A double root r must satisfy p | i+j, p not | i and
     r^(j-i) = -1 (with the degenerate r = 0 allowed only at i = j = 1); a
     separable pair (r, s) must satisfy (rs)^(j-i) = 1,
-    r^(i+j) + (rs)^i = 0 and r^(j-i) != -1 in either orientation.  On
-    success the witness is rebuilt over F_p and verified.
+    r^(i+j) + (rs)^i = 0 and r^(j-i) != -1 in either orientation.  The scan
+    runs on plain ints: F_{p^2} elements are pairs a + b*w with w^2 = u the
+    smallest nonresidue, and square roots come from a table holding the
+    smallest root of each square.  On success the witness is rebuilt as
+    ``Mat2`` over GF(p) and verified with exact exponents.
     """
     if not is_prime(p) or p == 2:
         raise UnsupportedParameters("p must be an odd prime")
     if i < 1 or j < 1:
         raise UnsupportedParameters("exponents must be >= 1")
     fp = GF(p)
-    fp2 = GF2(p)
+    u = smallest_nonresidue(p)
+    u_inv = pow(u, -1, p)
     inv2 = pow(2, -1, p)
     diff = abs(j - i)
+    sqrt_table = _sqrt_table(p)
     for a in range(p):
         for b in range(p):
             disc = (a * a - 4 * b) % p
@@ -299,26 +329,24 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
                     True, ROOT_FP2, i, j, p=p, x=x, y=y,
                     quadratic=(a, b), branch="double-root",
                 )
-            # separable quadratic; skip a zero root
-            if b == 0:
+            # separable quadratic; skip a zero root.  rs = b, so the
+            # (rs)^(j-i) test rejects both orientations at once.
+            if b == 0 or pow(b, diff, p) != 1:
                 continue
-            root_of_disc = fp.sqrt(fp.of(disc))
-            if root_of_disc is not None:
-                r0 = fp2.of((a + root_of_disc.value) * inv2)
-                s0 = fp2.of((a - root_of_disc.value) * inv2)
+            root = sqrt_table.get(disc)
+            if root is not None:
+                r0 = ((a + root) * inv2 % p, 0)
+                s0 = ((a - root) * inv2 % p, 0)
             else:
-                c2 = fp.sqrt(fp.of(disc) / fp2.u)
-                half = fp2.of(inv2)
-                r0 = (fp2.of(a) + fp2.make(0, c2.value)) * half
-                s0 = r0.conjugate()
-            rs = fp2.of(b)
-            minus_one = -fp2.one
-            for r, s in ((r0, s0), (s0, r0)):
-                if rs**diff != fp2.one:
-                    break  # symmetric in the orientation
-                if r**diff == minus_one:
+                c = sqrt_table[disc * u_inv % p] * inv2 % p
+                r0 = (a * inv2 % p, c)
+                s0 = (r0[0], -c % p)
+            b_i = pow(b, i, p)
+            for r in (r0, s0):
+                if _pow2(r, diff, p, u) == (p - 1, 0):
                     continue
-                if r ** (i + j) + rs**i != fp2.zero:
+                ra, rb = _pow2(r, i + j, p, u)
+                if rb or (ra + b_i) % p:
                     continue
                 x, y = _witness_from_quadratic(p, a, b, i, j)
                 return _report(

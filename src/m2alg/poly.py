@@ -373,9 +373,6 @@ class BiPoly:
     def deg_t(self):
         return max((m[1] for m in self.terms), default=NEG_INF)
 
-    def deg_s(self):
-        return max((m[0] for m in self.terms), default=NEG_INF)
-
     def coeff(self, mono):
         return self.terms.get(mono, self.field.zero)
 

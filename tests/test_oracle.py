@@ -1,10 +1,15 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from m2alg import fields
 from m2alg.errors import UnsupportedParameters
-from m2alg.fields import GF, QQ
+from m2alg.fields import GF, GF2, QQ
 from m2alg.mat2 import Mat2, mat_pow
 from m2alg.membership import decide_Q, decide_Z2, decide_Zp
 from m2alg.oracle import (
+    _sqrt_table,
     construct_witness_Q,
     enum_sweep_fp,
     oracle_enum_fp,
@@ -92,6 +97,105 @@ def test_roots_oracle_rejects():
         oracle_roots_fp2(2, 1, 1)
     with pytest.raises(UnsupportedParameters):
         oracle_roots_fp2(6, 1, 1)
+
+
+def _fp_sqrt(fp, c):
+    """Smallest square root of c in F_p by brute scan, or None."""
+    for r in fp.elements():
+        if r * r == c:
+            return r
+    return None
+
+
+def _roots_fp2_objects(p, i, j):
+    """(found, quadratic, branch) of the root scan on FpElem/Fp2Elem objects.
+
+    A second route for ``oracle_roots_fp2``'s int kernel: the same scan
+    order and branches, with field arithmetic through the public types.
+    """
+    fp = GF(p)
+    fp2 = GF2(p)
+    half = fp.one / 2
+    diff = abs(j - i)
+    minus_one = -fp2.one
+    for a in range(p):
+        for b in range(p):
+            disc = fp.of(a * a - 4 * b)
+            if not disc:
+                r = fp.of(a) * half
+                if (i, j) == (1, 1):
+                    if not r:
+                        return True, (a, b), "double-root"
+                    continue
+                if not r or (i + j) % p != 0 or i % p == 0:
+                    continue
+                if r**diff == -fp.one:
+                    return True, (a, b), "double-root"
+                continue
+            if b == 0:
+                continue
+            root = _fp_sqrt(fp, disc)
+            if root is not None:
+                r0 = fp2.of((a + root) * half)
+                s0 = fp2.of((a - root) * half)
+            else:
+                c = _fp_sqrt(fp, disc / fp2.u)
+                r0 = (fp2.of(a) + fp2.make(0, c.value)) * fp2.of(half)
+                s0 = r0.conjugate()
+            rs = fp2.of(b)
+            for r in (r0, s0):
+                if rs**diff != fp2.one:
+                    break  # symmetric in the orientation
+                if r**diff == minus_one:
+                    continue
+                if r ** (i + j) + rs**i != fp2.zero:
+                    continue
+                return True, (a, b), "separable"
+    return False, None, None
+
+
+def test_sqrt_table_holds_smallest_roots():
+    for p in (3, 5, 7, 11, 13, 31):
+        fp = GF(p)
+        table = _sqrt_table(p)
+        for c in range(p):
+            root = _fp_sqrt(fp, fp.of(c))
+            assert table.get(c) == (None if root is None else root.value), (p, c)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_roots_kernel_matches_object_route(p):
+    for i in range(1, 13):
+        for j in range(1, 13):
+            rep = oracle_roots_fp2(p, i, j)
+            got = (rep.found, rep.details.get("quadratic"), rep.details.get("branch"))
+            assert got == _roots_fp2_objects(p, i, j), (p, i, j)
+
+
+def test_roots_scan_builds_no_fp2_objects(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("oracle_roots_fp2 built an Fp2Elem")
+
+    monkeypatch.setattr(fields.Fp2Elem, "__init__", refuse)
+    found = [
+        oracle_roots_fp2(p, i, j).found
+        for p in (3, 5, 7)
+        for i in range(1, 7)
+        for j in range(1, 7)
+    ]
+    assert any(found) and not all(found)
+
+
+def test_roots_oracle_reports_golden():
+    reps = [
+        oracle_roots_fp2(p, i, j).to_dict()
+        for p in (3, 5, 7)
+        for i in range(1, 9)
+        for j in range(1, 9)
+    ]
+    text = "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in reps) + "\n]\n"
+    golden = Path(__file__).parent / "goldens" / "roots_fp2_p3-7_ij8.json"
+    assert text == golden.read_text()
 
 
 def test_cross_oracle_agreement_small():
