@@ -1,4 +1,4 @@
-"""Buchberger engine for ideals of A[s, t] over a field, lex order t > s.
+"""Buchberger engine for ideals of A[s, t] over Q or GF(p), lex order t > s.
 
 Purpose-built for the structure ideal
 
@@ -7,25 +7,31 @@ Purpose-built for the structure ideal
 defined for coprime i >= j (with the degenerate single generator (t) at
 i = j = 1), whose quotient carries the whole algebra via 2x2 matrices.
 The engine itself is standard: S-polynomials, multivariate division,
-full inter-reduction, deterministic pair selection (smallest lcm first),
-so identical inputs always produce the identical reduced basis.
+Buchberger's coprime and chain criteria, full inter-reduction and
+deterministic pair selection (smallest lcm first), so identical inputs
+always produce the identical reduced basis.
+
+The kernel (``_buchberger``, ``_divide``) runs on plain numbers in
+``{(e_s, e_t): c}`` dicts: over GF(p) ints reduced mod p, with inverses
+from ``pow(c, -1, p)``; over Q ints, with a ``Fraction`` only where a
+leading coefficient other than +-1 has to be divided out.  The structure
+ideals meet only leading coefficients +-1 (the tests check every coprime
+pair with i <= 21), so their bases are integral and monic and their
+division never leaves Z.  BiPolys are converted to and from this form
+only at the boundary: ``buchberger``, ``buchberger_with_certificate`` and
+``GroebnerBasis.normal_form``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import UnsupportedParameters
-from .fields import QQ
-from .poly import (
-    BiPoly,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    order_key,
-)
+from .fields import QQ, FpElem, PrimeField, RationalField
+from .poly import BiPoly, mono_divides, order_key
 from .sequences import f_st
 
 
@@ -79,84 +85,168 @@ def build_ideal_I(i: int, j: int, field=QQ) -> Ideal:
     return Ideal(gens, field, (i, j))
 
 
-def _divide(p: BiPoly, polys, lms, cofs=(), poly_cofs=()):
-    """Remainder of p on division by the monic polys, whose LMs are lms.
+def _modulus(field) -> int:
+    """The kernel's coefficient modulus: p over GF(p), 0 (no reduction) over Q."""
+    if isinstance(field, PrimeField):
+        return field.p
+    if isinstance(field, RationalField):
+        return 0
+    raise UnsupportedParameters(f"Groebner bases need Q or GF(p), not {field!r}")
 
-    Returns (remainder, cofactors).  When p carries cofactors cofs over some
-    fixed generators and polys[k] carries poly_cofs[k], the returned
-    cofactors express the remainder over the same generators.
+
+def _numbers(p: BiPoly, mod: int) -> dict:
+    """Kernel form of p: ints mod p over GF(p); ints, or non-integral Fractions, over Q."""
+    if mod:
+        return {m: c.value for m, c in p.terms.items()}
+    return {m: c.numerator if c.denominator == 1 else c for m, c in p.terms.items()}
+
+
+def _poly(nums: dict, field, mod: int) -> BiPoly:
+    """The BiPoly over field of a kernel dict."""
+    if mod:
+        return BiPoly({m: FpElem(c, mod) for m, c in nums.items()}, field, _clean=False)
+    return BiPoly({m: Fraction(c) for m, c in nums.items()}, field, _clean=False)
+
+
+def _sub_shifted(acc: dict, h: dict, c, ds: int, dt: int, mod: int) -> None:
+    """acc -= c * s^ds * t^dt * h, in place."""
+    for (es, et), v in h.items():
+        m = (es + ds, et + dt)
+        w = acc.get(m, 0) - c * v
+        if mod:
+            w %= mod
+        if w:
+            acc[m] = w
+        elif m in acc:
+            del acc[m]
+
+
+def _scale(f: dict, c, mod: int) -> dict:
+    """c * f; over Q an integral coefficient is stored as an int."""
+    if mod:
+        return {m: v * c % mod for m, v in f.items()}
+    out = {}
+    for m, v in f.items():
+        v *= c
+        out[m] = v.numerator if v.denominator == 1 else v
+    return out
+
+
+def _divide(p: dict, divisors, mod: int, cofs=(), divisor_cofs=()):
+    """Remainder of the kernel dict p on division by monic divisors.
+
+    divisors[k] is (leading monomial, the rest of the polynomial), both in
+    kernel form.  Returns (remainder, cofactors).  When p carries cofactors
+    cofs over some fixed generators and divisors[k] carries divisor_cofs[k],
+    the returned cofactors express the remainder over the same generators.
     """
-    field = p.field
-    work = dict(p.terms)
+    work = dict(p)
+    cofs = [dict(c) for c in cofs]
     remainder = {}
-    cofs = list(cofs)
-    while work:
-        lm = max(work, key=order_key)
-        lc = work.pop(lm)
-        for k, (gs, gt) in enumerate(lms):
-            if gs <= lm[0] and gt <= lm[1]:
-                shift = (lm[0] - gs, lm[1] - gt)
-                for (es, et), c in polys[k].terms.items():
-                    m = (es + shift[0], et + shift[1])
-                    if m == lm:
-                        continue  # the monic leading term cancels lc exactly
+    # pending monomials as (-e_t, -e_s), so the heap top is the largest;
+    # every term a step adds lies below the leading monomial it removes
+    heap = [(-et, -es) for es, et in work]
+    heapq.heapify(heap)
+    while heap:
+        nt, ns = heapq.heappop(heap)
+        ls, lt = lm = (-ns, -nt)
+        lc = work.pop(lm, 0)
+        if not lc:
+            continue  # cancelled after it was queued
+        for k, ((gs, gt), tail) in enumerate(divisors):
+            if gs <= ls and gt <= lt:
+                ds, dt = ls - gs, lt - gt
+                # the monic leading term cancels lc exactly
+                for (es, et), c in tail.items():
+                    m = (es + ds, et + dt)
                     v = work.get(m)
-                    v = -(lc * c) if v is None else v - lc * c
+                    if v is None:
+                        work[m] = -lc * c % mod if mod else -lc * c
+                        heapq.heappush(heap, (-m[1], -m[0]))
+                        continue
+                    v -= lc * c
+                    if mod:
+                        v %= mod
                     if v:
                         work[m] = v
-                    elif m in work:
+                    else:
                         del work[m]
                 if cofs:
-                    cofs = [c - h.mul_monomial(lc, shift) for c, h in zip(cofs, poly_cofs[k])]
+                    for cof, h in zip(cofs, divisor_cofs[k]):
+                        _sub_shifted(cof, h, lc, ds, dt, mod)
                 break
         else:
             remainder[lm] = lc
-    return BiPoly(remainder, field, _clean=False), cofs
+    return remainder, cofs
 
 
-def _monic(p: BiPoly, cofs):
-    inv = p.field.one / p.lc()
-    return p.scale(inv), [c.scale(inv) for c in cofs]
+def _buchberger(gens, mod: int, cofs=()):
+    """Reduced Groebner basis of the kernel dicts gens, ascending by LM.
 
-
-def _buchberger(gens, cofs=()):
-    """Reduced Groebner basis of the nonzero gens, ascending by LM.
-
-    cofs is empty, or cofs[k] lists the cofactors of gens[k] over some fixed
-    generators; returns (basis, cofactors of each basis element), the
-    cofactor lists being empty when cofs is.
+    Zero generators are skipped.  cofs is empty, or cofs[k] lists the
+    cofactors of gens[k] over some fixed generators; returns (basis,
+    cofactors of each basis element), the cofactor lists being empty when
+    cofs is.
     """
-    basis, basis_cofs = [], []
+    basis, basis_cofs, divisors = [], [], []
+    pairs = []  # heap of (lcm key, a, b): smallest lcm first, then indices
+    pending = set()  # the (a, b) still in pairs; every other pair is done
+
+    def add(f, f_cofs):
+        lm = max(f, key=order_key)
+        lc = f[lm]
+        if lc != 1:
+            # over Q a -1 is negated away: only other values make Fractions
+            if mod:
+                inv = pow(lc, -1, mod)
+            elif lc == -1:
+                inv = -1
+            else:
+                inv = 1 / Fraction(lc)
+            f = _scale(f, inv, mod)
+            f_cofs = [_scale(c, inv, mod) for c in f_cofs]
+        b = len(basis)
+        for a, ((gs, gt), _) in enumerate(divisors):
+            lcm = (max(gs, lm[0]), max(gt, lm[1]))
+            if lcm != (gs + lm[0], gt + lm[1]):
+                # coprime leading monomials: S-polynomial reduces to zero
+                heapq.heappush(pairs, (lcm[1], lcm[0], a, b))
+                pending.add((a, b))
+        basis.append(f)
+        basis_cofs.append(f_cofs)
+        divisors.append((lm, {m: c for m, c in f.items() if m != lm}))
+
     for g, g_cofs in zip(gens, cofs or [()] * len(gens)):
-        if not g.is_zero():
-            g, g_cofs = _monic(g, g_cofs)
-            basis.append(g)
-            basis_cofs.append(g_cofs)
-    lms = [g.lm() for g in basis]
-    pairs = {(a, b) for b in range(len(basis)) for a in range(b)}
+        if g:
+            add(g, g_cofs)
     while pairs:
-        # normal selection: smallest lcm in the monomial order, then indices
-        a, b = min(pairs, key=lambda ab: (order_key(mono_lcm(lms[ab[0]], lms[ab[1]])), ab))
-        pairs.discard((a, b))
-        la, lb = lms[a], lms[b]
-        lcm = mono_lcm(la, lb)
-        if lcm == mono_mul(la, lb):
-            continue  # coprime leading monomials: S-polynomial reduces to zero
-        one = basis[a].field.one
-        ma, mb = mono_div(lcm, la), mono_div(lcm, lb)
-        spoly = basis[a].mul_monomial(one, ma) - basis[b].mul_monomial(one, mb)
-        sp_cofs = [
-            ca.mul_monomial(one, ma) - cb.mul_monomial(one, mb)
-            for ca, cb in zip(basis_cofs[a], basis_cofs[b])
-        ]
-        r, r_cofs = _divide(spoly, basis, lms, sp_cofs, basis_cofs)
-        if r.is_zero():
+        lt, ls, a, b = heapq.heappop(pairs)
+        pending.discard((a, b))
+        # Buchberger's chain criterion: if LM(c) divides the lcm and the
+        # pairs (a, c) and (b, c) are done, this S-polynomial reduces to zero
+        if any(
+            gs <= ls and gt <= lt
+            and (min(a, c), max(a, c)) not in pending
+            and (min(b, c), max(b, c)) not in pending
+            for c, ((gs, gt), _) in enumerate(divisors)
+            if c != a and c != b
+        ):
             continue
-        r, r_cofs = _monic(r, r_cofs)
-        basis.append(r)
-        basis_cofs.append(r_cofs)
-        lms.append(r.lm())
-        pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
+        ((as_, at), tail_a), ((bs, bt), tail_b) = divisors[a], divisors[b]
+        # x^ma * f_a - x^mb * f_b; the leading terms cancel
+        spoly = {}
+        _sub_shifted(spoly, tail_a, -1, ls - as_, lt - at, mod)
+        _sub_shifted(spoly, tail_b, 1, ls - bs, lt - bt, mod)
+        sp_cofs = []
+        for ca, cb in zip(basis_cofs[a], basis_cofs[b]):
+            c = {}
+            _sub_shifted(c, ca, -1, ls - as_, lt - at, mod)
+            _sub_shifted(c, cb, 1, ls - bs, lt - bt, mod)
+            sp_cofs.append(c)
+        r, r_cofs = _divide(spoly, divisors, mod, sp_cofs, basis_cofs)
+        if r:
+            add(r, r_cofs)
+    lms = [lm for lm, _ in divisors]
     # minimalize: drop elements whose LM is divisible by another's
     keep = [
         k
@@ -167,6 +257,7 @@ def _buchberger(gens, cofs=()):
             if m != k
         )
     ]
+    keep.sort(key=lambda k: order_key(lms[k]))
     # fully reduce each survivor against the others; its monic leading term
     # is divisible by no other LM, so it survives and stays leading
     reduced = []
@@ -175,32 +266,46 @@ def _buchberger(gens, cofs=()):
         reduced.append(
             _divide(
                 basis[k],
-                [basis[m] for m in others],
-                [lms[m] for m in others],
+                [divisors[m] for m in others],
+                mod,
                 basis_cofs[k],
                 [basis_cofs[m] for m in others],
             )
         )
-    reduced.sort(key=lambda r: order_key(r[0].lm()))
     return [r for r, _ in reduced], [c for _, c in reduced]
 
 
 class GroebnerBasis:
-    """A reduced basis, with cached leading monomials for fast division."""
+    """A reduced basis over Q or GF(p): BiPolys, plus the kernel's number form.
 
-    __slots__ = ("polys", "field", "params", "_lms")
+    ``polys`` are the basis polynomials.  ``_divisors`` holds each one in
+    kernel form, split into its leading monomial and the rest; it is what
+    ``normal_form`` divides by, so a normal form converts only its input
+    and its remainder.
+    """
 
-    def __init__(self, polys, field, params=None):
+    __slots__ = ("polys", "field", "params", "_mod", "_lms", "_divisors")
+
+    def __init__(self, polys, field, params=None, numbers=None):
+        """numbers, when given, is the kernel form of polys, in the same order."""
         self.polys = tuple(polys)
         self.field = field
         self.params = params
-        self._lms = tuple(g.lm() for g in self.polys)
-        if any(g.terms[lm] != field.one for g, lm in zip(self.polys, self._lms)):
+        self._mod = mod = _modulus(field)
+        if numbers is None:
+            numbers = [_numbers(g, mod) for g in self.polys]
+        self._lms = tuple(max(g, key=order_key) for g in numbers)
+        if any(g[lm] != 1 for g, lm in zip(numbers, self._lms)):
             raise ValueError("basis polynomials must be monic")
+        self._divisors = tuple(
+            (lm, {m: c for m, c in g.items() if m != lm})
+            for g, lm in zip(numbers, self._lms)
+        )
 
     def normal_form(self, p: BiPoly) -> BiPoly:
         """The unique remainder of p modulo the basis; zero iff p is in the ideal."""
-        return _divide(p, self.polys, self._lms)[0]
+        mod = self._mod
+        return _poly(_divide(_numbers(p, mod), self._divisors, mod)[0], self.field, mod)
 
     def contains(self, p: BiPoly) -> bool:
         return self.normal_form(p).is_zero()
@@ -263,7 +368,9 @@ def buchberger(ideal_or_gens, field=None, params=None) -> GroebnerBasis:
             if not gens:
                 raise ValueError("field required for an empty generator list")
             field = gens[0].field
-    return GroebnerBasis(_buchberger(gens)[0], field, params)
+    mod = _modulus(field)
+    nums = _buchberger([_numbers(g, mod) for g in gens], mod)[0]
+    return GroebnerBasis([_poly(g, field, mod) for g in nums], field, params, nums)
 
 
 def structure_basis(i: int, j: int, field=QQ) -> GroebnerBasis:
@@ -279,12 +386,12 @@ def buchberger_with_certificate(ideal: Ideal):
     engine that produced the basis.
     """
     field = ideal.field
+    mod = _modulus(field)
     n = len(ideal.generators)
-    units = [
-        [BiPoly.const(int(m == k), field) for m in range(n)] for k in range(n)
-    ]
-    polys, certificates = _buchberger(ideal.generators, units)
-    return GroebnerBasis(polys, field, ideal.params), certificates
+    units = [[{(0, 0): 1} if m == k else {} for m in range(n)] for k in range(n)]
+    nums, certs = _buchberger([_numbers(g, mod) for g in ideal.generators], mod, units)
+    gb = GroebnerBasis([_poly(g, field, mod) for g in nums], field, ideal.params, nums)
+    return gb, [[_poly(q, field, mod) for q in cofs] for cofs in certs]
 
 
 class QuotientElem:

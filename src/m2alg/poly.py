@@ -16,31 +16,18 @@ s-exponent.  Canonical text is written descending in that order, e.g.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
-def order_key(mono: tuple[int, int]) -> tuple[int, int]:
-    """Sort key for a monomial (e_s, e_t) under lex with t > s."""
-    es, et = mono
-    return (et, es)
-
-
-def mono_mul(m1, m2):
-    return (m1[0] + m2[0], m1[1] + m2[1])
+# Sort key for a monomial (e_s, e_t) under lex with t > s: (e_t, e_s).
+order_key = itemgetter(1, 0)
 
 
 def mono_divides(m1, m2) -> bool:
     """Does s^a t^b given by m1 divide m2?"""
     return m1[0] <= m2[0] and m1[1] <= m2[1]
-
-
-def mono_div(m1, m2):
-    return (m1[0] - m2[0], m1[1] - m2[1])
-
-
-def mono_lcm(m1, m2):
-    return (max(m1[0], m2[0]), max(m1[1], m2[1]))
 
 
 def _mono_text(mono: tuple[int, int]) -> str:
@@ -329,15 +316,6 @@ class BiPoly:
             {m: c * v for m, v in self.terms.items()}, self.field, _clean=False
         )
 
-    def mul_monomial(self, c, mono):
-        if not c:
-            return BiPoly.zero(self.field)
-        return BiPoly(
-            {(m[0] + mono[0], m[1] + mono[1]): c * v for m, v in self.terms.items()},
-            self.field,
-            _clean=False,
-        )
-
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative exponent")
@@ -367,22 +345,11 @@ class BiPoly:
         """Leading monomial under lex t > s; polynomial must be nonzero."""
         return max(self.terms, key=order_key)
 
-    def lc(self):
-        return self.terms[self.lm()]
-
     def deg_t(self):
         return max((m[1] for m in self.terms), default=NEG_INF)
 
     def coeff(self, mono):
         return self.terms.get(mono, self.field.zero)
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        lc = self.lc()
-        if lc == self.field.one:
-            return self
-        return self.scale(self.field.one / lc)
 
     def evaluate_s(self, v) -> UniPoly:
         """Ring-homomorphic image under s -> v, landing in polynomials in t."""

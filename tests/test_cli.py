@@ -55,6 +55,12 @@ GOLDENS = Path(__file__).parent / "goldens"
     [
         (["verify", "5", "4"], "verify_5_4.json"),
         (["reduce", "7", "3", "y*x^5*y*x^2*y + x^4*y*x"], "reduce_7_3.json"),
+        (["structure", "13", "8"], "structure_13_8.json"),
+        (["structure", "13", "8", "--field", "fp", "--p", "3"], "structure_13_8_fp3.json"),
+        (["structure", "21", "20"], "structure_21_20.json"),
+        (["witness", "7", "4", "--field", "fp", "--p", "5"], "witness_7_4_fp5.json"),
+        # a rational coefficient goes through the Groebner normal form
+        (["reduce", "2", "1", "1/2*x"], "reduce_2_1_half_x.json"),
     ],
 )
 def test_output_bytes_golden(capsys, args, golden):

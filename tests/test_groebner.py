@@ -1,10 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from m2alg.errors import UnsupportedParameters
-from m2alg.fields import GF, QQ
+from m2alg.fields import GF, QQ, FpElem
 from m2alg.groebner import (
     INFINITE,
     GroebnerBasis,
@@ -15,7 +16,7 @@ from m2alg.groebner import (
     build_ideal_I,
     structure_basis,
 )
-from m2alg.poly import BiPoly, parse_bipoly, uni_gcd
+from m2alg.poly import BiPoly, order_key, parse_bipoly, uni_gcd
 from m2alg.sequences import f_st, fbar
 
 
@@ -202,3 +203,168 @@ def test_basis_over_fp_matches_q_shape():
     gb3 = structure_basis(4, 3, GF(3))
     assert [g.lm() for g in gbq.polys] == [g.lm() for g in gb3.polys]
     assert gb3.dimension() == 3
+
+
+# A second route for the number kernel: the same Buchberger loop and
+# division on BiPoly field objects (Fraction, FpElem), without cofactors.
+
+
+def _divide_objects(p, polys, lms):
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        lm = max(work, key=order_key)
+        lc = work.pop(lm)
+        for g, (gs, gt) in zip(polys, lms):
+            if gs <= lm[0] and gt <= lm[1]:
+                for (es, et), c in g.terms.items():
+                    m = (es + lm[0] - gs, et + lm[1] - gt)
+                    if m == lm:
+                        continue  # the monic leading term cancels lc exactly
+                    v = work.get(m)
+                    v = -(lc * c) if v is None else v - lc * c
+                    if v:
+                        work[m] = v
+                    elif m in work:
+                        del work[m]
+                break
+        else:
+            remainder[lm] = lc
+    return BiPoly(remainder, p.field, _clean=False)
+
+
+def _shifted(p, ds, dt):
+    return BiPoly(
+        {(es + ds, et + dt): c for (es, et), c in p.terms.items()}, p.field, _clean=False
+    )
+
+
+def _monic_object(p):
+    return p.scale(p.field.one / p.terms[p.lm()])
+
+
+def _buchberger_objects(gens):
+    """Reduced basis of the nonzero BiPolys gens, ascending by LM."""
+    basis = [_monic_object(g) for g in gens if not g.is_zero()]
+    lms = [g.lm() for g in basis]
+
+    def lcm(a, b):
+        return (max(lms[a][0], lms[b][0]), max(lms[a][1], lms[b][1]))
+
+    pairs = {(a, b) for b in range(len(basis)) for a in range(b)}
+    while pairs:
+        # smallest lcm in the monomial order, then indices
+        a, b = min(pairs, key=lambda ab: (order_key(lcm(*ab)), ab))
+        pairs.discard((a, b))
+        (as_, at), (bs, bt), (ls, lt) = lms[a], lms[b], lcm(a, b)
+        if (ls, lt) == (as_ + bs, at + bt):
+            continue  # coprime leading monomials
+        spoly = _shifted(basis[a], ls - as_, lt - at) - _shifted(basis[b], ls - bs, lt - bt)
+        r = _divide_objects(spoly, basis, lms)
+        if r.is_zero():
+            continue
+        basis.append(_monic_object(r))
+        lms.append(r.lm())
+        pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
+    keep = [
+        k
+        for k, lm in enumerate(lms)
+        if not any(
+            h[0] <= lm[0] and h[1] <= lm[1] and (h != lm or m < k)
+            for m, h in enumerate(lms)
+            if m != k
+        )
+    ]
+    reduced = []
+    for k in keep:
+        others = [m for m in keep if m != k]
+        reduced.append(_divide_objects(basis[k], [basis[m] for m in others], [lms[m] for m in others]))
+    reduced.sort(key=lambda r: order_key(r.lm()))
+    return reduced
+
+
+def _assert_same_basis(gb, objects):
+    assert gb.polys == tuple(objects)
+    assert [g.text() for g in gb.polys] == [g.text() for g in objects]
+
+
+FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7)]
+SECOND_ROUTE_PAIRS = coprime_pairs(13) + [(17, 16), (21, 20)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_structure_basis_matches_object_route(field):
+    for i, j in SECOND_ROUTE_PAIRS:
+        gb = structure_basis(i, j, field)
+        _assert_same_basis(gb, _buchberger_objects(build_ideal_I(i, j, field).generators))
+
+
+def _random_ideal(rng, field):
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            terms[(rng.randint(0, 2), rng.randint(0, 2))] = field.random_element(rng)
+        gens.append(BiPoly(terms, field))
+    return gens
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=lambda f: f.name)
+def test_random_ideals_match_object_route(field):
+    rng = random.Random(2024)
+    non_unit_lcs = 0
+    for _ in range(60):
+        gens = _random_ideal(rng, field)
+        non_unit_lcs += sum(
+            not g.is_zero() and g.terms[g.lm()] not in (1, -1) for g in gens
+        )
+        _assert_same_basis(buchberger(gens, field), _buchberger_objects(gens))
+    assert non_unit_lcs > 20  # the Fraction path over Q is exercised
+
+
+INTEGRALITY_PAIRS = coprime_pairs(21, include_diag=False)
+
+
+def _kernel_form(gb):
+    return [(lm, dict(tail)) for lm, tail in gb._divisors]
+
+
+def test_structure_basis_is_integral_and_reduces_mod_p():
+    for i, j in INTEGRALITY_PAIRS:
+        gb = structure_basis(i, j, QQ)
+        for _lm, tail in gb._divisors:
+            assert all(type(c) is int for c in tail.values()), (i, j)
+        for p in (2, 3, 5, 7):
+            mod_p = [
+                (lm, {m: c % p for m, c in tail.items() if c % p})
+                for lm, tail in gb._divisors
+            ]
+            assert mod_p == _kernel_form(structure_basis(i, j, GF(p))), (i, j, p)
+
+
+def test_kernel_does_no_field_object_arithmetic(monkeypatch):
+    inputs = {}
+    for field in (QQ, GF(3)):
+        build_ideal_I(13, 8, field)  # fills the f(n) memo, built on BiPoly arithmetic
+        inputs[field] = [
+            BiPoly.t(field, 30),
+            parse_bipoly("s^9*t^11 - 4*s^2*t + 7", field),
+            BiPoly.zero(field),
+        ]
+
+    def refuse(self, *args):
+        raise AssertionError("field object arithmetic in the Groebner kernel")
+
+    for name in ("__add__", "__sub__", "__mul__"):
+        monkeypatch.setattr(FpElem, name, refuse)
+    for name in ("__mul__", "__sub__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    results = {}
+    for field in (QQ, GF(3)):
+        gb = structure_basis(13, 8, field)
+        results[field] = (gb, [gb.normal_form(p) for p in inputs[field]])
+    monkeypatch.undo()
+    for field, (gb, forms) in results.items():
+        _assert_same_basis(gb, _buchberger_objects(build_ideal_I(13, 8, field).generators))
+        assert forms == [_divide_objects(p, gb.polys, [g.lm() for g in gb.polys]) for p in inputs[field]]
+        assert all(not f.is_zero() for f in forms[:2]) and forms[2].is_zero()
