@@ -118,17 +118,34 @@ class Mat2:
 
 
 def mat_pow(m: Mat2, e: int) -> Mat2:
-    """Exact matrix power by square-and-multiply; e = 0 gives the identity."""
+    """Exact matrix power by a Cayley-Hamilton ladder; e = 0 gives the identity.
+
+    Every 2x2 matrix over a commutative ring satisfies m^2 = tau*m - delta*I
+    with tau = tr m and delta = det m: expanding m^2 - tau*m + delta*I entry
+    by entry gives polynomials in a, b, c, d with integer coefficients that
+    vanish identically, so the identity holds in every ring whose entries
+    commute, which is every ring Mat2 accepts.  Hence m^e = x*m + y*I, and
+    the pair (x, y) is walked over the bits of e, most significant first:
+
+        squaring:   (x, y) -> (x^2*tau + 2xy, y^2 - x^2*delta)   5 products
+        step by m:  (x, y) -> (x*tau + y, -x*delta)              2 products
+
+    The matrix is built once at the end (4 products), against 8 products
+    for each full Mat2 square or multiply.
+    """
     if e < 0:
         raise ValueError("negative exponent")
-    result = Mat2.identity(m.ring)
-    base = m
-    while e:
-        if e & 1:
-            result = result * base
-        base = base * base
-        e >>= 1
-    return result
+    ring = m.ring
+    if e == 0:
+        return Mat2.identity(ring)
+    tau, neg_delta = m.trace(), -m.det()
+    x, y = ring.one, ring.zero
+    for bit in bin(e)[3:]:
+        xx, xy = x * x, x * y
+        x, y = xx * tau + xy + xy, y * y + xx * neg_delta
+        if bit == "1":
+            x, y = x * tau + y, x * neg_delta
+    return Mat2(ring, x * m.a + y, x * m.b, x * m.c, x * m.d + y)
 
 
 def _rref(rows, rhs, field):

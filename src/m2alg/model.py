@@ -10,6 +10,12 @@ X^i Y + Y X^j = 1 and Y^2 = 0, and in fact X^j = [[t, s], [1, 0]] and
 X^i = [[0, s], [1, -t]].  For i = j = 1 the quotient degenerates to A[s]
 and X = [[0, s], [1, 0]].  All of this is re-verified at construction;
 a failure raises Inconsistency rather than returning a bad pair.
+
+The verification computes X^lo and then X^hi = X^lo * X^(hi-lo), with
+lo = min(i, j) and hi = max(i, j).  For a correct pair X^lo is the
+companion matrix, whose entries 1, 0, s and t make that last product
+cheap; both powers are still compared entry by entry with the expected
+matrices.
 """
 
 from __future__ import annotations
@@ -66,7 +72,8 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
         X = mat_pow(companion, alpha + beta).scale(_s_inverse(ring, hi, lo) ** beta)
     Y = Mat2.e12(ring)
     ident = Mat2.identity(ring)
-    power = {e: mat_pow(X, e) for e in {lo, hi}}
+    power = {lo: mat_pow(X, lo)}
+    power[hi] = power[lo] * mat_pow(X, hi - lo)
     checks = [
         (Y * Y).is_zero(),
         power[i] * Y + Y * power[j] == ident,

@@ -75,7 +75,11 @@ class WitnessReport:
 
 
 def verify_pair(x: Mat2, y: Mat2, i: int, j: int) -> bool:
-    """Exact check of the defining relations, no exponent shortcuts."""
+    """Exact check of the defining relations.
+
+    Both powers are computed exactly by mat_pow: no folding of exponents by
+    a period of x and no closed forms for the powers.
+    """
     ident = Mat2.identity(x.ring)
     return (y * y).is_zero() and mat_pow(x, i) * y + y * mat_pow(x, j) == ident
 

@@ -2,8 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from m2alg import groebner
 from m2alg.errors import UnsupportedParameters
 from m2alg.fields import GF, QQ
+from m2alg.groebner import QuotientRing, structure_basis
 from m2alg.mat2 import (
     Mat2,
     hall_identity_holds,
@@ -13,6 +17,7 @@ from m2alg.mat2 import (
     standard_identity_s4,
 )
 from m2alg.model import witness_XY
+from m2alg.poly import BiPoly, BiPolyRing
 from m2alg.sequences import f_st
 
 
@@ -38,6 +43,63 @@ def test_mat_pow_companion_entry():
     c = companion_matrix_st()
     assert mat_pow(c, 7).a == f_st(8)
     assert mat_pow(c, 7).c == f_st(7)
+
+
+def _left_to_right_powers(m, emax):
+    """m^0, ..., m^emax as the plain products I, m, m*m, m*m*m, ...
+
+    The second route for mat_pow: nothing but Mat2.__mul__, one factor at
+    a time, with no squaring and no use of the characteristic polynomial.
+    """
+    power = Mat2.identity(m.ring)
+    out = [power]
+    for _ in range(emax):
+        power = power * m
+        out.append(power)
+    return out
+
+
+def _power_test_matrices(ring, s, t):
+    """Companion, nilpotent, singular, scalar and swap matrices over ring."""
+    zero, one = ring.zero, ring.one
+    return [
+        Mat2(ring, t, s, one, zero),
+        Mat2.e12(ring),
+        Mat2(ring, s, s * t, one, t),  # rank one: det = s*t - s*t = 0
+        Mat2(ring, s, zero, zero, s),
+        Mat2(ring, zero, one, one, zero),
+        Mat2(ring, -one, zero, zero, -one),
+    ]
+
+
+def _power_test_cases():
+    cases = []
+    for field in (QQ, GF(2), GF(7)):
+        cases.append(pytest.param(field, field.of(3), field.of(5), id=field.name))
+    ring = BiPolyRing(QQ)
+    cases.append(pytest.param(ring, BiPoly.s(QQ), BiPoly.t(QQ), id=ring.name))
+    for field in (QQ, GF(3)):
+        ring = QuotientRing(structure_basis(7, 3, field))
+        cases.append(pytest.param(ring, ring.s(), ring.t(), id=f"{ring.name}(7,3)"))
+    return cases
+
+
+@pytest.mark.parametrize("ring, s, t", _power_test_cases())
+def test_mat_pow_matches_left_to_right_product(ring, s, t):
+    for m in _power_test_matrices(ring, s, t):
+        for e, want in enumerate(_left_to_right_powers(m, 40)):
+            assert mat_pow(m, e) == want, (m, e)
+            assert m**e == want, (m, e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=4, max_size=4),
+    st.integers(min_value=0, max_value=24),
+)
+def test_mat_pow_matches_left_to_right_product_random_q(entries, e):
+    m = Mat2(QQ, *entries)
+    assert mat_pow(m, e) == _left_to_right_powers(m, e)[e]
 
 
 def test_solve_sylvester_unique():
@@ -168,6 +230,32 @@ def test_witness_root_of_unity_power():
         ident = Mat2.identity(pair.ring)
         want = ident if (i + j) % 2 == 0 else -ident
         assert mat_pow(pair.X, i * i - j * j) == want
+
+
+@pytest.mark.parametrize(
+    "i, j, field, bound",
+    [pytest.param(21, 20, QQ, 45, id="Q-21-20"), pytest.param(13, 8, GF(3), 60, id="F3-13-8")],
+)
+def test_witness_division_count(monkeypatch, i, j, field, bound):
+    """Building and verifying a witness pair stays within a fixed number of divisions.
+
+    The bound follows the power schedule: Cayley-Hamilton ladders for
+    C^(alpha+beta), X^lo and X^(hi-lo), then X^hi = X^lo * X^(hi-lo), where
+    X^lo is the companion matrix.  It takes 41 divisions at (21, 20) over Q
+    and 57 at (13, 8) over F_3; full 8-product squarings and two separate
+    powers X^lo and X^hi took 158 and 101.
+    """
+    gb = structure_basis(i, j, field)
+    calls = []
+    real = groebner._divide
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_divide", counting)
+    witness_XY(i, j, field, gb=gb)
+    assert len(calls) <= bound
 
 
 def test_witness_rejects_bad_parameters():

@@ -1,0 +1,30 @@
+"""Smoke tests for the command-line scripts under scripts/, run in-process."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv", [["--max", "6"], ["--max", "6", "--field", "fp", "--p", "3"]])
+def test_quotient_dimensions(capsys, argv):
+    assert load_script("quotient_dimensions").main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("( 5, 4)     4") for line in lines)
+    assert not any("BOUND VIOLATED" in line for line in lines)
+
+
+def test_membership_atlas_oracle(capsys):
+    argv = ["--max", "8", "--primes", "3", "5", "--oracle"]
+    assert load_script("membership_atlas").main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("oracle agreement 100%") == 3  # Z_2, Z_3 and Z_5
