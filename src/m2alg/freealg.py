@@ -1,4 +1,4 @@
-"""Words and noncommutative polynomials in x, y, with a rewriting engine.
+"""Words and noncommutative polynomials in x, y, with their normal forms.
 
 The relations x^i y + y x^j = 1 and y^2 = 0 (gcd(i, j) = 1) yield a
 reduction system:
@@ -10,13 +10,15 @@ reduction system:
   ``x^N -> x^(N-(i-j)) - x^(N-2(i-j)) + ...``, which keeps x-runs inside
   the finite spanning set {x^a, x^a y : a < N}.
 
-Normal forms come from one of two routes.  For i > j the algebra is
-M_2(L) with dim L = N/2, so it is 2N-dimensional and the 2N spanning words
-are a basis: ``reduce`` walks each word through two precomputed 2N x 2N
-tables, right multiplication by x and by y on that basis, which are built
-from the rules alone.  At (1, 1), whose algebra is infinite-dimensional,
-``reduce`` runs a heap-driven rewriting engine with one fixed reduction
-order; for i > j that engine is the reference the tables are compared with.
+``reduce`` finds normal forms in one walk over the spanning words x^a and
+x^a y: each word acts letter by letter on a sparse vector of them, starting
+from the empty word.  For i > j the algebra is M_2(L) with dim L = N/2, so
+it is 2N-dimensional and the 2N spanning words are a basis; the letters act
+through two precomputed 2N x 2N tables, right multiplication by x and by y
+on that basis, which are built from the rules alone.  At (1, 1) the algebra
+is M_2(A[s]) with x^2 acting as the central scalar s, so an x-run acts in
+closed form.  The heap-driven rewriting engine ``_rewrite`` applies the
+rules in one fixed order; it only audits ``reduce``.
 
 Equality in the presented ring is *decided* through the faithful matrix
 model over A[s,t]/I (``word_image``), never through the rewrite system
@@ -24,7 +26,8 @@ alone; the model shares no code with the tables.  ``certify_normal_forms``
 proves that normal forms are unique, so every reduction order ends at the
 same one: for i > j by a rank check in the model, at (1, 1) by Bergman's
 diamond lemma, whose one overlap y y x must resolve.  ``validate_system``
-audits soundness on a word corpus as a second, empirical route.
+audits soundness on a word corpus as a second, empirical route, and
+compares ``reduce`` with ``_rewrite``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 from .errors import Inconsistency, UnsupportedParameters
 from .fields import QQ
@@ -278,7 +281,6 @@ class RewriteSystem:
     field: object
     yx_rhs: NCPoly
     xpow: tuple | None  # (N, NCPoly replacement for x^N), None at i = j = 1
-    order: str
     basis: tuple | None = dc_field(default=None, compare=False, repr=False)
     rx: tuple | None = dc_field(default=None, compare=False, repr=False)
     ry: tuple | None = dc_field(default=None, compare=False, repr=False)
@@ -298,32 +300,14 @@ def _xpow_as_sum(i: int, j: int, field) -> NCPoly:
     return out
 
 
-def _reduce_x_exponents(p: NCPoly, N: int, xrhs: NCPoly) -> NCPoly:
-    """Rewrite every x-run with exponent >= N using the x-power rule only."""
-    field = p.field
-    out = NCPoly.zero(field)
-    stack = list(p.terms.items())
-    while stack:
-        w, c = stack.pop()
-        for idx, (letter, e) in enumerate(w.runs):
-            if letter == "x" and e >= N:
-                left = Word(w.runs[:idx] + (("x", e - N),))
-                right = Word(w.runs[idx + 1 :])
-                repl = xrhs.lmul_word(left).rmul_word(right)
-                stack.extend((w2, c2 * c) for w2, c2 in repl.terms.items())
-                break
-        else:
-            out = out + NCPoly.of_word(w, field, c)
-    return out
-
-
 def build_rewrite_system(i: int, j: int, field=QQ) -> RewriteSystem:
     """Assemble the reduction rules for coprime (i, j).
 
     For i > j the y-past-x rule is produced constructively: pick the smallest
     n >= 1 with n*j = 1 + m*(i+j), push y across x^(nj) using the derived
-    commuting relations, and fold x-exponents back into [0, (i+j-1)(i-j))
-    using x^(i^2-j^2) = (-1)^(i+j) with its tracked sign.
+    commuting relations, fold x-exponents into [0, i^2 - j^2) using
+    x^(i^2-j^2) = (-1)^(i+j) with its tracked sign, and read each x^e
+    through the normal forms of the x-powers (``_with_tables``).
     """
     if i < 1 or j < 1:
         raise UnsupportedParameters("exponents must be >= 1")
@@ -333,49 +317,44 @@ def build_rewrite_system(i: int, j: int, field=QQ) -> RewriteSystem:
         i, j = j, i
     if i == j:  # necessarily (1, 1)
         rhs = NCPoly.one(field) - NCPoly.x(field) * NCPoly.y(field)
-        rs = RewriteSystem(1, 1, field, rhs, None, "deglex x < y")
+        rs = RewriteSystem(1, 1, field, rhs, None)
         _build_sanity_check(rs)
         return rs
-    N = (i + j - 1) * (i - j)
     M = (i * i - j * j)
     sigma = (-1) ** (i + j)
-    xrhs = _xpow_as_sum(i, j, field)
     n = pow(j, -1, i + j)
     m = (n * j - 1) // (i + j)
     r = (-m * (i + j)) % M
     q0 = (r + m * (i + j)) // M
     gsign = sigma**q0
 
-    def xterm(e: int, coeff: int, with_y: bool) -> NCPoly:
+    def term(e: int, coeff: int, half: int):
+        # c * x^e, times y when half is 1, with e folded into [0, M)
         folds, e = divmod(e, M)
-        c = coeff * (sigma**folds) * gsign
-        w = Word((("x", e), ("y", 1))) if with_y else Word.gen("x", e)
-        return NCPoly.of_word(w, field, c)
+        return e, field.of(coeff * (sigma**folds) * gsign), half
 
-    rhs = xterm(i * n + r, (-1) ** n, True)
-    for k in range(n):
-        rhs = rhs + xterm((n - 1) * j + k * (i - j) + r, (-1) ** k, False)
-    rhs = _reduce_x_exponents(rhs, N, xrhs)
-    rs = RewriteSystem(
-        i, j, field, rhs, (N, xrhs), "y-count, then y-x inversions, then degree"
-    )
-    rs = _with_tables(rs)
+    pushed = [term(i * n + r, (-1) ** n, 1)]
+    pushed += [term((n - 1) * j + k * (i - j) + r, (-1) ** k, 0) for k in range(n)]
+    rs = _with_tables(i, j, field, pushed)
     _build_sanity_check(rs)
     return rs
 
 
-def _with_tables(rs: RewriteSystem) -> RewriteSystem:
-    """Attach the right-multiplication tables by x and y (i > j).
+def _with_tables(i: int, j: int, field, pushed) -> RewriteSystem:
+    """The rules for i > j with the right-multiplication tables by x and y.
 
     R_y sends x^a to x^a y and x^a y to 0.  R_x sends x^a to x^(a+1) for
-    a < N - 1 and x^(N-1) to the x-power rule's right-hand side.  The rows
-    for x^a y x = x^a * yx_rhs come from these x rows alone: each term
-    x^b or x^b y of yx_rhs contributes the walked power x^(a+b), shifted
-    to the y half for x^b y.  No rewriting engine is involved, so the
-    tables and ``_rewrite`` share only the rules.
+    a < N - 1 and x^(N-1) to the x-power rule's right-hand side.  Walking
+    the x rows from x^0 gives the normal forms of x^0 .. x^(2N-2), which
+    cover every exponent below M = i^2 - j^2 = N + (i - j).  They turn the
+    pushed terms (e, c, half), meaning c * x^e or c * x^e y, into yx_rhs,
+    and give the rows for x^a y x = x^a * yx_rhs: each term x^b or x^b y of
+    yx_rhs contributes the walked power x^(a+b), shifted to the y half for
+    x^b y.  No rewriting engine is involved, so the tables and
+    ``_rewrite`` share only the rules.
     """
-    N, xrhs = rs.xpow
-    field = rs.field
+    N = (i + j - 1) * (i - j)
+    xrhs = _xpow_as_sum(i, j, field)
     one, zero = field.one, field.zero
     basis = tuple(Word.gen("x", a) for a in range(N)) + tuple(
         Word((("x", a), ("y", 1))) for a in range(N)
@@ -392,16 +371,22 @@ def _with_tables(rs: RewriteSystem) -> RewriteSystem:
     powers = [{0: one}]
     for _ in range(2 * N - 2):
         powers.append(_times(powers[-1], rx, one))
-    for a in range(N):
+
+    def fold(terms) -> dict:
+        # the normal form of the sum of c * x^e, times y when half is 1
         vec: dict = {}
-        for w, c in rs.yx_rhs.terms.items():
-            half, b = divmod(index[w], N)
-            for k, v in powers[a + b].items():
+        for e, c, half in terms:
+            for k, v in powers[e].items():
                 k += half * N
                 vec[k] = vec.get(k, zero) + c * v
-        rx += (row(vec),)
+        return vec
+
+    yx = [(k % N, c, k // N) for k, c in fold(pushed).items() if c]
+    for a in range(N):
+        rx += (row(fold((a + b, c, half) for b, c, half in yx)),)
     ry = tuple(((N + a, one),) for a in range(N)) + ((),) * N
-    return replace(rs, basis=basis, rx=rx, ry=ry)
+    yx_rhs = NCPoly({basis[b + half * N]: c for b, c, half in yx}, field, _clean=False)
+    return RewriteSystem(i, j, field, yx_rhs, (N, xrhs), basis, rx, ry)
 
 
 def _times(vec: dict, table, one) -> dict:
@@ -469,16 +454,15 @@ def _step(word: Word, rs: RewriteSystem) -> NCPoly | None:
 def reduce(p: NCPoly, rs: RewriteSystem) -> NCPoly:
     """Normal form of p: the combination of spanning words equal to it.
 
-    For i > j each word is walked through the rule set's tables: a term
-    whose word contains y^2 is dropped first, each x-run x^e with
-    e >= M = i^2 - j^2 is folded to (-1)^(i+j)^(e // M) * x^(e % M), and
-    the letters then act as sparse vector times table, starting from the
-    empty word.  Normal forms are unique (``certify_normal_forms``), so
-    this equals what any terminating reduction order gives, ``_rewrite``'s
-    included.  At (1, 1) it runs ``_rewrite``.
+    Each word is walked over the spanning words, starting from the empty
+    word; a term whose word contains y^2 is dropped first.  For i > j each
+    x-run x^e with e >= M = i^2 - j^2 is folded to (-1)^(i+j)^(e // M) *
+    x^(e % M), and the letters then act as sparse vector times table.  At
+    (1, 1) each run acts in closed form (``_times_at_1_1``), in O(1) steps
+    whatever its length.  Normal forms are unique (``certify_normal_forms``),
+    so this equals what any terminating reduction order gives, ``_rewrite``'s
+    included.
     """
-    if rs.rx is None:
-        return _rewrite(p, rs)
     rx, ry, one = rs.rx, rs.ry, rs.field.one
     M = rs.i * rs.i - rs.j * rs.j
     flip = (rs.i + rs.j) % 2 == 1  # x^M = -1 rather than 1
@@ -489,6 +473,9 @@ def reduce(p: NCPoly, rs: RewriteSystem) -> NCPoly:
             continue
         vec = {0: c}
         for letter, e in runs:
+            if rx is None:
+                vec = _times_at_1_1(vec, letter, e)
+                continue
             if letter == "y":
                 vec = _times(vec, ry, one)
                 continue
@@ -501,13 +488,39 @@ def reduce(p: NCPoly, rs: RewriteSystem) -> NCPoly:
             u = total.get(k)
             total[k] = v if u is None else u + v
     basis = rs.basis
+    if basis is None:
+        basis = {k: Word((("x", k >> 1), ("y", k & 1))) for k in total}
     return NCPoly({basis[k]: v for k, v in total.items() if v}, p.field, _clean=False)
+
+
+def _times_at_1_1(vec: dict, letter: str, e: int) -> dict:
+    """vec times letter^e at (1, 1), with index 2a for x^a, 2a + 1 for x^a y.
+
+    y sends x^a to x^a y and kills x^a y (e is 1, since y^2 is dropped
+    first).  x^e sends x^a to x^(a+e).  Since x^2 y = x - x y x = y x^2, it
+    sends x^a y to x^(a+e) y when e is even, and to x^(a+e-1) - x^(a+e) y
+    when e is odd.
+    """
+    if letter == "y":
+        return {k + 1: v for k, v in vec.items() if not k & 1}
+    if e % 2 == 0:
+        return {k + 2 * e: v for k, v in vec.items()}
+    out: dict = {}
+    for k, v in vec.items():
+        if k & 1:
+            out[k + 2 * e] = -v
+            k -= 3  # x^(a+e-1), an even index like those of the x^b terms
+        u = out.get(k + 2 * e)
+        out[k + 2 * e] = v if u is None else u + v
+    return out
 
 
 def _rewrite(p: NCPoly, rs: RewriteSystem) -> NCPoly:
     """Rewrite to normal form (no subword matches any rule).
 
-    The whole combination is rewritten at once, largest word first, so
+    The audit route: ``validate_system`` compares it with ``reduce``, and
+    ``certify_normal_forms`` resolves the (1, 1) overlap with it.  The
+    whole combination is rewritten at once, largest word first, so
     coefficients of coinciding intermediate words merge (and cancel)
     immediately.  Every step of the one reduction order (``_step``)
     decreases the measure (y-count, inter-run x-exponent vector, degree)
@@ -685,14 +698,16 @@ def certify_normal_forms(rs: RewriteSystem) -> bool:
     compatible with y^2 -> 0 and with y x -> yx_rhs when every word of
     yx_rhs is smaller than y x.  The only overlap that is not trivially
     resolved is y y x: (y y) x gives 0 and y (y x) gives y * yx_rhs, so the
-    ambiguity resolves if and only if y * yx_rhs reduces to 0.
+    ambiguity resolves if and only if y * yx_rhs reduces to 0.  It is
+    reduced by the rules (``_rewrite``), not by the closed form in
+    ``reduce``, because the lemma is what licenses that closed form.
     """
     field = rs.field
     if rs.basis is None:
         yx = Word.from_letters("yx").key()
         if any(w.key() >= yx for w in rs.yx_rhs.terms):
             return False
-        return reduce(NCPoly.y(field) * rs.yx_rhs, rs).is_zero()
+        return _rewrite(NCPoly.y(field) * rs.yx_rhs, rs).is_zero()
     model = matrix_model(rs.i, rs.j, field)
     N, xrhs = rs.xpow
     x, y = NCPoly.x(field), NCPoly.y(field)
@@ -789,9 +804,10 @@ def validate_system(
 
     For every corpus word: its normal form lies in the spanning set, and
     the image of the word equals the image of its normal form (soundness).
-    For i > j, where ``reduce`` walks the tables, the heap engine
-    ``_rewrite`` must reach the same normal form too; the two routes share
-    only the rules, and a mismatch is a confluence divergence.
+    The heap engine ``_rewrite`` must reach the same normal form as
+    ``reduce``'s walk (the tables for i > j, the closed form at (1, 1));
+    the two routes share only the rules, and a mismatch is a confluence
+    divergence.
     """
     model = matrix_model(rs.i, rs.j, rs.field)
     report = ValidationReport(i=rs.i, j=rs.j)
@@ -804,7 +820,7 @@ def validate_system(
             report.normal_form_escapes.append(w.text())
         if model.image(p) != model.image(nf):
             report.soundness_failures.append(w.text())
-        if rs.basis is not None and _rewrite(p, rs) != nf:
+        if _rewrite(p, rs) != nf:
             report.confluence_divergences.append(w.text())
     return report
 

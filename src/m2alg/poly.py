@@ -122,6 +122,9 @@ class UniPoly:
             (self[k] - other[k] for k in range(n)), self.field, self.var
         )
 
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
     def __neg__(self):
         return UniPoly((-c for c in self.coeffs), self.field, self.var)
 
@@ -136,6 +139,9 @@ class UniPoly:
             for b, cb in enumerate(other.coeffs):
                 out[a + b] = out[a + b] + ca * cb
         return UniPoly(out, self.field, self.var)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
 
     def _coerce(self, other):
         if isinstance(other, UniPoly):
@@ -284,6 +290,9 @@ class BiPoly:
         other = self._coerce(other)
         return self + (-other)
 
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
     def __neg__(self):
         return BiPoly(
             {m: -c for m, c in self.terms.items()}, self.field, _clean=False
@@ -302,6 +311,9 @@ class BiPoly:
                 elif m in out:
                     del out[m]
         return BiPoly(out, self.field, _clean=False)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
 
     def _coerce(self, other):
         if isinstance(other, BiPoly):

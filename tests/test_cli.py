@@ -1,12 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from m2alg import freealg
+from m2alg import cli, freealg
 from m2alg.cli import main
+from m2alg.errors import Inconsistency
 
 
 def run_cli(args, capsys):
@@ -61,6 +63,10 @@ GOLDENS = Path(__file__).parent / "goldens"
         (["witness", "7", "4", "--field", "fp", "--p", "5"], "witness_7_4_fp5.json"),
         # a rational coefficient goes through the Groebner normal form
         (["reduce", "2", "1", "1/2*x"], "reduce_2_1_half_x.json"),
+        (
+            ["reduce", "1", "1", "y*x^3*y*x^2 + x*y*x^5 - 2*y*x + 1/2*x^2*y*x^7*y*x"],
+            "reduce_1_1.json",
+        ),
     ],
 )
 def test_output_bytes_golden(capsys, args, golden):
@@ -174,13 +180,34 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
-def test_reduce_fuel_exhaustion_exits_2(capsys, monkeypatch):
-    # y*x^n takes n rewrite steps at (1, 1)
-    monkeypatch.setattr(freealg, "REWRITE_FUEL", 10)
-    with pytest.raises(SystemExit) as exc:
-        main(["reduce", "1", "1", "y*x^20"])
-    assert exc.value.code == 2
-    assert "no normal form within 10 steps" in capsys.readouterr().err
+def test_reduce_long_x_run_at_1_1_needs_no_rewriting(capsys, monkeypatch):
+    # the heap engine would need 510000 steps; the closed form needs none
+    def refuse(p, rs):
+        raise AssertionError("_rewrite called")
+
+    monkeypatch.setattr(freealg, "_rewrite", refuse)
+    code, record, err = run_json(["reduce", "1", "1", "y*x^510000"], capsys)
+    assert code == 0
+    assert err == ""
+    assert record["result"]["normal_form"] == "x^510000*y"
+
+
+@pytest.mark.parametrize(
+    "args,target",
+    [
+        (["witness", "5", "4"], "witness_XY"),
+        (["oracle", "3", "2", "--p", "3"], "oracle_enum_fp"),
+    ],
+)
+def test_inconsistency_exits_1(capsys, monkeypatch, args, target):
+    def fail(*a, **k):
+        raise Inconsistency("synthetic cross-check failure")
+
+    monkeypatch.setattr(cli, target, fail)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert err == "inconsistency: synthetic cross-check failure\n"
+    assert out == ""
 
 
 def test_verbose_writes_to_stderr(capsys):
@@ -217,10 +244,14 @@ def test_selftest_smoke(capsys, tmp_path):
 
 
 def test_cli_entrypoint_subprocess():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run(
         [sys.executable, "-m", "m2alg.cli", "decide", "4", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     record = json.loads(proc.stdout)

@@ -11,6 +11,7 @@ from m2alg.errors import Inconsistency, UnsupportedParameters
 from m2alg.fields import GF, QQ
 from m2alg.freealg import (
     NCPoly,
+    RewriteFuelExhausted,
     Word,
     _rewrite,
     build_rewrite_system,
@@ -195,11 +196,20 @@ def test_model_injectivity_on_spanning_set():
 
 
 def test_validate_exhaustive_1_1():
+    # every word of length <= 10: the closed form against the heap engine
+    for field in (QQ, GF(2), GF(3)):
+        rs = build_rewrite_system(1, 1, field)
+        rep = validate_system(rs, exhaustive_len=10)
+        assert rep.ok, (field.name, rep.to_dict())
+        assert rep.words_checked == 2**11 - 2
+
+
+def test_rewrite_fuel_exhaustion_raises(monkeypatch):
+    # y*x^n takes n rewrite steps at (1, 1)
+    monkeypatch.setattr(freealg, "REWRITE_FUEL", 10)
     rs = build_rewrite_system(1, 1)
-    rep = validate_system(rs, exhaustive_len=6)
-    assert rep.ok
-    assert rep.words_checked == 2**7 - 2
-    assert rep.confluence_divergences == []
+    with pytest.raises(RewriteFuelExhausted, match="no normal form within 10 steps"):
+        _rewrite(parse_word_expr("y*x^20", QQ), rs)
 
 
 def test_validate_random_2_1_and_3_2():
@@ -238,7 +248,7 @@ def random_word(rng, max_len=12):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-@pytest.mark.parametrize("i,j", [(2, 1), (3, 2), (4, 3), (5, 4), (5, 2), (7, 3)])
+@pytest.mark.parametrize("i,j", [(1, 1), (2, 1), (3, 2), (4, 3), (5, 4), (5, 2), (7, 3)])
 def test_table_route_agrees_with_heap(i, j, field):
     rs = build_rewrite_system(i, j, field)
     rng = random.Random(100 * i + j)
@@ -278,14 +288,17 @@ def test_certify_normal_forms_detects_failures():
     assert not certify_normal_forms(broken)
 
 
-@pytest.mark.parametrize("i,j", [(5, 4), (7, 3)])
+@pytest.mark.parametrize("i,j", [(1, 1), (5, 4), (7, 3)])
 def test_tables_need_no_rewriting(i, j, monkeypatch):
     def refuse(p, rs):
         raise AssertionError("_rewrite called")
 
     monkeypatch.setattr(freealg, "_rewrite", refuse)
     rs = build_rewrite_system(i, j)
-    assert len(rs.rx) == len(rs.ry) == len(rs.basis)
+    if rs.basis is not None:
+        assert len(rs.rx) == len(rs.ry) == len(rs.basis)
+    p = parse_word_expr("y*x^5*y*x^2*y + x^4*y*x - 3*y*x^7", QQ)
+    assert word_image(reduce(p, rs), i, j) == word_image(p, i, j)
 
 
 def test_model_powers_stay_bounded():

@@ -85,6 +85,17 @@ def test_bipoly_arith():
     assert bp("t + s") ** 2 == bp("t^2 + 2*s*t + s^2")
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+def test_reflected_operators_match_left_operand_form(field):
+    two = field.of(2)
+    for p in (BiPoly.s(field), bp("t^2 - s*t + 1", field), u([1, -1, 2], field)):
+        for c in (2, two):
+            assert c * p == p * c
+            assert c + p == p + c
+            assert c - p == -(p - c)
+    assert 1 - BiPoly.s(field) == BiPoly.const(1, field) - BiPoly.s(field)
+
+
 def test_bipoly_pow_negative_rejected():
     with pytest.raises(ValueError):
         bp("t") ** (-1)
