@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Print the `structure` and `witness` CLI output over a grid of pairs.
+
+For each field tag, each coprime pair j < i <= N and each of the two
+commands, prints a header line naming the command line and then the
+command's stdout, in one deterministic stream.  Two checkouts can then be
+compared byte for byte:
+
+    PYTHONPATH=src python scripts/cli_grid.py --max 21 --fields q fp3 fp5 > grid.txt
+
+Field tags: ``q`` for Q, ``f2`` for GF(2), ``fpP`` for GF(P) (``fp3``,
+``fp5``, ...).  Exits 1 if any command exits non-zero.
+"""
+
+import argparse
+import contextlib
+import io
+import math
+import re
+import sys
+
+from m2alg.cli import main as cli_main
+
+
+def field_args(tag):
+    """CLI field options for a tag: q, f2 or fpP."""
+    if tag in ("q", "f2"):
+        return ["--field", tag]
+    m = re.fullmatch(r"fp(\d+)", tag)
+    if not m:
+        raise argparse.ArgumentTypeError(f"unknown field tag {tag!r}")
+    return ["--field", "fp", "--p", m.group(1)]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--max", type=int, default=21)
+    ap.add_argument("--fields", type=field_args, nargs="+", default=[field_args("q")])
+    args = ap.parse_args(argv)
+
+    failures = 0
+    for fargs in args.fields:
+        for i in range(2, args.max + 1):
+            for j in range(1, i):
+                if math.gcd(i, j) != 1:
+                    continue
+                for command in ("structure", "witness"):
+                    cmd = [command, str(i), str(j), *fargs]
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = cli_main(cmd)
+                    print("== m2alg " + " ".join(cmd))
+                    sys.stdout.write(out.getvalue())
+                    if code:
+                        print(f"== exit {code}")
+                        failures += 1
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,8 +18,10 @@ leading coefficient other than +-1 has to be divided out.  The structure
 ideals meet only leading coefficients +-1 (the tests check every coprime
 pair with i <= 21), so their bases are integral and monic and their
 division never leaves Z.  BiPolys are converted to and from this form
-only at the boundary: ``buchberger``, ``buchberger_with_certificate`` and
-``GroebnerBasis.normal_form``.
+only at the boundary: ``buchberger``, ``buchberger_with_certificate``,
+``GroebnerBasis.normal_form`` and ``GroebnerBasis.multiply``, the product
+in the quotient, which multiplies its operands on numbers and divides the
+product once.
 """
 
 from __future__ import annotations
@@ -134,6 +136,9 @@ def _scale(f: dict, c, mod: int) -> dict:
 
 def _divide(p: dict, divisors, mod: int, cofs=(), divisor_cofs=()):
     """Remainder of the kernel dict p on division by monic divisors.
+
+    Over GF(p) the coefficients of p must be reduced mod p; zero
+    coefficients are skipped.
 
     divisors[k] is (leading monomial, the rest of the polynomial), both in
     kernel form.  Returns (remainder, cofactors).  When p carries cofactors
@@ -280,8 +285,8 @@ class GroebnerBasis:
 
     ``polys`` are the basis polynomials.  ``_divisors`` holds each one in
     kernel form, split into its leading monomial and the rest; it is what
-    ``normal_form`` divides by, so a normal form converts only its input
-    and its remainder.
+    ``normal_form`` and ``multiply`` divide by, so they convert only their
+    inputs and the remainder.
     """
 
     __slots__ = ("polys", "field", "params", "_mod", "_lms", "_divisors")
@@ -306,6 +311,26 @@ class GroebnerBasis:
         """The unique remainder of p modulo the basis; zero iff p is in the ideal."""
         mod = self._mod
         return _poly(_divide(_numbers(p, mod), self._divisors, mod)[0], self.field, mod)
+
+    def multiply(self, p: BiPoly, q: BiPoly) -> BiPoly:
+        """normal_form(p * q), with the product formed on kernel numbers.
+
+        Each operand and the remainder are converted once; the product is
+        never built as a BiPoly.
+        """
+        mod = self._mod
+        b = _numbers(q, mod).items()
+        prod = {}
+        get = prod.get
+        for (as_, at), ca in _numbers(p, mod).items():
+            for (bs, bt), cb in b:
+                m = (as_ + bs, at + bt)
+                prod[m] = get(m, 0) + ca * cb
+        if mod:
+            # _divide copies an unreduced leading coefficient into the remainder
+            prod = {m: c % mod for m, c in prod.items()}
+        # cancelled (zero) terms are skipped by _divide
+        return _poly(_divide(prod, self._divisors, mod)[0], self.field, mod)
 
     def contains(self, p: BiPoly) -> bool:
         return self.normal_form(p).is_zero()
@@ -395,7 +420,12 @@ def buchberger_with_certificate(ideal: Ideal):
 
 
 class QuotientElem:
-    """Normal-form representative in A[s,t]/I against a fixed basis."""
+    """Normal-form representative in A[s,t]/I against a fixed basis.
+
+    A product with a zero or constant operand skips the product and the
+    division; any other product is formed and reduced on kernel numbers by
+    ``GroebnerBasis.multiply``.
+    """
 
     __slots__ = ("poly", "ring")
 
@@ -432,7 +462,7 @@ class QuotientElem:
             return self._times_constant(b[0, 0])
         if len(a) == 1 and (0, 0) in a:
             return other._times_constant(a[0, 0])
-        return QuotientElem(ring.gb.normal_form(self.poly * other.poly), ring)
+        return QuotientElem(ring.gb.multiply(self.poly, other.poly), ring)
 
     __rmul__ = __mul__
 

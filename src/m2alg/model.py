@@ -53,7 +53,8 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
     """Construct and verify the witness pair over A[s,t]/I.
 
     Accepts either orientation of (i, j); the matrices satisfy the relation
-    in both orientations (the two presentations coincide).
+    in both orientations (the two presentations coincide).  A given gb must
+    be the structure basis of the same pair over the same field.
     """
     if i < 1 or j < 1:
         raise UnsupportedParameters("exponents must be >= 1")
@@ -62,6 +63,11 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
     hi, lo = max(i, j), min(i, j)
     if gb is None:
         gb = structure_basis(hi, lo, field)
+    elif gb.params != (hi, lo) or gb.field != field:
+        raise ValueError(
+            f"basis for {gb.params} over {gb.field.name} does not present"
+            f" ({hi}, {lo}) over {field.name}"
+        )
     ring = QuotientRing(gb)
     companion = Mat2(ring, ring.t(), ring.s(), ring.one, ring.zero)
     if hi == lo == 1:

@@ -67,6 +67,9 @@ GOLDENS = Path(__file__).parent / "goldens"
             ["reduce", "1", "1", "y*x^3*y*x^2 + x*y*x^5 - 2*y*x + 1/2*x^2*y*x^7*y*x"],
             "reduce_1_1.json",
         ),
+        (["witness", "13", "8"], "witness_13_8.json"),
+        # the longest power ladder of the structure benchmark: alpha + beta = 39
+        (["witness", "21", "20"], "witness_21_20.json"),
     ],
 )
 def test_output_bytes_golden(capsys, args, golden):

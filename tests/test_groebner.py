@@ -6,6 +6,7 @@ import pytest
 
 from m2alg.errors import UnsupportedParameters
 from m2alg.fields import GF, QQ, FpElem
+from m2alg.freealg import matrix_model, parse_word_expr
 from m2alg.groebner import (
     INFINITE,
     GroebnerBasis,
@@ -16,6 +17,8 @@ from m2alg.groebner import (
     build_ideal_I,
     structure_basis,
 )
+from m2alg.mat2 import Mat2
+from m2alg.model import witness_XY
 from m2alg.poly import BiPoly, order_key, parse_bipoly, uni_gcd
 from m2alg.sequences import f_st, fbar
 
@@ -177,6 +180,47 @@ def test_normal_form_respects_multiplication():
             assert (p * q).poly == direct
             assert (q * p).poly == direct
             assert (p * q).ring is ring
+
+
+def _dense_operands(i, j, field):
+    """Entries of X^e, e <= 8, for the witness X: plain, and scaled by 1/2 and -2/3.
+
+    Returns the ring and one list per scale; a scale with no value mod p
+    is left out.
+    """
+    pair = witness_XY(i, j, field)
+    power, entries = Mat2.identity(pair.ring), []
+    for _ in range(9):
+        entries += [e for e in (power.a, power.b, power.c, power.d) if e not in entries]
+        power = power * pair.X
+    groups = [entries]
+    for c in (Fraction(1, 2), Fraction(-2, 3)):
+        try:
+            c = field.of(c)
+        except ZeroDivisionError:  # 2 or 3 is not invertible mod p
+            continue
+        groups.append([e * c for e in entries])
+    return pair.ring, groups
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=lambda f: f.name)
+def test_dense_products_match_bipoly_route(field):
+    """Quotient products of witness entries equal the normal form of the BiPoly product.
+
+    random_element draws exponents <= 2, so the other product tests never
+    multiply elements this dense.
+    """
+    for i, j in [(7, 3), (13, 1), (13, 8), (21, 20)]:
+        ring, groups = _dense_operands(i, j, field)
+        right = [e for group in groups for e in group]
+        for p in groups[0]:
+            for q in right:
+                got = (p * q).poly
+                want = ring.gb.normal_form(p.poly * q.poly)
+                assert got.text() == want.text(), (i, j, p, q)
+                assert [type(c) for _, c in got.sorted_terms()] == [
+                    type(c) for _, c in want.sorted_terms()
+                ]
 
 
 def test_quotient_ring_arithmetic():
@@ -368,3 +412,21 @@ def test_kernel_does_no_field_object_arithmetic(monkeypatch):
         _assert_same_basis(gb, _buchberger_objects(build_ideal_I(13, 8, field).generators))
         assert forms == [_divide_objects(p, gb.polys, [g.lm() for g in gb.polys]) for p in inputs[field]]
         assert all(not f.is_zero() for f in forms[:2]) and forms[2].is_zero()
+
+
+def test_quotient_products_build_no_bipoly_product(monkeypatch):
+    """Witness construction and word images multiply in L without BiPoly.__mul__."""
+    bases = {field: structure_basis(13, 8, field) for field in (QQ, GF(3))}
+    model = matrix_model(7, 3)
+    word = parse_word_expr("x^2*y*x^5*y*x^9*y*x^4*y*x^3", QQ)
+
+    def refuse(self, other):
+        raise AssertionError("BiPoly product on the quotient product path")
+
+    monkeypatch.setattr(BiPoly, "__mul__", refuse)
+    for field, gb in bases.items():
+        witness_XY(13, 8, field, gb=gb)
+    image = model.image(word)
+    monkeypatch.undo()
+    assert image == model.image(word)
+    assert not image.is_zero()

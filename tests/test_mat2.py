@@ -258,6 +258,14 @@ def test_witness_division_count(monkeypatch, i, j, field, bound):
     assert len(calls) <= bound
 
 
+def test_witness_rejects_a_basis_of_another_ring():
+    with pytest.raises(ValueError, match=r"\(7, 3\) over Q"):
+        witness_XY(5, 4, QQ, gb=structure_basis(7, 3, QQ))
+    with pytest.raises(ValueError, match=r"\(5, 4\) over F3"):
+        witness_XY(5, 4, QQ, gb=structure_basis(5, 4, GF(3)))
+    assert witness_XY(4, 5, GF(3), gb=structure_basis(5, 4, GF(3))).ring.field == GF(3)
+
+
 def test_witness_rejects_bad_parameters():
     with pytest.raises(UnsupportedParameters):
         witness_XY(4, 2)

@@ -28,3 +28,15 @@ def test_membership_atlas_oracle(capsys):
     assert load_script("membership_atlas").main(argv) == 0
     out = capsys.readouterr().out
     assert out.count("oracle agreement 100%") == 3  # Z_2, Z_3 and Z_5
+
+
+def test_cli_grid(capsys):
+    argv = ["--max", "5", "--fields", "q", "fp3", "fp5"]
+    assert load_script("cli_grid").main(argv) == 0
+    out = capsys.readouterr().out
+    headers = [line for line in out.splitlines() if line.startswith("== ")]
+    # 9 coprime pairs j < i <= 5, two commands, three fields
+    assert len(headers) == 54
+    assert headers[0] == "== m2alg structure 2 1 --field q"
+    assert headers[-1] == "== m2alg witness 5 4 --field fp --p 5"
+    assert '"relations_verified": true' in out
