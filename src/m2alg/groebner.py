@@ -7,7 +7,9 @@ Purpose-built for the structure ideal
 defined for coprime i >= j (with the degenerate single generator (t) at
 i = j = 1), whose quotient carries the whole algebra via 2x2 matrices.
 The engine itself is standard: S-polynomials, multivariate division,
-Buchberger's coprime and chain criteria, full inter-reduction and
+Gebauer and Moeller's pair update (the coprime and chain criteria applied
+once, as each element is added, with elements whose leading monomial a
+newer one divides retired from division), full inter-reduction and
 deterministic pair selection (smallest lcm first), so identical inputs
 always produce the identical reduced basis.
 
@@ -192,10 +194,19 @@ def _buchberger(gens, mod: int, cofs=()):
     cofactors of gens[k] over some fixed generators; returns (basis,
     cofactors of each basis element), the cofactor lists being empty when
     cofs is.
+
+    Pairs are pruned once, as each element h is added, by Gebauer and
+    Moeller's update (J. Symbolic Comput. 6, 1988): criterion B drops an
+    old pair whose lcm LM(h) divides unless h shares that lcm with one of
+    its elements; of the new pairs, one with the lowest partner is kept
+    per minimal lcm, and a whole lcm class is dropped if a pair in it has
+    coprime leading monomials; an element whose LM is divisible by LM(h)
+    is retired, and S-polynomials are divided by the active elements only.
     """
     basis, basis_cofs, divisors = [], [], []
+    active = []  # indices of the elements not retired, ascending
     pairs = []  # heap of (lcm key, a, b): smallest lcm first, then indices
-    pending = set()  # the (a, b) still in pairs; every other pair is done
+    live = {}  # (a, b) -> lcm for the heap entries no criterion removed
 
     def add(f, f_cofs):
         lm = max(f, key=order_key)
@@ -210,13 +221,35 @@ def _buchberger(gens, mod: int, cofs=()):
                 inv = 1 / Fraction(lc)
             f = _scale(f, inv, mod)
             f_cofs = [_scale(c, inv, mod) for c in f_cofs]
+        hs, ht = lm
+        # criterion B: LM(h) divides the lcm of (a, c), and neither (a, h)
+        # nor (c, h) has that same lcm
+        for (a, c), (ls, lt) in list(live.items()):
+            if hs <= ls and ht <= lt:
+                (as_, at), _ = divisors[a]
+                (cs, ct), _ = divisors[c]
+                if (max(as_, hs), max(at, ht)) != (ls, lt) != (max(cs, hs), max(ct, ht)):
+                    del live[a, c]
+        # the new pairs by lcm; a class with a coprime pair reduces to zero
+        classes = {}
+        for a in active:
+            gs, gt = divisors[a][0]
+            lcm = (max(gs, hs), max(gt, ht))
+            coprime = lcm == (gs + hs, gt + ht)
+            if lcm in classes:
+                classes[lcm][1] |= coprime
+            else:
+                classes[lcm] = [a, coprime]
         b = len(basis)
-        for a, ((gs, gt), _) in enumerate(divisors):
-            lcm = (max(gs, lm[0]), max(gt, lm[1]))
-            if lcm != (gs + lm[0], gt + lm[1]):
-                # coprime leading monomials: S-polynomial reduces to zero
-                heapq.heappush(pairs, (lcm[1], lcm[0], a, b))
-                pending.add((a, b))
+        for lcm, (a, coprime) in classes.items():
+            if coprime or any(
+                m != lcm and m[0] <= lcm[0] and m[1] <= lcm[1] for m in classes
+            ):
+                continue
+            heapq.heappush(pairs, (lcm[1], lcm[0], a, b))
+            live[a, b] = lcm
+        active[:] = [a for a in active if not mono_divides(lm, divisors[a][0])]
+        active.append(b)
         basis.append(f)
         basis_cofs.append(f_cofs)
         divisors.append((lm, {m: c for m, c in f.items() if m != lm}))
@@ -226,17 +259,8 @@ def _buchberger(gens, mod: int, cofs=()):
             add(g, g_cofs)
     while pairs:
         lt, ls, a, b = heapq.heappop(pairs)
-        pending.discard((a, b))
-        # Buchberger's chain criterion: if LM(c) divides the lcm and the
-        # pairs (a, c) and (b, c) are done, this S-polynomial reduces to zero
-        if any(
-            gs <= ls and gt <= lt
-            and (min(a, c), max(a, c)) not in pending
-            and (min(b, c), max(b, c)) not in pending
-            for c, ((gs, gt), _) in enumerate(divisors)
-            if c != a and c != b
-        ):
-            continue
+        if live.pop((a, b), None) is None:
+            continue  # removed by criterion B
         ((as_, at), tail_a), ((bs, bt), tail_b) = divisors[a], divisors[b]
         # x^ma * f_a - x^mb * f_b; the leading terms cancel
         spoly = {}
@@ -248,21 +272,23 @@ def _buchberger(gens, mod: int, cofs=()):
             _sub_shifted(c, ca, -1, ls - as_, lt - at, mod)
             _sub_shifted(c, cb, 1, ls - bs, lt - bt, mod)
             sp_cofs.append(c)
-        r, r_cofs = _divide(spoly, divisors, mod, sp_cofs, basis_cofs)
+        r, r_cofs = _divide(
+            spoly,
+            [divisors[k] for k in active],
+            mod,
+            sp_cofs,
+            [basis_cofs[k] for k in active],
+        )
         if r:
             add(r, r_cofs)
-    lms = [lm for lm, _ in divisors]
-    # minimalize: drop elements whose LM is divisible by another's
+    # minimalize: an input whose LM an earlier input's LM divides is still
+    # active; no two active LMs are equal, since adding h retires an equal one
     keep = [
         k
-        for k, lm in enumerate(lms)
-        if not any(
-            mono_divides(h, lm) and (h != lm or m < k)
-            for m, h in enumerate(lms)
-            if m != k
-        )
+        for k in active
+        if not any(mono_divides(divisors[m][0], divisors[k][0]) for m in active if m != k)
     ]
-    keep.sort(key=lambda k: order_key(lms[k]))
+    keep.sort(key=lambda k: order_key(divisors[k][0]))
     # fully reduce each survivor against the others; its monic leading term
     # is divisible by no other LM, so it survives and stays leading
     reduced = []

@@ -70,6 +70,11 @@ GOLDENS = Path(__file__).parent / "goldens"
         (["witness", "13", "8"], "witness_13_8.json"),
         # the longest power ladder of the structure benchmark: alpha + beta = 39
         (["witness", "21", "20"], "witness_21_20.json"),
+        # three-element reduced bases (i - j even), over GF(2) and Q
+        (["structure", "13", "11", "--field", "f2"], "structure_13_11_f2.json"),
+        (["structure", "13", "7"], "structure_13_7.json"),
+        # a pair far outside the structure benchmark's grid
+        (["structure", "40", "13"], "structure_40_13.json"),
     ],
 )
 def test_output_bytes_golden(capsys, args, golden):
@@ -246,19 +251,30 @@ def test_selftest_smoke(capsys, tmp_path):
     assert "PASS" in err
 
 
-def test_cli_entrypoint_subprocess():
+def _run_module(module, *args):
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "m2alg.cli", "decide", "4", "3"],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env
     )
+
+
+def test_cli_entrypoint_subprocess():
+    proc = _run_module("m2alg.cli", "decide", "4", "3")
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["result"]["verdict"] is False
+
+
+def test_package_runs_as_module():
+    package = _run_module("m2alg", "structure", "5", "4")
+    assert package.returncode == 0
+    assert package.stderr == ""
+    assert package.stdout == _run_module("m2alg.cli", "structure", "5", "4").stdout
+    rejected = _run_module("m2alg", "structure", "2", "2")
+    assert rejected.returncode == 2
+    assert rejected.stdout == ""
 
 
 def test_table_matches_documented_example(capsys):
