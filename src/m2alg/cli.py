@@ -101,13 +101,8 @@ def cmd_structure(parser, args) -> int:
     except UnsupportedParameters as exc:
         parser.error(str(exc))
     gb = buchberger(ideal)
-    qb = gb.quotient_basis()
-    if qb is INFINITE:
-        dimension = "infinite"
-        monomials = "infinite"
-    else:
-        dimension = len(qb)
-        monomials = [_mono_text(m) or "1" for m in qb]
+    monomials = _quotient_basis_names(gb)
+    dimension = monomials if monomials == "infinite" else len(monomials)
     result = {
         "generators": [g.text() for g in ideal.generators],
         "reduced_basis": [g.text() for g in gb.polys],
@@ -476,6 +471,13 @@ def main(argv=None) -> int:
     except Inconsistency as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout: send the flush at exit to devnull, and
+        # exit as a process killed by SIGPIPE would (128 + 13)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

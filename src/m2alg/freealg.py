@@ -15,7 +15,9 @@ x^a y: each word acts letter by letter on a sparse vector of them, starting
 from the empty word.  For i > j the algebra is M_2(L) with dim L = N/2, so
 it is 2N-dimensional and the 2N spanning words are a basis; the letters act
 through two precomputed 2N x 2N tables, right multiplication by x and by y
-on that basis, which are built from the rules alone.  At (1, 1) the algebra
+on that basis.  Their entries are plain ints, which serve every field, and
+each is read from the rules in closed form, since x^(i^2-j^2) = (-1)^(i+j)
+gives every x-power's normal form directly.  At (1, 1) the algebra
 is M_2(A[s]) with x^2 acting as the central scalar s, so an x-run acts in
 closed form.  The heap-driven rewriting engine ``_rewrite`` applies the
 rules in one fixed order; it only audits ``reduce``.
@@ -273,7 +275,9 @@ class RewriteSystem:
     spanning basis: ``basis`` lists x^0..x^(N-1), then x^0 y..x^(N-1) y
     (index a is x^a, index N + a is x^a y), and ``rx``/``ry`` give, for
     each basis word, its product with x / y as a sparse row
-    ``((index, coeff), ...)``.  All three are None at i = j = 1.
+    ``((index, coeff), ...)``.  The coefficients are plain ints, built in
+    closed form and read in any field; ``yx_rhs`` and ``xpow`` hold field
+    values.  All three are None at i = j = 1.
     """
 
     i: int
@@ -291,23 +295,14 @@ class RewriteSystem:
         return self.xpow[0] if self.xpow else None
 
 
-def _xpow_as_sum(i: int, j: int, field) -> NCPoly:
-    """Alternating replacement for x^N, N = (i+j-1)(i-j), valid for i > j."""
-    out = NCPoly.zero(field)
-    for k in range(1, i + j):
-        sign = 1 if (k + 1) % 2 == 0 else -1
-        out = out + NCPoly.of_word(Word.gen("x", (i + j - 1 - k) * (i - j)), field, sign)
-    return out
-
-
 def build_rewrite_system(i: int, j: int, field=QQ) -> RewriteSystem:
     """Assemble the reduction rules for coprime (i, j).
 
     For i > j the y-past-x rule is produced constructively: pick the smallest
-    n >= 1 with n*j = 1 + m*(i+j), push y across x^(nj) using the derived
-    commuting relations, fold x-exponents into [0, i^2 - j^2) using
-    x^(i^2-j^2) = (-1)^(i+j) with its tracked sign, and read each x^e
-    through the normal forms of the x-powers (``_with_tables``).
+    n >= 1 with n*j = 1 + m*(i+j) and push y across x^(nj) using the derived
+    commuting relation.  Since x^(1-nj) = x^(-m(i+j)) is central, this gives
+    y x = (-1)^n x^(n(i-j)+1) y + sum_{k<n} (-1)^k x^(1-j+k(i-j)), whose
+    exponents ``_with_tables`` reads in closed form (they may be negative).
     """
     if i < 1 or j < 1:
         raise UnsupportedParameters("exponents must be >= 1")
@@ -320,21 +315,9 @@ def build_rewrite_system(i: int, j: int, field=QQ) -> RewriteSystem:
         rs = RewriteSystem(1, 1, field, rhs, None)
         _build_sanity_check(rs)
         return rs
-    M = (i * i - j * j)
-    sigma = (-1) ** (i + j)
     n = pow(j, -1, i + j)
-    m = (n * j - 1) // (i + j)
-    r = (-m * (i + j)) % M
-    q0 = (r + m * (i + j)) // M
-    gsign = sigma**q0
-
-    def term(e: int, coeff: int, half: int):
-        # c * x^e, times y when half is 1, with e folded into [0, M)
-        folds, e = divmod(e, M)
-        return e, field.of(coeff * (sigma**folds) * gsign), half
-
-    pushed = [term(i * n + r, (-1) ** n, 1)]
-    pushed += [term((n - 1) * j + k * (i - j) + r, (-1) ** k, 0) for k in range(n)]
+    pushed = [(n * (i - j) + 1, (-1) ** n, 1)]
+    pushed += [(1 - j + k * (i - j), (-1) ** k, 0) for k in range(n)]
     rs = _with_tables(i, j, field, pushed)
     _build_sanity_check(rs)
     return rs
@@ -343,58 +326,54 @@ def build_rewrite_system(i: int, j: int, field=QQ) -> RewriteSystem:
 def _with_tables(i: int, j: int, field, pushed) -> RewriteSystem:
     """The rules for i > j with the right-multiplication tables by x and y.
 
-    R_y sends x^a to x^a y and x^a y to 0.  R_x sends x^a to x^(a+1) for
-    a < N - 1 and x^(N-1) to the x-power rule's right-hand side.  Walking
-    the x rows from x^0 gives the normal forms of x^0 .. x^(2N-2), which
-    cover every exponent below M = i^2 - j^2 = N + (i - j).  They turn the
-    pushed terms (e, c, half), meaning c * x^e or c * x^e y, into yx_rhs,
-    and give the rows for x^a y x = x^a * yx_rhs: each term x^b or x^b y of
-    yx_rhs contributes the walked power x^(a+b), shifted to the y half for
-    x^b y.  No rewriting engine is involved, so the tables and
-    ``_rewrite`` share only the rules.
+    Every table entry is a plain int, built in closed form, so one table
+    serves every field and the build does no field arithmetic.  R_y sends
+    x^a to x^a y and x^a y to 0.  R_x sends x^a to x^(a+1), x^(N-1) to the
+    x-power rule's right-hand side, and x^a y to x^a * yx_rhs.  Each term
+    c * x^e (or c * x^e y) is read directly: with M = i^2 - j^2 = N + (i-j),
+    x^M = (-1)^(i+j), so x^e = (+-1) x^r with r = e mod M, and for r >= N,
+    x^r = x^(r-N) * (x^N's right-hand side), of x-degree below N.  That
+    turns the pushed terms (e, c, half) into yx_rhs, and each term x^b or
+    x^b y of yx_rhs into its part of the row of x^a y.  No walk and no
+    rewriting engine is involved, so the tables and ``_rewrite`` share only
+    the rules.
     """
     N = (i + j - 1) * (i - j)
-    xrhs = _xpow_as_sum(i, j, field)
-    one, zero = field.one, field.zero
+    M = N + i - j
+    flip = (i + j) % 2 == 1  # x^M = -1 rather than 1
+    xrhs = {(i + j - 1 - k) * (i - j): (-1) ** (k + 1) for k in range(1, i + j)}
     basis = tuple(Word.gen("x", a) for a in range(N)) + tuple(
         Word((("x", a), ("y", 1))) for a in range(N)
     )
-    index = {w: k for k, w in enumerate(basis)}
 
-    def row(vec: dict):
-        # unit coefficients are the field's own ``one``, which _times skips
-        return tuple((k, one if c == one else c) for k, c in vec.items() if c)
-
-    rx = tuple(((a + 1, one),) for a in range(N - 1))
-    rx += (row({index[w]: c for w, c in xrhs.terms.items()}),)
-    # normal forms of x^0 .. x^(2N-2), the powers x^(a+b) with a, b < N
-    powers = [{0: one}]
-    for _ in range(2 * N - 2):
-        powers.append(_times(powers[-1], rx, one))
-
-    def fold(terms) -> dict:
-        # the normal form of the sum of c * x^e, times y when half is 1
+    def fold(terms) -> tuple:
+        # the sparse row of the sum of c * x^e, times y when half is 1
         vec: dict = {}
         for e, c, half in terms:
-            for k, v in powers[e].items():
+            q, r = divmod(e, M)
+            if flip and q % 2:
+                c = -c
+            shifted = ((r, 1),) if r < N else ((b + r - N, v) for b, v in xrhs.items())
+            for k, v in shifted:
                 k += half * N
-                vec[k] = vec.get(k, zero) + c * v
-        return vec
+                vec[k] = vec.get(k, 0) + c * v
+        return tuple((k, c) for k, c in vec.items() if c)
 
-    yx = [(k % N, c, k // N) for k, c in fold(pushed).items() if c]
-    for a in range(N):
-        rx += (row(fold((a + b, c, half) for b, c, half in yx)),)
-    ry = tuple(((N + a, one),) for a in range(N)) + ((),) * N
-    yx_rhs = NCPoly({basis[b + half * N]: c for b, c, half in yx}, field, _clean=False)
-    return RewriteSystem(i, j, field, yx_rhs, (N, xrhs), basis, rx, ry)
+    yx = fold(pushed)
+    rx = tuple(fold([(a + 1, 1, 0)]) for a in range(N))
+    rx += tuple(fold((a + k % N, c, k // N) for k, c in yx) for a in range(N))
+    ry = tuple(((N + a, 1),) for a in range(N)) + ((),) * N
+    yx_rhs = NCPoly({basis[k]: field.of(c) for k, c in yx}, field)
+    xpow = (N, NCPoly({basis[b]: field.of(v) for b, v in xrhs.items()}, field))
+    return RewriteSystem(i, j, field, yx_rhs, xpow, basis, rx, ry)
 
 
-def _times(vec: dict, table, one) -> dict:
-    """The sparse row vector vec (index -> coeff) times a table of sparse rows."""
+def _times(vec: dict, table) -> dict:
+    """The sparse row vector vec (index -> coeff) times a table of int rows."""
     out: dict = {}
     for k, c in vec.items():
         for idx, t in table[k]:
-            t = c if t is one else c * t
+            t = c if t == 1 else c * t
             v = out.get(idx)
             out[idx] = t if v is None else v + t
     return out
@@ -417,7 +396,7 @@ def _build_sanity_check(rs: RewriteSystem):
     if ok and rs.rx is not None:
         vec = {0: field.one}
         for _ in range(rs.i * rs.i - rs.j * rs.j):
-            vec = _times(vec, rs.rx, field.one)
+            vec = _times(vec, rs.rx)
         sigma = field.of((-1) ** (rs.i + rs.j))
         ok = {k: c for k, c in vec.items() if c} == {0: sigma}
     if not ok:
@@ -463,7 +442,7 @@ def reduce(p: NCPoly, rs: RewriteSystem) -> NCPoly:
     so this equals what any terminating reduction order gives, ``_rewrite``'s
     included.
     """
-    rx, ry, one = rs.rx, rs.ry, rs.field.one
+    rx, ry = rs.rx, rs.ry
     M = rs.i * rs.i - rs.j * rs.j
     flip = (rs.i + rs.j) % 2 == 1  # x^M = -1 rather than 1
     total: dict = {}
@@ -477,13 +456,13 @@ def reduce(p: NCPoly, rs: RewriteSystem) -> NCPoly:
                 vec = _times_at_1_1(vec, letter, e)
                 continue
             if letter == "y":
-                vec = _times(vec, ry, one)
+                vec = _times(vec, ry)
                 continue
             folds, e = divmod(e, M)
             if flip and folds % 2:
                 vec = {k: -v for k, v in vec.items()}
             for _ in range(e):
-                vec = _times(vec, rx, one)
+                vec = _times(vec, rx)
         for k, v in vec.items():
             u = total.get(k)
             total[k] = v if u is None else u + v

@@ -358,9 +358,6 @@ class GroebnerBasis:
         # cancelled (zero) terms are skipped by _divide
         return _poly(_divide(prod, self._divisors, mod)[0], self.field, mod)
 
-    def contains(self, p: BiPoly) -> bool:
-        return self.normal_form(p).is_zero()
-
     def is_trivial(self) -> bool:
         """True iff 1 is in the ideal, i.e. the basis is {1}."""
         return len(self.polys) == 1 and self.polys[0] == BiPoly.const(1, self.field)

@@ -119,10 +119,6 @@ def _tuple_to_mat(t, p) -> Mat2:
     return Mat2.of_rows(ring, ((t[0], t[1]), (t[2], t[3])))
 
 
-def _e12_mat(p) -> Mat2:
-    return Mat2.e12(GF(p))
-
-
 def enum_sweep_fp(p: int, pairs) -> dict:
     """One deterministic scan deciding many (i, j) pairs at once.
 
@@ -206,7 +202,7 @@ def oracle_enum_fp(p: int, i: int, j: int, full: bool = False) -> WitnessReport:
     if hit is None:
         return _report(False, ENUM_FP, i, j, p=p, **details)
     return _report(
-        True, ENUM_FP, i, j, p=p, x=_tuple_to_mat(hit, p), y=_e12_mat(p), **details
+        True, ENUM_FP, i, j, p=p, x=_tuple_to_mat(hit, p), y=Mat2.e12(GF(p)), **details
     )
 
 
@@ -316,7 +312,7 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
                     if r == 0:
                         x = Mat2.of_rows(fp, ((0, 0), (1, 0)))
                         return _report(
-                            True, ROOT_FP2, i, j, p=p, x=x, y=_e12_mat(p),
+                            True, ROOT_FP2, i, j, p=p, x=x, y=Mat2.e12(GF(p)),
                             quadratic=(a, b), branch="double-root",
                         )
                     continue

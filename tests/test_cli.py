@@ -75,6 +75,8 @@ GOLDENS = Path(__file__).parent / "goldens"
         (["structure", "13", "7"], "structure_13_7.json"),
         # a pair far outside the structure benchmark's grid
         (["structure", "40", "13"], "structure_40_13.json"),
+        # N = 828: the closed-form rewrite tables far outside the words benchmark
+        (["reduce", "30", "7", "y*x^7*y*x^100*y"], "reduce_30_7.json"),
     ],
 )
 def test_output_bytes_golden(capsys, args, golden):
@@ -251,12 +253,15 @@ def test_selftest_smoke(capsys, tmp_path):
     assert "PASS" in err
 
 
-def _run_module(module, *args):
+def _module_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+def _run_module(module, *args):
     return subprocess.run(
-        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=_module_env()
     )
 
 
@@ -275,6 +280,23 @@ def test_package_runs_as_module():
     rejected = _run_module("m2alg", "structure", "2", "2")
     assert rejected.returncode == 2
     assert rejected.stdout == ""
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader takes one line of a table far longer than a pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "m2alg", "table", "--field", "q", "--max", "200", "--threads", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_module_env(),
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+    assert (first["i"], first["j"]) == (1, 1)
 
 
 def test_table_matches_documented_example(capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from m2alg import freealg, groebner
 from m2alg.errors import Inconsistency, UnsupportedParameters
-from m2alg.fields import GF, QQ
+from m2alg.fields import GF, QQ, FpElem
 from m2alg.freealg import (
     NCPoly,
     RewriteFuelExhausted,
@@ -299,6 +300,38 @@ def test_tables_need_no_rewriting(i, j, monkeypatch):
         assert len(rs.rx) == len(rs.ry) == len(rs.basis)
     p = parse_word_expr("y*x^5*y*x^2*y + x^4*y*x - 3*y*x^7", QQ)
     assert word_image(reduce(p, rs), i, j) == word_image(p, i, j)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_table_rows_match_heap_engine(field):
+    # every row of both tables: basis word times letter, rewritten by the rules
+    for i in range(2, 10):
+        for j in range(1, i):
+            if math.gcd(i, j) != 1:
+                continue
+            rs = build_rewrite_system(i, j, field)
+            index = {u: k for k, u in enumerate(rs.basis)}
+            for table, letter in ((rs.rx, "x"), (rs.ry, "y")):
+                for k, u in enumerate(rs.basis):
+                    row = {idx: field.of(c) for idx, c in table[k]}
+                    want = _rewrite(NCPoly.of_word(u * w(letter), field), rs)
+                    assert {idx: c for idx, c in row.items() if c} == {
+                        index[v]: c for v, c in want.terms.items()
+                    }, (i, j, k, letter)
+
+
+def test_table_build_does_no_field_object_arithmetic(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("field object arithmetic in the table build")
+
+    monkeypatch.setattr(freealg, "_build_sanity_check", lambda rs: None)
+    for name in ("__add__", "__sub__", "__mul__"):
+        monkeypatch.setattr(FpElem, name, refuse)
+        monkeypatch.setattr(Fraction, name, refuse)
+    systems = [build_rewrite_system(30, 7, field) for field in (QQ, GF(3))]
+    monkeypatch.undo()
+    for rs in systems:
+        freealg._build_sanity_check(rs)
 
 
 def test_model_powers_stay_bounded():
