@@ -209,6 +209,8 @@ def _table_chunk(task):
 
 
 def cmd_table(parser, args) -> int:
+    if args.max < 1:
+        parser.error("--max must be >= 1")
     if args.field in ("fp", "f2"):
         p = 2 if args.field == "f2" else args.p
         if p is None:
@@ -368,7 +370,10 @@ def _selftest_checks(cfg: SelftestConfig):
 
 
 def cmd_selftest(parser, args) -> int:
-    cfg = SelftestConfig.from_file(args.config) if args.config else SelftestConfig()
+    try:
+        cfg = SelftestConfig.from_file(args.config) if args.config else SelftestConfig()
+    except (OSError, ValueError, TypeError) as exc:
+        parser.error(f"bad --config: {exc}")
     results = []
     ok_all = True
     for name, fn in _selftest_checks(cfg):

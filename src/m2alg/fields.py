@@ -8,7 +8,9 @@ denominator, which is exactly the canonical form we need); the field objects
 (``zero``, ``one``, ``of``, ``random_element``, ...) for generic code.
 
 Also home to the small number-theoretic predicates used by the membership
-classification: the 2-adic valuation and the odd-multiple test.
+classification (the 2-adic valuation and the odd-multiple test), and to
+``power``, the one square-and-multiply loop behind ``**`` on F_{p^2},
+polynomials and quotient-ring elements.
 """
 
 from __future__ import annotations
@@ -66,6 +68,20 @@ def factorize(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def power(base, e: int, one):
+    """base^e for e >= 0 by square-and-multiply, starting from ``one``."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 class RationalField:
@@ -327,14 +343,7 @@ class Fp2Elem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.field.one)
 
     def __eq__(self, other):
         o = self._lift(other)

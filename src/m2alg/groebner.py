@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedParameters
-from .fields import QQ, FpElem, PrimeField, RationalField
+from .fields import QQ, FpElem, PrimeField, RationalField, power
 from .poly import BiPoly, mono_divides, order_key
 from .sequences import f_st
 
@@ -495,16 +495,7 @@ class QuotientElem:
         return QuotientElem(self.poly.scale(c), self.ring)
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = self.ring.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ring.one)
 
     def __eq__(self, other):
         if isinstance(other, (int, BiPoly)):

@@ -210,13 +210,6 @@ class SylvesterSolution:
     def empty(self) -> bool:
         return self.particular is None
 
-    def point(self, coeffs):
-        """The solution at the given free-parameter values."""
-        y = self.particular
-        for c, h in zip(coeffs, self.homogeneous):
-            y = y + h.scale(c)
-        return y
-
 
 def solve_sylvester(a: Mat2, b: Mat2, c: Mat2) -> SylvesterSolution:
     """Solve A*Y + Y*B = C exactly; the common ring must be a field.

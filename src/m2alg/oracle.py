@@ -12,10 +12,10 @@ matrices satisfying x^i y + y x^j = 1, y^2 = 0.
 * ``oracle_roots_fp2``: decides via the root analysis of x^2 - ax + b over
   F_p and its quadratic extension.  The scan is plain int arithmetic:
   F_{p^2} elements are int pairs, square roots come from a per-call table of
-  smallest roots.  A witness is then rebuilt as ``Mat2`` over GF(p) from the
-  companion matrix and an exact linear solve.
+  smallest roots.  A witness is then rebuilt as ``Mat2`` over GF(p): x from
+  the root data, and y = E12 / (x^i)_21 by ``_e12_witness``.
 * ``construct_witness_Q``: builds verified rational witnesses for members
-  over Q from the semantic root data.
+  over Q, x from the semantic root data and y again by ``_e12_witness``.
 
 Every returned witness re-verifies the defining relations, by plain
 square-and-multiply with the exact exponents, before the report is built.
@@ -24,13 +24,11 @@ square-and-multiply with the exact exponents, before the report is built.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import Inconsistency, UnsupportedParameters
 from .fields import GF, QQ, is_prime, smallest_nonresidue
-from .mat2 import Mat2, SylvesterSolution, mat_pow, solve_sylvester
+from .mat2 import Mat2, mat_pow
 from .membership import decide_Q, decide_Q_semantic
 
 ENUM_FP = "ENUM_FP"
@@ -187,11 +185,11 @@ def oracle_enum_fp(p: int, i: int, j: int, full: bool = False) -> WitnessReport:
         raise UnsupportedParameters(f"{p} is not prime")
     if i < 1 or j < 1:
         raise UnsupportedParameters("exponents must be >= 1")
+    if full and p > 3:
+        raise UnsupportedParameters("--full is supported for p <= 3 only")
     hit = enum_sweep_fp(p, [(i, j)])[(i, j)]
     details = {}
     if full:
-        if p > 3:
-            raise UnsupportedParameters("--full is supported for p <= 3 only")
         unrestricted = _full_enum(p, i, j)
         agrees = (unrestricted is not None) == (hit is not None)
         if not agrees:
@@ -231,31 +229,24 @@ def square_zero_conjugation_check(p: int) -> bool:
     return True
 
 
-def _fp_square_zero_point(sol: SylvesterSolution, p: int) -> Mat2 | None:
-    """First square-zero matrix in the affine solution set, by scan order."""
-    if sol.empty:
-        return None
-    ring = GF(p)
-    dim = sol.dimension
-    for values in itertools.product(range(p), repeat=dim):
-        y = sol.point([ring.of(v) for v in values])
-        if (y * y).is_zero():
-            return y
-    return None
+def _e12_witness(x: Mat2, i: int, j: int) -> tuple[Mat2, Mat2]:
+    """The pair (x, y) with y = E12 / (x^i)_21, or Inconsistency if that is 0.
 
-
-def _witness_from_quadratic(p: int, a: int, b: int, i: int, j: int) -> tuple[Mat2, Mat2]:
-    """Companion-matrix witness for x^2 - a x + b, or Inconsistency if absent."""
-    ring = GF(p)
-    x = Mat2.of_rows(ring, ((0, -b), (1, a)))
-    sol = solve_sylvester(mat_pow(x, i), mat_pow(x, j), Mat2.identity(ring))
-    y = _fp_square_zero_point(sol, p)
-    if y is None:
+    For y = c*E12 the relation x^i y + y x^j = 1 reads c*(x^i)_21 = 1,
+    c*(x^j)_21 = 1 and (x^i)_11 + (x^j)_22 = 0, so once x is chosen c is
+    forced; ``_report`` then checks the whole relation with exact exponents.
+    For a companion matrix [[0, -b], [1, a]], Cayley-Hamilton gives
+    (x^n)_21 = f_n with f_0 = 0, f_1 = 1, f_(n+1) = a*f_n - b*f_(n-1), and
+    the root conditions of the oracles make f_i = f_j != 0.
+    """
+    ring = x.ring
+    entry = mat_pow(x, i).c
+    if not entry:
         raise Inconsistency(
-            f"root conditions held but no square-zero y exists: "
-            f"p={p}, (a,b)=({a},{b}), (i,j)=({i},{j})"
+            f"(x^{i})_21 = 0, so no multiple of E12 pairs with x = {x} "
+            f"at (i, j) = ({i}, {j})"
         )
-    return x, y
+    return x, Mat2(ring, ring.zero, ring.one / entry, ring.zero, ring.zero)
 
 
 # F_{p^2} = F_p(w) with w^2 = u as int pairs (a, b) = a + b*w
@@ -290,8 +281,10 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     r^(i+j) + (rs)^i = 0 and r^(j-i) != -1 in either orientation.  The scan
     runs on plain ints: F_{p^2} elements are pairs a + b*w with w^2 = u the
     smallest nonresidue, and square roots come from a table holding the
-    smallest root of each square.  On success the witness is rebuilt as
-    ``Mat2`` over GF(p) and verified with exact exponents.
+    smallest root of each square.  On success x is the companion matrix
+    [[0, -b], [1, a]], or [[r, 0], [1, r]] for a double root r, as ``Mat2``
+    over GF(p); y = E12 / (x^i)_21, and the pair is verified with exact
+    exponents.
     """
     if not is_prime(p) or p == 2:
         raise UnsupportedParameters("p must be an odd prime")
@@ -309,22 +302,11 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
             if disc == 0:
                 r = a * inv2 % p
                 if (i, j) == (1, 1):
-                    if r == 0:
-                        x = Mat2.of_rows(fp, ((0, 0), (1, 0)))
-                        return _report(
-                            True, ROOT_FP2, i, j, p=p, x=x, y=Mat2.e12(GF(p)),
-                            quadratic=(a, b), branch="double-root",
-                        )
+                    if r:
+                        continue
+                elif not r or (i + j) % p or i % p == 0 or pow(r, diff, p) != p - 1:
                     continue
-                if r == 0:
-                    continue
-                if (i + j) % p != 0 or i % p == 0:
-                    continue
-                if pow(r, diff, p) != p - 1:
-                    continue
-                denom = fp.of(i) * fp.of(r) ** (i - 1)
-                x = Mat2.of_rows(fp, ((r, 0), (1, r)))
-                y = Mat2(fp, fp.zero, fp.one / denom, fp.zero, fp.zero)
+                x, y = _e12_witness(Mat2.of_rows(fp, ((r, 0), (1, r))), i, j)
                 return _report(
                     True, ROOT_FP2, i, j, p=p, x=x, y=y,
                     quadratic=(a, b), branch="double-root",
@@ -348,7 +330,7 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
                 ra, rb = _pow2(r, i + j, p, u)
                 if rb or (ra + b_i) % p:
                     continue
-                x, y = _witness_from_quadratic(p, a, b, i, j)
+                x, y = _e12_witness(Mat2.of_rows(fp, ((0, -b), (1, a))), i, j)
                 return _report(
                     True, ROOT_FP2, i, j, p=p, x=x, y=y,
                     quadratic=(a, b), branch="separable",
@@ -356,105 +338,15 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     return _report(False, ROOT_FP2, i, j, p=p)
 
 
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
-def _solve_quadratic_rational(alpha, beta, gamma) -> Fraction | None:
-    """A rational root of alpha c^2 + beta c + gamma, if one exists."""
-    if alpha == 0:
-        if beta == 0:
-            return Fraction(0) if gamma == 0 else None
-        return -gamma / beta
-    disc = beta * beta - 4 * alpha * gamma
-    root = _fraction_sqrt(disc)
-    if root is None:
-        return None
-    return (-beta + root) / (2 * alpha)
-
-
-def _small_rationals(limit: int = 24):
-    yield Fraction(0)
-    for k in range(1, limit):
-        yield Fraction(k)
-        yield Fraction(-k)
-        yield Fraction(1, k + 1)
-        yield Fraction(-1, k + 1)
-
-
-def _rational_square_zero_point(sol: SylvesterSolution) -> Mat2 | None:
-    """A rational square-zero matrix in the affine solution set, if any.
-
-    Square-zero for a 2x2 matrix means trace = 0 (linear) and det = 0
-    (quadratic); the trace condition eliminates one parameter, and the
-    determinant becomes an exact quadratic in the remaining ones.
-    """
-    if sol.empty:
-        return None
-    y0 = sol.particular
-    basis = list(sol.homogeneous)
-    traces = [h.trace() for h in basis]
-    pivot = next((k for k, t in enumerate(traces) if t), None)
-    if pivot is None:
-        if y0.trace() != 0:
-            return None
-    else:
-        tp = traces[pivot]
-        hp = basis[pivot]
-        y0 = y0 - hp.scale(y0.trace() / tp)
-        basis = [
-            h - hp.scale(t / tp)
-            for k, (h, t) in enumerate(zip(basis, traces))
-            if k != pivot
-        ]
-    if not basis:
-        return y0 if y0.det() == 0 else None
-
-    def det_at(fixed):
-        def q(c):
-            y = y0 + basis[0].scale(c)
-            for h, v in zip(basis[1:], fixed):
-                y = y + h.scale(v)
-            return y.det()
-
-        q0 = q(Fraction(0))
-        q1 = q(Fraction(1))
-        qm1 = q(Fraction(-1))
-        alpha = (q1 + qm1) / 2 - q0
-        beta = (q1 - qm1) / 2
-        return alpha, beta, q0
-
-    rest = len(basis) - 1
-    assignments = (
-        [()] if rest == 0 else itertools.product(_small_rationals(), repeat=rest)
-    )
-    for fixed in assignments:
-        c = _solve_quadratic_rational(*det_at(fixed))
-        if c is None:
-            continue
-        y = y0 + basis[0].scale(c)
-        for h, v in zip(basis[1:], fixed):
-            y = y + h.scale(v)
-        if (y * y).is_zero():
-            return y
-    return None
-
-
 def construct_witness_Q(i: int, j: int) -> WitnessReport:
     """Explicit rational witnesses for members over Q.
 
     Non-members return not-found without searching (exhaustive search over
     Q is impossible; the classification is the certificate).  Members get
-    a verified pair: the odd-odd involution, or a companion matrix built
-    from the semantic procedure's root together with an exact linear solve
-    for a square-zero y.  Failure to find one when membership is asserted
-    raises Inconsistency - the oracle is the referee, never silent.
+    a verified pair: x is the odd-odd involution, or a companion matrix
+    built from the semantic procedure's root, and y = E12 / (x^i)_21.
+    Failure to build one when membership is asserted raises Inconsistency -
+    the oracle is the referee, never silent.
     """
     if i < 1 or j < 1:
         raise UnsupportedParameters("exponents must be >= 1")
@@ -462,25 +354,20 @@ def construct_witness_Q(i: int, j: int) -> WitnessReport:
         return _report(False, CONSTRUCT_Q, i, j)
     if i % 2 == 1 and j % 2 == 1:
         x = Mat2.of_rows(QQ, ((0, 1), (1, 0)))
-        return _report(True, CONSTRUCT_Q, i, j, x=x, y=Mat2.e12(QQ), branch="odd-odd")
-    semantic = decide_Q_semantic(i, j)
-    if not semantic.verdict:
-        raise Inconsistency(
-            f"congruence and semantic routes disagree at ({i}, {j})"
-        )
-    if i == j:
-        rs_val = QQ.of(semantic.aux["root"] + 2)  # r + s = rs = root + 2
-        x = Mat2(QQ, QQ.zero, -rs_val, QQ.one, rs_val)
-        branch = "diagonal"
+        branch = "odd-odd"
     else:
-        c = QQ.of(semantic.aux["root"])
-        x = Mat2(QQ, QQ.zero, -QQ.one, QQ.one, c)
-        branch = "unit-product"
-    sol = solve_sylvester(mat_pow(x, i), mat_pow(x, j), Mat2.identity(QQ))
-    y = _rational_square_zero_point(sol)
-    if y is None:
-        raise Inconsistency(
-            f"membership asserted over Q but no rational square-zero y found "
-            f"for (i, j) = ({i}, {j})"
-        )
+        semantic = decide_Q_semantic(i, j)
+        if not semantic.verdict:
+            raise Inconsistency(
+                f"congruence and semantic routes disagree at ({i}, {j})"
+            )
+        if i == j:
+            rs_val = QQ.of(semantic.aux["root"] + 2)  # r + s = rs = root + 2
+            x = Mat2(QQ, QQ.zero, -rs_val, QQ.one, rs_val)
+            branch = "diagonal"
+        else:
+            c = QQ.of(semantic.aux["root"])
+            x = Mat2(QQ, QQ.zero, -QQ.one, QQ.one, c)
+            branch = "unit-product"
+    x, y = _e12_witness(x, i, j)
     return _report(True, CONSTRUCT_Q, i, j, x=x, y=y, branch=branch)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from operator import itemgetter
 
+from .fields import power
+
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
@@ -161,16 +163,7 @@ class UniPoly:
         )
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = UniPoly.const(1, self.field, self.var)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, UniPoly.const(1, self.field, self.var))
 
     def divmod(self, other):
         """Euclidean division; other must be nonzero."""
@@ -266,11 +259,6 @@ class BiPoly:
     def t(cls, field, e=1):
         return cls({(0, e): field.one}, field, _clean=False)
 
-    @classmethod
-    def monomial(cls, c, mono, field):
-        c = field.of(c) if isinstance(c, int) else c
-        return cls({mono: c} if c else {}, field, _clean=False)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -329,16 +317,7 @@ class BiPoly:
         )
 
     def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative exponent")
-        result = BiPoly.const(1, self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, BiPoly.const(1, self.field))
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -190,6 +190,29 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "config_text,args,message",
+    [
+        ('{"no_such_key": 1}', ["selftest", "--config", "{cfg}"], "no_such_key"),
+        (None, ["selftest", "--config", "{cfg}"], "bad --config"),
+        ("{not json", ["selftest", "--config", "{cfg}"], "bad --config"),
+        (None, ["table", "--max", "-3"], "--max must be >= 1"),
+    ],
+    ids=["unknown-key", "missing-file", "invalid-json", "table-max-negative"],
+)
+def test_user_errors_exit_2(capsys, tmp_path, config_text, args, message):
+    cfg = tmp_path / "cfg.json"
+    if config_text is not None:
+        cfg.write_text(config_text)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(cfg=cfg) for a in args])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_reduce_long_x_run_at_1_1_needs_no_rewriting(capsys, monkeypatch):
     # the heap engine would need 510000 steps; the closed form needs none
     def refuse(p, rs):

@@ -1,12 +1,13 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from m2alg import fields
+from m2alg import fields, mat2, oracle
 from m2alg.errors import UnsupportedParameters
 from m2alg.fields import GF, GF2, QQ
-from m2alg.mat2 import Mat2, mat_pow
+from m2alg.mat2 import Mat2, mat_pow, solve_sylvester
 from m2alg.membership import decide_Q, decide_Z2, decide_Zp
 from m2alg.oracle import (
     _sqrt_table,
@@ -31,11 +32,17 @@ def test_enum_goldens():
     assert not rep.found and rep.x is None
 
 
-def test_enum_rejects():
+def test_enum_rejects(monkeypatch):
     with pytest.raises(UnsupportedParameters):
         oracle_enum_fp(4, 1, 1)
     with pytest.raises(UnsupportedParameters):
         oracle_enum_fp(3, 0, 1)
+
+    def refuse(p, pairs):
+        raise AssertionError("scanned before rejecting --full")
+
+    # an unsupported --full is rejected before the p^4 scan starts
+    monkeypatch.setattr(oracle, "enum_sweep_fp", refuse)
     with pytest.raises(UnsupportedParameters):
         oracle_enum_fp(5, 1, 1, full=True)
 
@@ -196,6 +203,67 @@ def test_roots_oracle_reports_golden():
     text = "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in reps) + "\n]\n"
     golden = Path(__file__).parent / "goldens" / "roots_fp2_p3-7_ij8.json"
     assert text == golden.read_text()
+
+
+def _sylvester_square_zero_y(x, i, j, p):
+    """The first square-zero y in scan order on {y : x^i y + y x^j = 1}.
+
+    A second route for the separable witnesses of ``oracle_roots_fp2``: the
+    exact linear solve, then a scan of the free parameters over F_p.
+    """
+    ring = GF(p)
+    sol = solve_sylvester(mat_pow(x, i), mat_pow(x, j), Mat2.identity(ring))
+    assert not sol.empty
+    for values in itertools.product(range(p), repeat=sol.dimension):
+        y = sol.particular
+        for v, h in zip(values, sol.homogeneous):
+            y = y + h.scale(ring.of(v))
+        if (y * y).is_zero():
+            return y
+    return None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_roots_separable_witness_matches_sylvester_route(p):
+    separable = 0
+    for i in range(1, 13):
+        for j in range(1, 13):
+            rep = oracle_roots_fp2(p, i, j)
+            if rep.details.get("branch") != "separable":
+                continue
+            separable += 1
+            assert rep.y == _sylvester_square_zero_y(rep.x, i, j, p), (p, i, j)
+    assert separable
+
+
+def test_witnesses_need_no_linear_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_rref called")
+
+    monkeypatch.setattr(mat2, "_rref", refuse)
+    for p in (3, 5, 7):
+        for i in range(1, 7):
+            for j in range(1, 7):
+                rep = oracle_roots_fp2(p, i, j)
+                assert rep.found == decide_Zp(p, i, j).verdict, (p, i, j)
+                assert rep.verified == rep.found
+    for i in range(1, 13):
+        for j in range(1, 13):
+            rep = construct_witness_Q(i, j)
+            assert rep.found == decide_Q(i, j).verdict, (i, j)
+            assert rep.verified == rep.found
+
+
+def test_q_witness_y_is_e12_over_power_entry():
+    for i in range(1, 31):
+        for j in range(1, 31):
+            rep = construct_witness_Q(i, j)
+            if not rep.found:
+                continue
+            xi = Mat2.identity(QQ)
+            for _ in range(i):
+                xi = xi * rep.x
+            assert rep.y == Mat2.e12(QQ).scale(1 / xi.c), (i, j)
 
 
 def test_cross_oracle_agreement_small():
