@@ -219,8 +219,8 @@ def cmd_table(parser, args) -> int:
         kind = "fp"
     else:
         kind, p = "q", None
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    threads = min(threads, args.max)
+    cpus = os.cpu_count() or 1
+    threads = min(args.threads if args.threads > 0 else cpus, cpus, args.max)
     if threads > 1:
         # split the i-range into contiguous chunks; the ordered merge keeps
         # the output byte-identical to a serial run

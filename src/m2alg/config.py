@@ -1,8 +1,9 @@
 """Selftest sweep bounds, overridable from a small JSON config file.
 
-With the defaults below ``m2alg selftest`` takes about 1 s (Python 3.11,
+With the defaults below ``m2alg selftest`` takes about 0.4 s (Python 3.11,
 2-core x86-64 host); CI setups that want deeper sweeps can point
-``--config`` at a JSON object overriding any subset of the fields.
+``--config`` at a JSON object overriding any subset of the fields.  Values
+are type-checked on load: a wrong type raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -10,6 +11,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+
+from .fields import is_prime
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -31,13 +38,30 @@ class SelftestConfig:
     def from_file(cls, path: str) -> "SelftestConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("selftest config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown selftest config keys: {sorted(unknown)}")
-        for key in ("rewrite_pairs",):
-            if key in raw:
-                raw[key] = tuple(tuple(p) for p in raw[key])
+        for key, value in raw.items():
+            if key == "primes_enum":
+                if not isinstance(value, list) or not all(
+                    _is_int(p) and is_prime(p) for p in value
+                ):
+                    raise ValueError(f"{key} must be a list of primes, got {value!r}")
+                raw[key] = tuple(value)
+            elif key == "rewrite_pairs":
+                if not isinstance(value, list) or not all(
+                    isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
+                    for p in value
+                ):
+                    raise ValueError(
+                        f"{key} must be a list of two-int pairs, got {value!r}"
+                    )
+                raw[key] = tuple(tuple(p) for p in value)
+            elif not _is_int(value):
+                raise ValueError(f"{key} must be an int, got {value!r}")
         return cls(**raw)
 
     def to_dict(self) -> dict:

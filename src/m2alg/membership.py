@@ -7,9 +7,10 @@ DecisionTrace that records which classification case fired.
 Two deliberately independent routes exist for the rationals:
 ``decide_Q`` implements the congruence classification verbatim, while
 ``decide_Q_semantic`` re-derives the verdict from the rational-root
-analysis of the trace polynomials.  They share no code, so their agreement
-(enforced by the test suite) is genuine evidence.  Over finite fields the
-referee is the brute-force oracle module.
+analysis of the trace polynomials, whose values at the candidate integer
+roots it computes as exact ints by their recurrence.  They share no code,
+so their agreement (enforced by the test suite) is genuine evidence.  Over
+finite fields the referee is the brute-force oracle module.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import UnsupportedParameters
 from .fields import INF, is_odd_multiple, is_prime, nu2
-from .sequences import trace_poly
-from .fields import QQ
+from .sequences import trace_value
 
 RULE_NONE = "NONE"
 RULE_ODD_ODD = "ODD_ODD"
@@ -108,7 +108,9 @@ def decide_Q_semantic(i: int, j: int) -> DecisionTrace:
     polynomial shifted by 2, which confines c to {0, 1, -1, -2}; each
     candidate imposes a side condition coming from the order of r.  For
     i = j the same analysis runs through roots of the half-index trace
-    polynomial evaluated at {a - 2 : a in {1, -1, 2, -2}}.
+    polynomial evaluated at {a - 2 : a in {1, -1, 2, -2}}.  Every candidate
+    is an int, so each trace value is the exact int given by the trace
+    recurrence (``trace_value``); no polynomial is built.
 
     Note: the candidate c = 1 gives r^2 - r + 1 = 0, so r has order six
     (r^3 = -1); the side condition is that neither exponent is divisible
@@ -123,17 +125,13 @@ def decide_Q_semantic(i: int, j: int) -> DecisionTrace:
     if i == j:
         # i even here; roots r, s with r^i + s^i = 0, r+s = rs = a rational
         n = i // 2
-        fn = trace_poly(n)
         for a in (2, 1, -1, -2):
-            t = QQ.of(a - 2)
-            if fn.evaluate(t) == QQ.zero and a != 0:  # rs = t + 2 = a must be nonzero
+            if trace_value(n, a - 2) == 0 and a != 0:  # rs = a must be nonzero
                 return mk(True, RULE_DIAG_MOD4, half_index=n, root=a - 2)
         return mk(False, RULE_NONE)
     # i != j, not both odd: only s = 1/r remains, c = r + 1/r rational
-    fij = trace_poly(i + j)
-    two = QQ.of(2)
     for c in (0, 1, -1, -2):
-        if fij.evaluate(QQ.of(c)) + two != QQ.zero:
+        if trace_value(i + j, c) + 2 != 0:
             continue
         if c == 0:
             # r^2 = -1: r^(j-i) != -1 forces both exponents odd (not the case here)

@@ -5,10 +5,14 @@
 * ``trace_poly(n)`` in A[x]: f_0 = 2, f_1 = x, f_{n+1} = x*f_n - f_{n-1},
   the family with z^n + z^-n = f_n(z + z^-1).
 
+``trace_value(n, c)`` is the int f_n(c) for an int c, read off the same
+recurrence on ints in n steps; it builds no polynomial and keeps no memo,
+so the rational decision procedure runs on exact ints in bounded memory.
+
 ``companion_power`` gives the closed form for powers of [[t, s], [1, 0]]
-whose entries are the f(n); all four families are memoized per field since
-the decision procedures re-query small indices heavily (memo tables are
-only ever grown under the GIL, so shared use across threads is safe).
+whose entries are the f(n).  ``f_st``, ``fbar`` and ``trace_poly`` are
+memoized per field, so repeated calls reuse them (memo tables are only ever
+grown under the GIL, so shared use across threads is safe).
 """
 
 from __future__ import annotations
@@ -58,6 +62,16 @@ def trace_poly(n: int, field=QQ) -> UniPoly:
     if n not in memo:
         memo[n] = UniPoly.of_ints(_TRACE_INTS[n], field, var="x")
     return memo[n]
+
+
+def trace_value(n: int, c: int) -> int:
+    """The int f_n(c) of the n-th trace polynomial at the int c."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    prev, cur = 2, c
+    for _ in range(n):
+        prev, cur = cur, c * cur - prev
+    return prev
 
 
 def companion_matrix_st(field=QQ) -> Mat2:

@@ -77,6 +77,11 @@ GOLDENS = Path(__file__).parent / "goldens"
         (["structure", "40", "13"], "structure_40_13.json"),
         # N = 828: the closed-form rewrite tables far outside the words benchmark
         (["reduce", "30", "7", "y*x^7*y*x^100*y"], "reduce_30_7.json"),
+        # the Q table with the semantic route and the rational witnesses as referee
+        (
+            ["table", "--field", "q", "--max", "24", "--oracle", "--threads", "1"],
+            "table_q_24_oracle.jsonl",
+        ),
     ],
 )
 def test_output_bytes_golden(capsys, args, golden):
@@ -197,8 +202,24 @@ def test_usage_errors_exit_2(capsys):
         (None, ["selftest", "--config", "{cfg}"], "bad --config"),
         ("{not json", ["selftest", "--config", "{cfg}"], "bad --config"),
         (None, ["table", "--max", "-3"], "--max must be >= 1"),
+        # values of the wrong type are usage errors, not failed checks
+        ('{"enum_max": "3"}', ["selftest", "--config", "{cfg}"], "enum_max must be an int"),
+        ('{"seed": true}', ["selftest", "--config", "{cfg}"], "seed must be an int"),
+        ('{"primes_enum": [3, 4]}', ["selftest", "--config", "{cfg}"], "list of primes"),
+        ('{"rewrite_pairs": [[2, 1, 1]]}', ["selftest", "--config", "{cfg}"], "two-int pairs"),
+        ("[]", ["selftest", "--config", "{cfg}"], "must be a JSON object"),
     ],
-    ids=["unknown-key", "missing-file", "invalid-json", "table-max-negative"],
+    ids=[
+        "unknown-key",
+        "missing-file",
+        "invalid-json",
+        "table-max-negative",
+        "int-field-str",
+        "int-field-bool",
+        "primes-not-prime",
+        "pairs-not-pairs",
+        "not-an-object",
+    ],
 )
 def test_user_errors_exit_2(capsys, tmp_path, config_text, args, message):
     cfg = tmp_path / "cfg.json"
@@ -211,6 +232,32 @@ def test_user_errors_exit_2(capsys, tmp_path, config_text, args, message):
     assert captured.out == ""
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_table_threads_capped_by_cpu_count(capsys, monkeypatch):
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    args = ["table", "--field", "fp", "--p", "3", "--max", "6", "--oracle"]
+    _, serial, _ = run_cli(args + ["--threads", "1"], capsys)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out, _ = run_cli(args + ["--threads", "1000"], capsys)
+    assert code == 0
+    assert asked == [2]
+    assert out == serial
 
 
 def test_reduce_long_x_run_at_1_1_needs_no_rewriting(capsys, monkeypatch):

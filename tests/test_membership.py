@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from m2alg import sequences
 from m2alg.errors import UnsupportedParameters
 from m2alg.fields import INF
 from m2alg.membership import (
@@ -60,6 +62,34 @@ def test_congruence_vs_semantic_agreement():
     for i in range(1, 61):
         for j in range(1, 61):
             assert decide_Q(i, j).verdict == decide_Q_semantic(i, j).verdict, (i, j)
+
+
+def test_congruence_vs_semantic_agreement_to_120():
+    for i in range(1, 121):
+        for j in range(1, 121):
+            congruence, semantic = decide_Q(i, j), decide_Q_semantic(i, j)
+            assert (congruence.verdict, congruence.fired_rule) == (
+                semantic.verdict,
+                semantic.fired_rule,
+            ), (i, j)
+
+
+def test_semantic_route_does_no_fraction_arithmetic(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("Fraction arithmetic in decide_Q_semantic")
+
+    for name in ("__add__", "__sub__", "__mul__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    traces = {(i, j): decide_Q_semantic(i, j) for i in range(1, 41) for j in range(1, 41)}
+    monkeypatch.undo()
+    assert all(t.verdict == decide_Q(i, j).verdict for (i, j), t in traces.items())
+    assert all(type(v) is int for t in traces.values() for v in t.aux.values())
+
+
+def test_semantic_route_grows_no_trace_memo():
+    before = len(sequences._TRACE_INTS)
+    assert decide_Q_semantic(600, 601).verdict is False
+    assert len(sequences._TRACE_INTS) == before
 
 
 def test_decide_q_periodicity():

@@ -4,7 +4,14 @@ from hypothesis import strategies as st
 
 from m2alg.fields import GF, QQ
 from m2alg.poly import BiPoly, UniPoly, parse_bipoly, parse_unipoly
-from m2alg.sequences import companion_matrix_st, companion_power, f_st, fbar, trace_poly
+from m2alg.sequences import (
+    companion_matrix_st,
+    companion_power,
+    f_st,
+    fbar,
+    trace_poly,
+    trace_value,
+)
 
 
 def test_f_st_goldens():
@@ -37,6 +44,14 @@ def test_trace_poly_goldens():
     assert trace_poly(1) == UniPoly.gen(QQ, var="x")
     assert trace_poly(2).text() == "x^2 - 2"
     assert trace_poly(3).text() == "x^3 - 3*x"
+
+
+def test_trace_value_matches_trace_poly():
+    for n in range(121):
+        for c in range(-5, 6):
+            assert trace_value(n, c) == trace_poly(n).evaluate(QQ.of(c)), (n, c)
+    with pytest.raises(ValueError):
+        trace_value(-1, 0)
 
 
 def test_monicity_and_constant_terms_small():
