@@ -70,15 +70,18 @@ def _field_of(parser, args):
     if tag == "fp":
         if args.p is None:
             parser.error("--p is required with --field fp")
-        if not is_prime(args.p):
-            parser.error(f"--p {args.p} is not prime")
+        _check_prime(parser, args.p)
         return GF(args.p)
     parser.error(f"unknown field {tag}")
 
 
 def _check_prime(parser, p):
-    if not is_prime(p):
-        parser.error(f"{p} is not prime")
+    try:
+        prime = is_prime(p)
+    except UnsupportedParameters as exc:
+        parser.error(str(exc))
+    if not prime:
+        parser.error(f"--p {p} is not prime")
 
 
 def cmd_decide(parser, args) -> int:

@@ -19,6 +19,8 @@ import functools
 import math
 from fractions import Fraction
 
+from .errors import UnsupportedParameters
+
 INF = math.inf  # 2-adic valuation of 0; compares and adds like a number
 
 
@@ -43,15 +45,46 @@ def is_odd_multiple(a: int, b: int) -> bool:
     return a % b == 0 and (a // b) % 2 == 1
 
 
+# Miller-Rabin with the thirteen primes <= 41 as bases is exact below this
+# bound (Sorenson and Webster, 2015); the first twelve bases alone are exact
+# only below 3.18e23.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; inputs here stay desk-sized."""
+    """Exact primality for n < MR_BOUND (about 3.3e24).
+
+    Multiples of the small primes are settled by one division each, and
+    n < 41^2 needs nothing more; larger n go through deterministic
+    Miller-Rabin.  A larger n raises UnsupportedParameters rather than
+    guessing.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:
+        return True
+    if n >= MR_BOUND:
+        raise UnsupportedParameters(
+            f"{n} is too large: primality is decided only below {MR_BOUND}"
+        )
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -182,7 +215,7 @@ class FpElem:
 
     def __pow__(self, e: int):
         if e < 0:
-            return FpElem(pow(self.value, -1, self.p), self.p) ** (-e)
+            return self.inverse() ** (-e)
         return FpElem(pow(self.value, e, self.p), self.p)
 
     def __eq__(self, other):

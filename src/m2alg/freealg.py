@@ -96,12 +96,15 @@ class Word:
     def degree(self) -> int:
         return sum(e for _, e in self.runs)
 
-    def letters(self) -> str:
-        return "".join(letter * e for letter, e in self.runs)
-
     def key(self):
-        """Sort key for the degree-lexicographic order with x < y."""
-        return (self.degree, self.letters())
+        """Sort key for the degree-lexicographic order with x < y.
+
+        Read off the runs, never the letter string: among words of one
+        degree, a longer leading x-run sorts lower and a longer leading
+        y-run higher, so an x-run keys on -e and a y-run on e (runs
+        alternate, so the signs also carry the letters).
+        """
+        return (self.degree, *[-e if l == "x" else e for l, e in self.runs])
 
     def rewrite_measure(self):
         """(y-count, per-y count of x's to its right, degree).

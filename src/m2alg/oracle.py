@@ -17,8 +17,9 @@ matrices satisfying x^i y + y x^j = 1, y^2 = 0.
 * ``construct_witness_Q``: builds verified rational witnesses for members
   over Q, x from the semantic root data and y again by ``_e12_witness``.
 
-Every returned witness re-verifies the defining relations, by plain
-square-and-multiply with the exact exponents, before the report is built.
+Every returned witness re-verifies the defining relations, with the exact
+exponents and powers taken by ``mat_pow`` (the Cayley-Hamilton ladder of
+``mat2``), before the report is built.
 """
 
 from __future__ import annotations

@@ -425,8 +425,9 @@ def _parse_terms(text: str, field, variables):
 
     Grammar: terms joined by + / -, each term a '*'-separated product of
     rational coefficients and variable factors ``v`` or ``v^k`` (the '*'
-    may be omitted).  Factors keep their order, so the caller decides
-    whether variables commute.  Anything else raises ValueError.
+    may be omitted, but each '*' stands between two factors).  Factors keep
+    their order, so the caller decides whether variables commute.  Anything
+    else, a zero denominator included, raises ValueError.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -442,6 +443,8 @@ def _parse_terms(text: str, field, variables):
             tok = tokens[pos]
             pos += 1
             if tok == "*":
+                if empty or pos == len(tokens) or tokens[pos] in ("+", "-", "*"):
+                    raise ValueError("empty factor")
                 continue
             if tok in variables:
                 e = 1
@@ -452,7 +455,10 @@ def _parse_terms(text: str, field, variables):
                     pos += 2
                 factors.append((tok, e))
             elif tok[0].isdigit():
-                coeff = coeff * field.parse_coeff(tok)
+                try:
+                    coeff = coeff * field.parse_coeff(tok)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {tok!r}") from None
             else:
                 raise ValueError(f"unexpected token {tok!r}")
             empty = False

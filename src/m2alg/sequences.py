@@ -1,67 +1,67 @@
-"""The three recursive polynomial families behind the structure theory.
+"""The three polynomial families behind the structure theory, in closed form.
 
-* ``f_st(n)``   in A[s, t]:  f(0) = 0, f(1) = 1, f(n) = t*f(n-1) + s*f(n-2).
-* ``fbar(n)``   in A[t]:     the image of f(n) under s -> -1.
+* ``f_st(n)``   in A[s, t]:  f(0) = 0, f(1) = 1, f(n) = t*f(n-1) + s*f(n-2),
+  that is f(n) = sum over k <= (n-1)/2 of C(n-1-k, k) * s^k * t^(n-1-2k).
+* ``fbar(n)``   in A[t]:     the image of f(n) under s -> -1, whose
+  coefficient on t^(n-1-2k) is (-1)^k * C(n-1-k, k).
 * ``trace_poly(n)`` in A[x]: f_0 = 2, f_1 = x, f_{n+1} = x*f_n - f_{n-1},
-  the family with z^n + z^-n = f_n(z + z^-1).
+  the family with z^n + z^-n = f_n(z + z^-1); its coefficient on x^(n-2k)
+  is (-1)^k * n/(n-k) * C(n-k, k).
 
-``trace_value(n, c)`` is the int f_n(c) for an int c, read off the same
+Each is built term by term from ``math.comb`` as ints and converted into
+the field once, so no polynomial arithmetic runs and nothing is cached;
+coefficients that vanish in the field are dropped.  The recurrences are
+checked against these sums by the test suite, not used to build them.
+
+``trace_value(n, c)`` is the int f_n(c) for an int c, read off the
 recurrence on ints in n steps; it builds no polynomial and keeps no memo,
 so the rational decision procedure runs on exact ints in bounded memory.
 
 ``companion_power`` gives the closed form for powers of [[t, s], [1, 0]]
-whose entries are the f(n).  ``f_st``, ``fbar`` and ``trace_poly`` are
-memoized per field, so repeated calls reuse them (memo tables are only ever
-grown under the GIL, so shared use across threads is safe).
+whose entries are the f(n).
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .fields import QQ
 from .mat2 import Mat2
 from .poly import BiPoly, BiPolyRing, UniPoly
 
-_F_ST: dict = {}
-_FBAR: dict = {}
-_TRACE: dict = {}
-_TRACE_INTS: list = [(2,), (0, 1)]
+
+def _f_coeffs(n: int) -> list[int]:
+    """C(n-1-k, k) for k = 0..(n-1)//2: the coefficient of s^k t^(n-1-2k) in f(n)."""
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    return [comb(n - 1 - k, k) for k in range((n + 1) // 2)]
 
 
 def f_st(n: int, field=QQ) -> BiPoly:
     """f(n) in the polynomial ring in s and t over the field."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    memo = _F_ST.setdefault(field, [BiPoly.zero(field), BiPoly.const(1, field)])
-    t = BiPoly.t(field)
-    s = BiPoly.s(field)
-    while len(memo) <= n:
-        memo.append(t * memo[-1] + s * memo[-2])
-    return memo[n]
+    terms = {(k, n - 1 - 2 * k): field.of(c) for k, c in enumerate(_f_coeffs(n))}
+    return BiPoly(terms, field)
 
 
 def fbar(n: int, field=QQ) -> UniPoly:
     """Image of f(n) under the evaluation s -> -1 (a polynomial in t)."""
-    memo = _FBAR.setdefault(field, {})
-    if n not in memo:
-        memo[n] = f_st(n, field).evaluate_s(field.of(-1))
-    return memo[n]
+    coeffs = [0] * n
+    for k, c in enumerate(_f_coeffs(n)):
+        coeffs[n - 1 - 2 * k] = -c if k % 2 else c
+    return UniPoly.of_ints(coeffs, field)
 
 
 def trace_poly(n: int, field=QQ) -> UniPoly:
     """The n-th trace polynomial in x."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    # The coefficients are integers in every field, so the recurrence runs
-    # on ints once and each field only converts the indices it asks for.
-    while len(_TRACE_INTS) <= n:
-        shifted = [0, *_TRACE_INTS[-1]]
-        for k, c in enumerate(_TRACE_INTS[-2]):
-            shifted[k] -= c
-        _TRACE_INTS.append(tuple(shifted))
-    memo = _TRACE.setdefault(field, {})
-    if n not in memo:
-        memo[n] = UniPoly.of_ints(_TRACE_INTS[n], field, var="x")
-    return memo[n]
+    if n == 0:
+        return UniPoly.const(2, field, var="x")
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        c = n * comb(n - k, k) // (n - k)
+        coeffs[n - 2 * k] = -c if k % 2 else c
+    return UniPoly.of_ints(coeffs, field, var="x")
 
 
 def trace_value(n: int, c: int) -> int:

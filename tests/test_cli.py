@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,7 @@ def test_structure_infinite(capsys):
 
 
 GOLDENS = Path(__file__).parent / "goldens"
+M89 = str(2**89 - 1)  # a prime beyond the proven range of the primality test
 
 
 @pytest.mark.parametrize(
@@ -82,6 +84,10 @@ GOLDENS = Path(__file__).parent / "goldens"
             ["table", "--field", "q", "--max", "24", "--oracle", "--threads", "1"],
             "table_q_24_oracle.jsonl",
         ),
+        # the generators print f(121) and f(120), over Q and with the
+        # coefficients that vanish mod 2 dropped
+        (["structure", "61", "60"], "structure_61_60.json"),
+        (["structure", "61", "60", "--field", "f2"], "structure_61_60_f2.json"),
     ],
 )
 def test_output_bytes_golden(capsys, args, golden):
@@ -208,6 +214,20 @@ def test_usage_errors_exit_2(capsys):
         ('{"primes_enum": [3, 4]}', ["selftest", "--config", "{cfg}"], "list of primes"),
         ('{"rewrite_pairs": [[2, 1, 1]]}', ["selftest", "--config", "{cfg}"], "two-int pairs"),
         ("[]", ["selftest", "--config", "{cfg}"], "must be a JSON object"),
+        (None, ["reduce", "2", "1", "1/0*x"], "zero denominator"),
+        (None, ["reduce", "2", "1", "x**2"], "empty factor"),
+        (None, ["reduce", "2", "1", "*x"], "empty factor"),
+        (None, ["reduce", "2", "1", "x*"], "empty factor"),
+        (None, ["reduce", "2", "1", "x*+y"], "empty factor"),
+        (None, ["decide", "3", "2", "--field", "fp", "--p", M89], "too large"),
+        (None, ["structure", "3", "2", "--field", "fp", "--p", M89], "too large"),
+        (None, ["oracle", "3", "2", "--p", M89], "too large"),
+        (None, ["table", "--max", "2", "--field", "fp", "--p", M89], "too large"),
+        (
+            '{"primes_enum": [3, %s]}' % M89,
+            ["selftest", "--config", "{cfg}"],
+            "too large",
+        ),
     ],
     ids=[
         "unknown-key",
@@ -219,6 +239,16 @@ def test_usage_errors_exit_2(capsys):
         "primes-not-prime",
         "pairs-not-pairs",
         "not-an-object",
+        "reduce-zero-denominator",
+        "reduce-double-star",
+        "reduce-leading-star",
+        "reduce-trailing-star",
+        "reduce-star-before-sign",
+        "decide-p-too-large",
+        "structure-p-too-large",
+        "oracle-p-too-large",
+        "table-p-too-large",
+        "primes-too-large",
     ],
 )
 def test_user_errors_exit_2(capsys, tmp_path, config_text, args, message):
@@ -270,6 +300,39 @@ def test_reduce_long_x_run_at_1_1_needs_no_rewriting(capsys, monkeypatch):
     assert code == 0
     assert err == ""
     assert record["result"]["normal_form"] == "x^510000*y"
+
+
+@pytest.mark.parametrize(
+    "expr,i,j,normal_form",
+    [
+        ("x^9999999999*y", 3, 2, "-x^3*y + x^2*y - x*y + y"),
+        ("x^99999999999999999999999*y", 3, 2, "-x^3*y + x^2*y - x*y + y"),
+        (
+            "y*x^99999999999999999999999",
+            1,
+            1,
+            "-x^99999999999999999999999*y + x^99999999999999999999998",
+        ),
+    ],
+)
+def test_reduce_huge_x_runs_print_without_expanding(capsys, expr, i, j, normal_form):
+    # the text of a polynomial sorts its words by their runs, never by a
+    # letter string of length e for each x^e
+    code, record, err = run_json(["reduce", str(i), str(j), expr], capsys)
+    assert code == 0
+    assert err == ""
+    assert record["result"]["normal_form"] == normal_form
+
+
+def test_decide_large_prime_answers_fast(capsys):
+    # a 19-digit prime, decided by Miller-Rabin rather than trial division
+    start = time.perf_counter()
+    code, record, _ = run_json(
+        ["decide", "--field", "fp", "--p", "1000000000000000003", "3", "2"], capsys
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert record["result"]["p"] == 1000000000000000003
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from m2alg.errors import UnsupportedParameters
 from m2alg.fields import (
     GF,
     GF2,
     INF,
+    MR_BOUND,
     QQ,
     element_order,
     fp2_frobenius,
@@ -47,6 +50,32 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
 
 
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(n) == _trial_division(n) for n in range(10**5))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # a Carmichael number; the least strong pseudoprime to bases 2, 3, 5, 7;
+    # and the least one to every prime base <= 37, caught by base 41
+    assert not is_prime(561)
+    assert not is_prime(3215031751)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(1000000000000000003) and is_prime(2**61 - 1)
+    assert not is_prime((2**61 - 1) * 1000003)
+
+
+def test_is_prime_refuses_beyond_its_proven_bound():
+    assert not is_prime(MR_BOUND + 1)  # even: settled before the bound
+    with pytest.raises(UnsupportedParameters, match="too large"):
+        is_prime(2**89 - 1)
+    with pytest.raises(UnsupportedParameters):
+        GF(2**89 - 1)
+
+
 def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         GF.__wrapped__(6)
@@ -68,6 +97,15 @@ def test_fp_arithmetic():
 def test_fp_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         GF(5).one / GF(5).zero
+
+
+def test_zero_to_a_negative_power_raises_zero_division():
+    # the same error as .inverse(), 1/z and GF2(p).zero ** -1
+    for z in (GF(5).zero, GF(2).zero, GF2(5).zero):
+        with pytest.raises(ZeroDivisionError):
+            z ** -1
+        with pytest.raises(ZeroDivisionError):
+            z ** -3
 
 
 @settings(max_examples=60)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -39,6 +40,21 @@ def test_word_normalization():
     assert Word.one().degree == 0
     assert w("xyx").text() == "x*y*x"
     assert Word.gen("x", 3).text() == "x^3"
+
+
+def test_word_key_is_deglex_on_the_letter_string():
+    words = [w("".join(v)) for n in range(11) for v in itertools.product("xy", repeat=n)]
+    assert len(words) == 2047
+    by_runs = sorted(words, key=Word.key)
+    by_letters = sorted(words, key=lambda v: (v.degree, "".join(l * e for l, e in v.runs)))
+    assert by_runs == by_letters
+
+
+def test_word_key_needs_no_letter_string():
+    e = 10**30
+    assert Word.gen("x", e).key() < (Word.gen("x", e - 1) * w("y")).key()
+    assert (w("y") * Word.gen("x", e)).key() > (Word.gen("x", e) * w("y")).key()
+    assert parse_word_expr(f"y*x^{e} + x^{e}*y", QQ).text() == f"y*x^{e} + x^{e}*y"
 
 
 def test_word_rejects_bad_input():

@@ -442,7 +442,7 @@ def test_structure_grid_division_count(monkeypatch):
 def test_kernel_does_no_field_object_arithmetic(monkeypatch):
     inputs = {}
     for field in (QQ, GF(3)):
-        build_ideal_I(13, 8, field)  # fills the f(n) memo, built on BiPoly arithmetic
+        build_ideal_I(13, 8, field)  # the generators' BiPoly subtraction runs before the patch
         inputs[field] = [
             BiPoly.t(field, 30),
             parse_bipoly("s^9*t^11 - 4*s^2*t + 7", field),

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m2alg import sequences
 from m2alg.errors import UnsupportedParameters
 from m2alg.fields import INF
 from m2alg.membership import (
@@ -20,6 +19,7 @@ from m2alg.membership import (
     decide_neg1_mod4,
     decide_p3_congruences,
 )
+from m2alg.poly import BiPoly, UniPoly
 
 
 def test_decide_q_goldens():
@@ -86,10 +86,13 @@ def test_semantic_route_does_no_fraction_arithmetic(monkeypatch):
     assert all(type(v) is int for t in traces.values() for v in t.aux.values())
 
 
-def test_semantic_route_grows_no_trace_memo():
-    before = len(sequences._TRACE_INTS)
+def test_semantic_route_builds_no_polynomial(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("polynomial built on the semantic route")
+
+    monkeypatch.setattr(UniPoly, "__init__", refuse)
+    monkeypatch.setattr(BiPoly, "__init__", refuse)
     assert decide_Q_semantic(600, 601).verdict is False
-    assert len(sequences._TRACE_INTS) == before
 
 
 def test_decide_q_periodicity():

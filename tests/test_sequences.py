@@ -22,6 +22,45 @@ def test_f_st_goldens():
     assert f_st(3) == parse_bipoly("t^2 + s", QQ)
 
 
+def _recurrence_ints(n_max, first, second, step):
+    """Int coefficient dicts of a two-term recurrence, for n = 0..n_max."""
+    out = [first, second]
+    while len(out) <= n_max:
+        out.append(step(out[-1], out[-2]))
+    return out
+
+
+def _f_step(prev, prev2):
+    """t*f(n-1) + s*f(n-2) on {(e_s, e_t): int}."""
+    terms = {(es, et + 1): c for (es, et), c in prev.items()}
+    for (es, et), c in prev2.items():
+        terms[(es + 1, et)] = terms.get((es + 1, et), 0) + c
+    return terms
+
+
+def _trace_step(prev, prev2):
+    """x*f(n-1) - f(n-2) on {e_x: int}."""
+    terms = {e + 1: c for e, c in prev.items()}
+    for e, c in prev2.items():
+        terms[e] = terms.get(e, 0) - c
+    return terms
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+def test_closed_forms_match_int_recurrences(field):
+    f_ints = _recurrence_ints(300, {}, {(0, 0): 1}, _f_step)
+    trace_ints = _recurrence_ints(300, {0: 2}, {1: 1}, _trace_step)
+    for n in range(301):
+        want = {m: field.of(c) for m, c in f_ints[n].items() if field.of(c)}
+        assert f_st(n, field).terms == want, n  # no stored zero coefficients
+        coeffs = [trace_ints[n].get(e, 0) for e in range(n + 1)]
+        assert trace_poly(n, field) == UniPoly.of_ints(coeffs, field, var="x"), n
+        bar = [0] * n
+        for (es, et), c in f_ints[n].items():
+            bar[et] += (-1) ** es * c
+        assert fbar(n, field) == UniPoly.of_ints(bar, field), n
+
+
 def test_f_st_negative_index():
     with pytest.raises(ValueError):
         f_st(-1)
