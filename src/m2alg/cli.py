@@ -29,7 +29,7 @@ from .freealg import (
     reduce as nc_reduce,
     validate_system,
 )
-from .groebner import INFINITE, build_ideal_I, buchberger
+from .groebner import INFINITE, build_ideal_I, buchberger, structure_basis
 from .mat2 import pi_identity_check
 from .membership import decide, decide_Q, decide_Q_semantic, decide_corollaries
 from .model import witness_XY
@@ -103,7 +103,7 @@ def cmd_structure(parser, args) -> int:
         ideal = build_ideal_I(args.i, args.j, field)
     except UnsupportedParameters as exc:
         parser.error(str(exc))
-    gb = buchberger(ideal)
+    gb = structure_basis(args.i, args.j, field)
     monomials = _quotient_basis_names(gb)
     dimension = monomials if monomials == "infinite" else len(monomials)
     result = {
@@ -273,8 +273,8 @@ def _selftest_checks(cfg: SelftestConfig):
         return all(f_st(n) == t * f_st(n - 1) + s * f_st(n - 2) for n in range(2, 60))
 
     def check_structure():
-        gb21 = buchberger(build_ideal_I(2, 1, QQ))
-        gb43 = buchberger(build_ideal_I(4, 3, QQ))
+        gb21 = structure_basis(2, 1, QQ)
+        gb43 = structure_basis(4, 3, QQ)
         if [g.text() for g in gb21.polys] != ["s + 1", "t - 1"]:
             return False
         if [g.text() for g in gb43.polys] != ["s + 1", "t^3 - t^2 - 2*t + 1"]:
@@ -284,9 +284,10 @@ def _selftest_checks(cfg: SelftestConfig):
                 if math.gcd(i, j) != 1 or (i == j and i != 1):
                     continue
                 for fld in (QQ, GF(3)):
-                    if buchberger(build_ideal_I(i, j, fld)).is_trivial():
+                    gb = structure_basis(i, j, fld)
+                    if gb.is_trivial() or gb != buchberger(build_ideal_I(i, j, fld)):
                         return False
-                    witness_XY(i, j, fld)
+                    witness_XY(i, j, fld, gb=gb)
         return True
 
     def check_rewriting():

@@ -6,6 +6,11 @@ Purpose-built for the structure ideal
 
 defined for coprime i >= j (with the degenerate single generator (t) at
 i = j = 1), whose quotient carries the whole algebra via 2x2 matrices.
+``build_ideal_I`` returns these generators, which ``structure`` prints;
+``structure_basis`` starts Buchberger instead from two generators of
+half their t-degree, read off the closed form of the powers of
+[[t, s], [1, 0]] (see its docstring), built on ints from ``math.comb``.
+The reduced basis is unique, so both starts give the same basis.
 The engine itself is standard: S-polynomials, multivariate division,
 Gebauer and Moeller's pair update (the coprime and chain criteria applied
 once, as each element is added, with elements whose leading monomial a
@@ -36,7 +41,7 @@ from fractions import Fraction
 from .errors import UnsupportedParameters
 from .fields import QQ, FpElem, PrimeField, RationalField, power
 from .poly import BiPoly, mono_divides, order_key
-from .sequences import f_st
+from .sequences import f_coeffs, f_st
 
 
 class _Infinite:
@@ -65,20 +70,24 @@ class Ideal:
     params: tuple | None = None
 
 
-def build_ideal_I(i: int, j: int, field=QQ) -> Ideal:
-    """The structure ideal for the presentation with exponents (i, j).
-
-    Requires gcd(i, j) = 1; the pair is used in the orientation i >= j
-    (the two orientations present the same ring).
-    """
+def _oriented(i: int, j: int) -> tuple[int, int]:
+    """(max, min) of a coprime pair of positive exponents."""
     if i < 1 or j < 1:
         raise UnsupportedParameters("exponents must be >= 1")
     if math.gcd(i, j) != 1:
         raise UnsupportedParameters(
             f"gcd({i}, {j}) != 1: no quotient description is available"
         )
-    if i < j:
-        i, j = j, i
+    return max(i, j), min(i, j)
+
+
+def build_ideal_I(i: int, j: int, field=QQ) -> Ideal:
+    """The structure ideal for the presentation with exponents (i, j).
+
+    Requires gcd(i, j) = 1; the pair is used in the orientation i >= j
+    (the two orientations present the same ring).
+    """
+    i, j = _oriented(i, j)
     if i == j == 1:
         return Ideal((BiPoly.t(field),), field, (1, 1))
     gens = (
@@ -421,8 +430,70 @@ def buchberger(ideal_or_gens, field=None, params=None) -> GroebnerBasis:
     return GroebnerBasis([_poly(g, field, mod) for g in nums], field, params, nums)
 
 
+def _s_power_f(e: int, n: int, d: int, mod: int) -> dict:
+    """Kernel form of s^e * f(n) modulo s^d - (-1)^d, for d >= 1.
+
+    Every s-exponent is folded into [0, d) by s^d = (-1)^d, so e may be
+    negative: s is a unit modulo s^d - (-1)^d.
+    """
+    out = {}
+    for k, c in enumerate(f_coeffs(n)):
+        q, r = divmod(e + k, d)
+        # distinct k have distinct t-exponents, so no two terms meet
+        c = -c if d * q % 2 else c
+        if mod:
+            c %= mod
+        if c:
+            out[r, n - 1 - 2 * k] = c
+    return out
+
+
+def s_power_f(e: int, n: int, d: int, field=QQ) -> BiPoly:
+    """s^e * f(n) over field, its s-exponents folded into [0, d) by s^d = (-1)^d.
+
+    In L = A[s,t]/I(i,j) with d = i - j >= 1 it is the element s^e * f(n),
+    for any integer e.
+    """
+    mod = _modulus(field)
+    return _poly(_s_power_f(e, n, d, mod), field, mod)
+
+
 def structure_basis(i: int, j: int, field=QQ) -> GroebnerBasis:
-    return buchberger(build_ideal_I(i, j, field))
+    """The reduced basis of I(i, j), by Buchberger from half-degree generators.
+
+    With C = [[t, s], [1, 0]], C^k = [[f(k+1), s*f(k)], [f(k), s*f(k-1)]]
+    and det C = -s.  For i > j let n = i + j, d = i - j and
+    sigma = (-1)^d.  The generators f(n) and f(n-1) - s^(j-1) say
+    C^(n-1) e1 = s^(j-1) e2.  Modulo s^d - sigma, s is a unit with
+    s^(-1) = sigma*s^(d-1), so C is invertible, and with q = (n-1)//2 and
+    p = n-1-q the same equation reads C^p e1 = s^(j-1) C^(-q) e2, where
+    C^(-q) = (-s)^(-q) adj(C^q).  Entry by entry:
+
+        g1 = f(p+1) + (-1)^q s^(j-q) f(q),
+        g2 = f(p) - (-1)^q s^(j-1-q) f(q+1),
+
+    and (g1, g2, s^d - sigma) = I(i, j), since each step is invertible.
+    Their t-degrees are about half those of f(n) and f(n-1).  They are
+    built on ints, each s-exponent folded into [0, d), and handed to
+    Buchberger; a reduced basis is unique, so it equals
+    buchberger(build_ideal_I(i, j, field)).  (1, 1) has the one generator t.
+    """
+    i, j = _oriented(i, j)
+    if i == j:
+        return buchberger(build_ideal_I(i, j, field))
+    mod = _modulus(field)
+    n, d = i + j, i - j
+    q = (n - 1) // 2
+    p = n - 1 - q
+    sign = -1 if q % 2 else 1
+    g1 = _s_power_f(0, p + 1, d, mod)
+    _sub_shifted(g1, _s_power_f(j - q, q, d, mod), -sign, 0, 0, mod)
+    g2 = _s_power_f(0, p, d, mod)
+    _sub_shifted(g2, _s_power_f(j - 1 - q, q + 1, d, mod), sign, 0, 0, mod)
+    unit = {(d, 0): 1}
+    _sub_shifted(unit, {(0, 0): 1}, (-1) ** d, 0, 0, mod)  # s^d - sigma
+    nums = _buchberger([g1, g2, unit], mod)[0]
+    return GroebnerBasis([_poly(g, field, mod) for g in nums], field, (i, j), nums)
 
 
 def buchberger_with_certificate(ideal: Ideal):

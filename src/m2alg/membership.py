@@ -278,12 +278,12 @@ def decide_neg1_mod4(p: int, i: int, j: int) -> DecisionTrace:
         math.gcd(abs(j - i), p - 1), math.gcd(j + i, p - 1)
     ):
         return mk(True, RULE_COR_PARITY_GCD)
-    mod2p = (i % (2 * p), j % (2 * p))
-    for ell in range(1, p):
-        first = (ell * (p + 1)) % (2 * p)
-        second = ((p + 1) * (p - ell) + p) % (2 * p)
-        if mod2p in ((first, second), (second, first)):
-            return mk(True, RULE_COR_MOD2P_LIST)
+    # the list {(l(p+1), (p+1)(p-l)+p) mod 2p : 0 < l < p}, in either order,
+    # in closed form: l(p+1) is the even residue = l (mod p), and
+    # (p+1)(p-l)+p the odd residue = -l (mod p)
+    u, v = i % (2 * p), j % (2 * p)
+    if (u - v) % 2 and (u + v) % p == 0 and (u if u % 2 == 0 else v) % p:
+        return mk(True, RULE_COR_MOD2P_LIST)
 
     def cond4(u, v):
         if not nu2(v - u * p) <= a:

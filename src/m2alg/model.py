@@ -11,6 +11,12 @@ X^i = [[0, s], [1, -t]].  For i = j = 1 the quotient degenerates to A[s]
 and X = [[0, s], [1, 0]].  All of this is re-verified at construction;
 a failure raises Inconsistency rather than returning a bad pair.
 
+X is built in closed form, with no matrix power: with C = [[t, s], [1, 0]],
+C^k = f(k)*C + s*f(k-1)*I, so X = a*C + b*I where a = s^(-beta)*f(k) and
+b = s^(1-beta)*f(k-1), k = alpha+beta.  Each of a and b is one normal form
+of a polynomial whose s-exponents are folded by s^(i-j) = (-1)^(i-j)
+(``groebner.s_power_f``), and a*t, a*s are the only products.
+
 The verification computes X^lo and then X^hi = X^lo * X^(hi-lo), with
 lo = min(i, j) and hi = max(i, j).  For a correct pair X^lo is the
 companion matrix, whose entries 1, 0, s and t make that last product
@@ -25,9 +31,8 @@ from dataclasses import dataclass
 
 from .errors import Inconsistency, UnsupportedParameters
 from .fields import QQ
-from .groebner import GroebnerBasis, QuotientRing, structure_basis
+from .groebner import GroebnerBasis, QuotientRing, s_power_f, structure_basis
 from .mat2 import Mat2, mat_pow
-from .poly import BiPoly
 
 
 @dataclass(frozen=True)
@@ -39,14 +44,6 @@ class WitnessPair:
     i: int
     j: int
     ring: QuotientRing
-
-
-def _s_inverse(ring: QuotientRing, i: int, j: int):
-    """The closed-form inverse of s in the quotient: (-1)^(i-j) * s^(i-j-1)."""
-    field = ring.field
-    return ring.of(
-        BiPoly.s(field, i - j - 1).scale(field.of((-1) ** (i - j)))
-    )
 
 
 def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> WitnessPair:
@@ -70,14 +67,18 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
         )
     ring = QuotientRing(gb)
     companion = Mat2(ring, ring.t(), ring.s(), ring.one, ring.zero)
+    ident = Mat2.identity(ring)
     if hi == lo == 1:
         X = Mat2(ring, ring.zero, ring.s(), ring.one, ring.zero)
     else:
         alpha = pow(lo, -1, hi)
         beta = (alpha * lo - 1) // hi
-        X = mat_pow(companion, alpha + beta).scale(_s_inverse(ring, hi, lo) ** beta)
+        k, d = alpha + beta, hi - lo
+        # C^k = f(k)*C + s*f(k-1)*I, scaled by s^(-beta)
+        a = ring.of(s_power_f(-beta, k, d, field))
+        b = ring.of(s_power_f(1 - beta, k - 1, d, field))
+        X = companion.scale(a) + ident.scale(b)
     Y = Mat2.e12(ring)
-    ident = Mat2.identity(ring)
     power = {lo: mat_pow(X, lo)}
     power[hi] = power[lo] * mat_pow(X, hi - lo)
     checks = [

@@ -30,7 +30,7 @@ from .mat2 import Mat2
 from .poly import BiPoly, BiPolyRing, UniPoly
 
 
-def _f_coeffs(n: int) -> list[int]:
+def f_coeffs(n: int) -> list[int]:
     """C(n-1-k, k) for k = 0..(n-1)//2: the coefficient of s^k t^(n-1-2k) in f(n)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
@@ -39,14 +39,14 @@ def _f_coeffs(n: int) -> list[int]:
 
 def f_st(n: int, field=QQ) -> BiPoly:
     """f(n) in the polynomial ring in s and t over the field."""
-    terms = {(k, n - 1 - 2 * k): field.of(c) for k, c in enumerate(_f_coeffs(n))}
+    terms = {(k, n - 1 - 2 * k): field.of(c) for k, c in enumerate(f_coeffs(n))}
     return BiPoly(terms, field)
 
 
 def fbar(n: int, field=QQ) -> UniPoly:
     """Image of f(n) under the evaluation s -> -1 (a polynomial in t)."""
     coeffs = [0] * n
-    for k, c in enumerate(_f_coeffs(n)):
+    for k, c in enumerate(f_coeffs(n)):
         coeffs[n - 1 - 2 * k] = -c if k % 2 else c
     return UniPoly.of_ints(coeffs, field)
 

@@ -19,7 +19,7 @@ from m2alg.groebner import (
     build_ideal_I,
     structure_basis,
 )
-from m2alg.mat2 import Mat2
+from m2alg.mat2 import Mat2, mat_pow
 from m2alg.model import witness_XY
 from m2alg.poly import BiPoly, order_key, parse_bipoly, uni_gcd
 from m2alg.sequences import f_st, fbar
@@ -53,12 +53,13 @@ def test_build_ideal_goldens():
 
 
 def test_build_ideal_rejects_non_coprime():
-    with pytest.raises(UnsupportedParameters):
-        build_ideal_I(4, 2)
-    with pytest.raises(UnsupportedParameters):
-        build_ideal_I(6, 3)
-    with pytest.raises(UnsupportedParameters):
-        build_ideal_I(0, 1)
+    for build in (build_ideal_I, structure_basis):
+        with pytest.raises(UnsupportedParameters):
+            build(4, 2)
+        with pytest.raises(UnsupportedParameters):
+            build(6, 3)
+        with pytest.raises(UnsupportedParameters):
+            build(0, 1)
 
 
 def test_reduced_basis_goldens():
@@ -356,6 +357,43 @@ def test_structure_basis_matches_object_route(field):
         _assert_same_basis(gb, _buchberger_objects(build_ideal_I(i, j, field).generators))
 
 
+def _assert_same_structure_basis(i, j, field):
+    gb = structure_basis(i, j, field)
+    want = buchberger(build_ideal_I(i, j, field))
+    assert gb == want and gb.params == want.params, (i, j, field)
+    assert gb._divisors == want._divisors, (i, j, field)
+
+
+def test_structure_basis_matches_buchberger_on_f_generators():
+    """The half-degree generators give the reduced basis of I(i, j) itself."""
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        for i, j in coprime_pairs(21):
+            _assert_same_structure_basis(i, j, field)
+    for i, j in [(8, 13), (40, 13), (60, 17), (61, 60), (101, 3)]:
+        _assert_same_structure_basis(i, j, QQ)
+
+
+def _witness_by_companion_power(ring, hi, lo):
+    """X = s^(-beta) * C^(alpha+beta), by a matrix power and a scaled inverse of s."""
+    if hi == lo == 1:
+        return Mat2(ring, ring.zero, ring.s(), ring.one, ring.zero)
+    field = ring.field
+    companion = Mat2(ring, ring.t(), ring.s(), ring.one, ring.zero)
+    alpha = pow(lo, -1, hi)
+    beta = (alpha * lo - 1) // hi
+    s_inverse = ring.of(BiPoly.s(field, hi - lo - 1).scale(field.of((-1) ** (hi - lo))))
+    return mat_pow(companion, alpha + beta).scale(s_inverse**beta)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.name)
+def test_witness_matches_companion_power_route(field):
+    for i, j in SECOND_ROUTE_PAIRS:
+        pair = witness_XY(i, j, field)
+        want = _witness_by_companion_power(pair.ring, i, j)
+        assert pair.X == want, (i, j)
+        assert witness_XY(j, i, field).X == want, (j, i)
+
+
 def _random_ideal(rng, field):
     gens = []
     for _ in range(rng.randint(2, 3)):
@@ -418,9 +456,10 @@ def test_structure_grid_division_count(monkeypatch):
     """Buchberger's work on the structure benchmark's grid stays bounded.
 
     Counted over Q and GF(3) for coprime j < i <= 13, (17,16) and (21,20).
-    With Gebauer and Moeller's pair update the bases take 2118 divisions,
-    630 of them with a zero remainder; checking the chain criterion against
-    every element at each popped pair took 2502 and 1014.
+    Started from the half-degree generators g1, g2 and s^(i-j) - sigma,
+    the bases take 434 divisions, 158 of them with a zero remainder; from
+    f(i+j), f(i+j-1) - s^(j-1) they took 2118 and 630 with Gebauer and
+    Moeller's pair update, and 2502 and 1014 without it.
     """
     counts = [0, 0]
     real = groebner._divide
@@ -436,7 +475,7 @@ def test_structure_grid_division_count(monkeypatch):
         for i, j in coprime_pairs(13, include_diag=False) + [(17, 16), (21, 20)]:
             structure_basis(i, j, field)
     calls, zeros = counts
-    assert calls <= 2200 and zeros <= 700, counts
+    assert calls <= 480 and zeros <= 180, counts
 
 
 def test_kernel_does_no_field_object_arithmetic(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,43 @@ def test_neg1_mod4_matches_general():
                 assert (
                     decide_neg1_mod4(p, i, j).verdict == decide_Zp(p, i, j).verdict
                 ), (p, i, j)
+
+
+def _listed_by_loop(p, i, j):
+    """The mod-2p congruence list walked term by term, l = 1 .. p-1."""
+    mod2p = (i % (2 * p), j % (2 * p))
+    for ell in range(1, p):
+        first = (ell * (p + 1)) % (2 * p)
+        second = ((p + 1) * (p - ell) + p) % (2 * p)
+        if mod2p in ((first, second), (second, first)):
+            return True
+    return False
+
+
+def test_neg1_mod4_list_matches_loop():
+    """The closed-form mod-2p list fires exactly where the walked list does.
+
+    It can fire only when the odd-odd and parity-gcd rules did not; every
+    residue pair mod 2p is tried, for each prime p = 3 mod 4 below 50.
+    """
+    fired = 0
+    for p in (3, 7, 11, 19, 23, 31, 43, 47):
+        for i in range(1, 2 * p + 1):
+            for j in range(1, 2 * p + 1):
+                rule = decide_neg1_mod4(p, i, j).fired_rule
+                if rule in ("ODD_ODD", "COR_PARITY_GCD"):
+                    continue
+                listed = _listed_by_loop(p, i, j)
+                assert (rule == "COR_MOD2P_LIST") == listed, (p, i, j)
+                fired += listed
+    assert fired > 100
+
+
+def test_neg1_mod4_answers_fast_for_a_huge_prime():
+    start = time.perf_counter()
+    trace = decide_corollaries(10**18 + 3, 2, 4)
+    assert time.perf_counter() - start < 1.0
+    assert trace.aux == {"a": 2}
 
 
 def test_decide_corollaries_dispatch():
