@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Print the `structure` and `witness` CLI output over a grid of pairs.
+"""Print the `structure`, `witness` and `reduce` CLI output over a grid of pairs.
 
 For each field tag, each coprime pair j < i <= N and each of the two
-commands, prints a header line naming the command line and then the
-command's stdout, in one deterministic stream.  Two checkouts can then be
-compared byte for byte:
+commands `structure` and `witness`, prints a header line naming the command
+line and then the command's stdout, in one deterministic stream.  Under
+the ``q`` tag each pair also gets one `reduce` of REDUCE_EXPR.  Two
+checkouts can then be compared byte for byte:
 
     PYTHONPATH=src python scripts/cli_grid.py --max 21 --fields q fp3 fp5 > grid.txt
 
@@ -17,9 +18,14 @@ import contextlib
 import io
 import math
 import re
+import shlex
 import sys
 
 from m2alg.cli import main as cli_main
+
+# x-runs longer than i^2 - j^2 at small pairs, several y's, and terms whose
+# normal forms share words
+REDUCE_EXPR = "y*x^7*y*x^100*y + x^5*y*x^3 - 2*y*x"
 
 
 def field_args(tag):
@@ -44,12 +50,14 @@ def main(argv=None):
             for j in range(1, i):
                 if math.gcd(i, j) != 1:
                     continue
-                for command in ("structure", "witness"):
-                    cmd = [command, str(i), str(j), *fargs]
+                cmds = [[command, str(i), str(j), *fargs] for command in ("structure", "witness")]
+                if fargs == field_args("q"):
+                    cmds.append(["reduce", str(i), str(j), REDUCE_EXPR])
+                for cmd in cmds:
                     out = io.StringIO()
                     with contextlib.redirect_stdout(out):
                         code = cli_main(cmd)
-                    print("== m2alg " + " ".join(cmd))
+                    print("== m2alg " + shlex.join(cmd))
                     sys.stdout.write(out.getvalue())
                     if code:
                         print(f"== exit {code}")

@@ -76,19 +76,12 @@ def _field_of(parser, args):
 
 
 def _check_prime(parser, p):
-    try:
-        prime = is_prime(p)
-    except UnsupportedParameters as exc:
-        parser.error(str(exc))
-    if not prime:
+    if not is_prime(p):
         parser.error(f"--p {p} is not prime")
 
 
 def cmd_decide(parser, args) -> int:
-    try:
-        trace = decide(args.field, args.i, args.j, p=args.p)
-    except UnsupportedParameters as exc:
-        parser.error(str(exc))
+    trace = decide(args.field, args.i, args.j, p=args.p)
     params = {"field": args.field, "i": args.i, "j": args.j}
     if args.p is not None:
         params["p"] = args.p
@@ -99,10 +92,7 @@ def cmd_decide(parser, args) -> int:
 
 def cmd_structure(parser, args) -> int:
     field = _field_of(parser, args)
-    try:
-        ideal = build_ideal_I(args.i, args.j, field)
-    except UnsupportedParameters as exc:
-        parser.error(str(exc))
+    ideal = build_ideal_I(args.i, args.j, field)
     gb = structure_basis(args.i, args.j, field)
     monomials = _quotient_basis_names(gb)
     dimension = monomials if monomials == "infinite" else len(monomials)
@@ -121,10 +111,7 @@ def cmd_structure(parser, args) -> int:
 
 def cmd_witness(parser, args) -> int:
     field = _field_of(parser, args)
-    try:
-        pair = witness_XY(args.i, args.j, field)
-    except UnsupportedParameters as exc:
-        parser.error(str(exc))
+    pair = witness_XY(args.i, args.j, field)
     result = {
         "X": [[str(v) for v in row] for row in pair.X.rows()],
         "Y": [[str(v) for v in row] for row in pair.Y.rows()],
@@ -143,10 +130,7 @@ def _quotient_basis_names(gb):
 
 def cmd_oracle(parser, args) -> int:
     _check_prime(parser, args.p)
-    try:
-        report = oracle_enum_fp(args.p, args.i, args.j, full=args.full)
-    except UnsupportedParameters as exc:
-        parser.error(str(exc))
+    report = oracle_enum_fp(args.p, args.i, args.j, full=args.full)
     params = {"p": args.p, "i": args.i, "j": args.j, "full": args.full}
     _emit(_record("oracle", params, report.to_dict()))
     _verbose(args, f"found: {report.found}")
@@ -477,6 +461,8 @@ def main(argv=None) -> int:
             parser.error(f"{name} must be >= 1")
     try:
         return args.fn(parser, args)
+    except UnsupportedParameters as exc:
+        parser.error(str(exc))
     except Inconsistency as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1

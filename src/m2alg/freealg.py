@@ -11,20 +11,21 @@ reduction system:
   the finite spanning set {x^a, x^a y : a < N}.
 
 ``reduce`` finds normal forms in one walk over the spanning words x^a and
-x^a y: each word acts letter by letter on a sparse vector of them, starting
-from the empty word.  For i > j the algebra is M_2(L) with dim L = N/2, so
-it is 2N-dimensional and the 2N spanning words are a basis; the letters act
-through two precomputed 2N x 2N tables, right multiplication by x and by y
-on that basis.  Their entries are plain ints, which serve every field, and
-each is read from the rules in closed form, since x^(i^2-j^2) = (-1)^(i+j)
-gives every x-power's normal form directly.  At (1, 1) the algebra
-is M_2(A[s]) with x^2 acting as the central scalar s, so an x-run acts in
-closed form.  The heap-driven rewriting engine ``_rewrite`` applies the
-rules in one fixed order; it only audits ``reduce``.
+x^a y: each word acts run by run on a sparse vector of them, starting
+from the empty word.  A y sends x^a to x^a y and kills x^a y; an x-run
+x^e shifts x^a and pushes x^a y past x^e in closed form, with at most
+(i+j)/2 + 1 terms, by the push-through identities for y x^(jn) and
+y x^(in) (x^(i+j) is central).  For i > j, x is a unit with
+x^(i^2-j^2) = (-1)^(i+j), so exponents are folded after every run, and
+the algebra is M_2(L) with dim L = N/2: the 2N spanning words with a < N
+are a basis.  The walk's constants are plain ints, computed once per rule
+set, and serve every field.  The heap-driven rewriting engine
+``_rewrite`` applies the rules in one fixed order; it only audits
+``reduce``.
 
 Equality in the presented ring is *decided* through the faithful matrix
 model over A[s,t]/I (``word_image``), never through the rewrite system
-alone; the model shares no code with the tables.  ``certify_normal_forms``
+alone; the model shares no code with the walk.  ``certify_normal_forms``
 proves that normal forms are unique, so every reduction order ends at the
 same one: for i > j by a rank check in the model, at (1, 1) by Bergman's
 diamond lemma, whose one overlap y y x must resolve.  ``validate_system``
@@ -274,13 +275,14 @@ def parse_word_expr(text: str, field=QQ) -> NCPoly:
 class RewriteSystem:
     """Reduction rules for the presentation with exponents (i, j), i >= j.
 
-    For i > j it also carries the right regular representation on the
-    spanning basis: ``basis`` lists x^0..x^(N-1), then x^0 y..x^(N-1) y
-    (index a is x^a, index N + a is x^a y), and ``rx``/``ry`` give, for
-    each basis word, its product with x / y as a sparse row
-    ``((index, coeff), ...)``.  The coefficients are plain ints, built in
-    closed form and read in any field; ``yx_rhs`` and ``xpow`` hold field
-    values.  All three are None at i = j = 1.
+    ``yx_rhs`` and ``xpow`` hold field values.  For i > j, ``basis`` lists
+    the spanning basis x^0..x^(N-1), then x^0 y..x^(N-1) y (index a is
+    x^a, index N + a is x^a y); it is None at i = j = 1.  ``walk`` holds
+    the plain-int constants of ``reduce``'s walk, which serve every field:
+    (s, j^-1 mod s, j, d, M, N, flip, x^N's rule) with s = i + j,
+    d = i - j, M = s d = i^2 - j^2 and N = (s-1) d; flip says that
+    x^M = (-1)^s is -1, and x^N's rule holds (exponent, sign) pairs.  At
+    (1, 1), M = N = 0: nothing folds.
     """
 
     i: int
@@ -289,8 +291,7 @@ class RewriteSystem:
     yx_rhs: NCPoly
     xpow: tuple | None  # (N, NCPoly replacement for x^N), None at i = j = 1
     basis: tuple | None = dc_field(default=None, compare=False, repr=False)
-    rx: tuple | None = dc_field(default=None, compare=False, repr=False)
-    ry: tuple | None = dc_field(default=None, compare=False, repr=False)
+    walk: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     @property
     def span_bound(self):
@@ -301,11 +302,11 @@ class RewriteSystem:
 def build_rewrite_system(i: int, j: int, field=QQ) -> RewriteSystem:
     """Assemble the reduction rules for coprime (i, j).
 
-    For i > j the y-past-x rule is produced constructively: pick the smallest
-    n >= 1 with n*j = 1 + m*(i+j) and push y across x^(nj) using the derived
-    commuting relation.  Since x^(1-nj) = x^(-m(i+j)) is central, this gives
-    y x = (-1)^n x^(n(i-j)+1) y + sum_{k<n} (-1)^k x^(1-j+k(i-j)), whose
-    exponents ``_with_tables`` reads in closed form (they may be negative).
+    For i > j the y-past-x rule is ``reduce``'s push at e = 1: with s = i+j
+    and n = j^-1 mod s (or n - s, when that is shorter), y x = (-1)^n
+    x^(1+n(i-j)) y plus n alternating x-powers, folded onto the basis.  It
+    is walked on ints, so the build does no field arithmetic.  At (1, 1)
+    the rule is y x -> 1 - x y, the one the diamond lemma certifies.
     """
     if i < 1 or j < 1:
         raise UnsupportedParameters("exponents must be >= 1")
@@ -313,82 +314,36 @@ def build_rewrite_system(i: int, j: int, field=QQ) -> RewriteSystem:
         raise UnsupportedParameters(f"gcd({i}, {j}) != 1")
     if i < j:
         i, j = j, i
+    s, d = i + j, i - j
+    N = (s - 1) * d
+    # the alternating x-power relation x^N = x^(N-d) - x^(N-2d) + ... -+ 1
+    xrule = tuple(((s - 1 - k) * d, (-1) ** (k + 1)) for k in range(1, s))
+    walk = (s, pow(j, -1, s), j, d, s * d, N, s % 2 == 1, xrule)
     if i == j:  # necessarily (1, 1)
         rhs = NCPoly.one(field) - NCPoly.x(field) * NCPoly.y(field)
-        rs = RewriteSystem(1, 1, field, rhs, None)
-        _build_sanity_check(rs)
-        return rs
-    n = pow(j, -1, i + j)
-    pushed = [(n * (i - j) + 1, (-1) ** n, 1)]
-    pushed += [(1 - j + k * (i - j), (-1) ** k, 0) for k in range(n)]
-    rs = _with_tables(i, j, field, pushed)
+        rs = RewriteSystem(1, 1, field, rhs, None, walk=walk)
+    else:
+        basis = tuple(Word.gen("x", a) for a in range(N)) + tuple(
+            Word((("x", a), ("y", 1))) for a in range(N)
+        )
+        xs, ys = _walk(((Word.from_letters("yx"), 1),), walk)
+        yx = {basis[a]: c for a, c in xs.items()}
+        yx.update((basis[N + a], c) for a, c in ys.items())
+        yx_rhs = NCPoly({u: field.of(c) for u, c in yx.items()}, field)
+        xpow = (N, NCPoly({basis[b]: field.of(c) for b, c in xrule}, field))
+        rs = RewriteSystem(i, j, field, yx_rhs, xpow, basis, walk)
     _build_sanity_check(rs)
     return rs
-
-
-def _with_tables(i: int, j: int, field, pushed) -> RewriteSystem:
-    """The rules for i > j with the right-multiplication tables by x and y.
-
-    Every table entry is a plain int, built in closed form, so one table
-    serves every field and the build does no field arithmetic.  R_y sends
-    x^a to x^a y and x^a y to 0.  R_x sends x^a to x^(a+1), x^(N-1) to the
-    x-power rule's right-hand side, and x^a y to x^a * yx_rhs.  Each term
-    c * x^e (or c * x^e y) is read directly: with M = i^2 - j^2 = N + (i-j),
-    x^M = (-1)^(i+j), so x^e = (+-1) x^r with r = e mod M, and for r >= N,
-    x^r = x^(r-N) * (x^N's right-hand side), of x-degree below N.  That
-    turns the pushed terms (e, c, half) into yx_rhs, and each term x^b or
-    x^b y of yx_rhs into its part of the row of x^a y.  No walk and no
-    rewriting engine is involved, so the tables and ``_rewrite`` share only
-    the rules.
-    """
-    N = (i + j - 1) * (i - j)
-    M = N + i - j
-    flip = (i + j) % 2 == 1  # x^M = -1 rather than 1
-    xrhs = {(i + j - 1 - k) * (i - j): (-1) ** (k + 1) for k in range(1, i + j)}
-    basis = tuple(Word.gen("x", a) for a in range(N)) + tuple(
-        Word((("x", a), ("y", 1))) for a in range(N)
-    )
-
-    def fold(terms) -> tuple:
-        # the sparse row of the sum of c * x^e, times y when half is 1
-        vec: dict = {}
-        for e, c, half in terms:
-            q, r = divmod(e, M)
-            if flip and q % 2:
-                c = -c
-            shifted = ((r, 1),) if r < N else ((b + r - N, v) for b, v in xrhs.items())
-            for k, v in shifted:
-                k += half * N
-                vec[k] = vec.get(k, 0) + c * v
-        return tuple((k, c) for k, c in vec.items() if c)
-
-    yx = fold(pushed)
-    rx = tuple(fold([(a + 1, 1, 0)]) for a in range(N))
-    rx += tuple(fold((a + k % N, c, k // N) for k, c in yx) for a in range(N))
-    ry = tuple(((N + a, 1),) for a in range(N)) + ((),) * N
-    yx_rhs = NCPoly({basis[k]: field.of(c) for k, c in yx}, field)
-    xpow = (N, NCPoly({basis[b]: field.of(v) for b, v in xrhs.items()}, field))
-    return RewriteSystem(i, j, field, yx_rhs, xpow, basis, rx, ry)
-
-
-def _times(vec: dict, table) -> dict:
-    """The sparse row vector vec (index -> coeff) times a table of int rows."""
-    out: dict = {}
-    for k, c in vec.items():
-        for idx, t in table[k]:
-            t = c if t == 1 else c * t
-            v = out.get(idx)
-            out[idx] = t if v is None else v + t
-    return out
 
 
 def _build_sanity_check(rs: RewriteSystem):
     """Both defining relations must reduce to 1 under the fresh rules.
 
-    For i > j, also x^M with M = i^2 - j^2 must reduce to (-1)^(i+j), walked
-    through the x table without folding.  ``reduce`` folds long x-runs with
-    that identity: x^M - (-1)^(i+j) then lies in the ideal of the rules, so
-    once ``certify_normal_forms`` holds folding cannot change a normal form.
+    For i > j, also x^N's right-hand side times x^(i-j) must reduce to
+    (-1)^(i+j).  Its exponents stay below M = i^2 - j^2, so no fold is
+    involved, and it shows that x^M - (-1)^(i+j) lies in the ideal of the
+    rules.  ``reduce`` folds with that identity, so once
+    ``certify_normal_forms`` holds folding cannot change a normal form.
     """
     field = rs.field
     y = NCPoly.y(field)
@@ -396,12 +351,9 @@ def _build_sanity_check(rs: RewriteSystem):
         reduce(NCPoly.x(field, a) * y + y * NCPoly.x(field, b), rs) == NCPoly.one(field)
         for a, b in ((rs.i, rs.j), (rs.j, rs.i))
     )
-    if ok and rs.rx is not None:
-        vec = {0: field.one}
-        for _ in range(rs.i * rs.i - rs.j * rs.j):
-            vec = _times(vec, rs.rx)
-        sigma = field.of((-1) ** (rs.i + rs.j))
-        ok = {k: c for k, c in vec.items() if c} == {0: sigma}
+    if ok and rs.xpow is not None:
+        sigma = NCPoly.one(field).scale((-1) ** (rs.i + rs.j))
+        ok = reduce(rs.xpow[1] * NCPoly.x(field, rs.i - rs.j), rs) == sigma
     if not ok:
         raise Inconsistency(f"rule construction broken for (i, j) = ({rs.i}, {rs.j})")
 
@@ -436,65 +388,110 @@ def _step(word: Word, rs: RewriteSystem) -> NCPoly | None:
 def reduce(p: NCPoly, rs: RewriteSystem) -> NCPoly:
     """Normal form of p: the combination of spanning words equal to it.
 
-    Each word is walked over the spanning words, starting from the empty
-    word; a term whose word contains y^2 is dropped first.  For i > j each
-    x-run x^e with e >= M = i^2 - j^2 is folded to (-1)^(i+j)^(e // M) *
-    x^(e % M), and the letters then act as sparse vector times table.  At
-    (1, 1) each run acts in closed form (``_times_at_1_1``), in O(1) steps
-    whatever its length.  Normal forms are unique (``certify_normal_forms``),
-    so this equals what any terminating reduction order gives, ``_rewrite``'s
-    included.
+    Each word is walked over the spanning words x^a and x^a y, run by run,
+    starting from the empty word (``_walk``); a term whose word contains
+    y^2 is dropped first.  An x-run costs at most (i+j)/2 + 1 shifts of
+    the current vector, whatever its length.  Normal forms are unique
+    (``certify_normal_forms``), so this equals what any terminating
+    reduction order gives, ``_rewrite``'s included.
     """
-    rx, ry = rs.rx, rs.ry
-    M = rs.i * rs.i - rs.j * rs.j
-    flip = (rs.i + rs.j) % 2 == 1  # x^M = -1 rather than 1
-    total: dict = {}
-    for w, c in p.terms.items():
+    xs, ys = _walk(p.terms.items(), rs.walk)
+    basis, N = rs.basis, rs.walk[5]
+    terms = {}
+    for h, vec in enumerate((xs, ys)):
+        for a, v in vec.items():
+            terms[basis[h * N + a] if basis else Word((("x", a), ("y", h)))] = v
+    return NCPoly(terms, p.field, _clean=False)
+
+
+def _walk(terms, walk) -> tuple:
+    """The normal form of the sum of c * w over (w, c) in terms.
+
+    Returns (xs, ys), the coefficients of x^a and of x^a y by exponent a.
+    The coefficients are only added and negated, so ints serve as well as
+    field values.  With the constants of ``RewriteSystem.walk``:
+
+    * a y sends x^a to x^a y and kills x^a y;
+    * an x-run x^e sends x^a to x^(a+e), and pushes x^a y past it.  With
+      n = e j^-1 mod s, e - jn is a multiple of s and x^s is central, so
+      the push-through identity for y x^(jn) gives y x^e = (-1)^n
+      x^(e+nd) y + sum_{0<=k<n} (-1)^k x^(e-j+kd).  When n > s - n, the
+      identity for y x^(i(s-n)) is shorter; it is the same formula with
+      n - s in place of n, the sum running over n-s <= k < 0 with signs
+      -(-1)^k.  At (1, 1), s = 2 and d = 0: an even run commutes with y,
+      and an odd one sends x^a y to x^(a+e-1) - x^(a+e) y.
+    * for i > j, x is a unit with x^M = (-1)^s, so after every run each
+      exponent is folded into [0, M), and at the end each x^r with
+      N <= r < M is expanded once by x^N's rule.
+    """
+    s, jinv, j, d, M, N, flip, xrule = walk
+    xs_total: dict = {}
+    ys_total: dict = {}
+    for w, c in terms:
         runs = w.runs
         if any(letter == "y" and e > 1 for letter, e in runs):
             continue
-        vec = {0: c}
+        xs, ys = {0: c}, {}
         for letter, e in runs:
-            if rx is None:
-                vec = _times_at_1_1(vec, letter, e)
-                continue
             if letter == "y":
-                vec = _times(vec, ry)
+                xs, ys = {}, xs
                 continue
-            folds, e = divmod(e, M)
-            if flip and folds % 2:
-                vec = {k: -v for k, v in vec.items()}
-            for _ in range(e):
-                vec = _times(vec, rx)
-        for k, v in vec.items():
-            u = total.get(k)
-            total[k] = v if u is None else u + v
-    basis = rs.basis
-    if basis is None:
-        basis = {k: Word((("x", k >> 1), ("y", k & 1))) for k in total}
-    return NCPoly({basis[k]: v for k, v in total.items() if v}, p.field, _clean=False)
+            new_xs: dict = {}
+            if xs:
+                _shift_into(new_xs, xs, ((e, 1),), M, flip)
+            if ys:
+                n = e * jinv % s
+                if 2 * n > s:
+                    n -= s
+                lead = 1 if n >= 0 else -1
+                ks = range(min(n, 0), max(n, 0))
+                pushed = [(e - j + k * d, -lead if k & 1 else lead) for k in ks]
+                _shift_into(new_xs, ys, pushed, M, flip)
+                new_ys: dict = {}
+                _shift_into(new_ys, ys, ((e + n * d, -1 if n & 1 else 1),), M, flip)
+                ys = new_ys
+            xs = new_xs
+        if xs_total or ys_total:
+            _shift_into(xs_total, xs, ((0, 1),), M, flip)
+            _shift_into(ys_total, ys, ((0, 1),), M, flip)
+        else:  # the first word's vectors serve as the totals
+            xs_total, ys_total = xs, ys
+    for vec in (xs_total, ys_total) if M else ():
+        if vec and max(vec) >= N:
+            high = {r - N: vec.pop(r) for r in [r for r in vec if r >= N]}
+            _shift_into(vec, high, xrule, 0, flip)  # exponents stay below N
+    return xs_total, ys_total
 
 
-def _times_at_1_1(vec: dict, letter: str, e: int) -> dict:
-    """vec times letter^e at (1, 1), with index 2a for x^a, 2a + 1 for x^a y.
+def _shift_into(out: dict, vec: dict, shifts, M: int, flip: bool):
+    """out += the sum of sign * vec * x^shift over (shift, sign) in shifts.
 
-    y sends x^a to x^a y and kills x^a y (e is 1, since y^2 is dropped
-    first).  x^e sends x^a to x^(a+e).  Since x^2 y = x - x y x = y x^2, it
-    sends x^a y to x^(a+e) y when e is even, and to x^(a+e-1) - x^(a+e) y
-    when e is odd.
+    Exponents are folded into [0, M) if M > 0; vec's exponents then lie in
+    [0, M), and x^M is -1 when flip, else 1.  A sum that cancels is
+    deleted, so no stored coefficient is ever zero.
     """
-    if letter == "y":
-        return {k + 1: v for k, v in vec.items() if not k & 1}
-    if e % 2 == 0:
-        return {k + 2 * e: v for k, v in vec.items()}
-    out: dict = {}
-    for k, v in vec.items():
-        if k & 1:
-            out[k + 2 * e] = -v
-            k -= 3  # x^(a+e-1), an even index like those of the x^b terms
-        u = out.get(k + 2 * e)
-        out[k + 2 * e] = v if u is None else u + v
-    return out
+    for shift, sign in shifts:
+        if M:
+            q, shift = divmod(shift, M)
+            if flip and q & 1:
+                sign = -sign
+        for a, v in vec.items():
+            a += shift
+            if 0 < M <= a:
+                a -= M
+                if flip:
+                    v = -v
+            if sign < 0:
+                v = -v
+            u = out.get(a)
+            if u is None:
+                out[a] = v
+            else:
+                u += v
+                if u:
+                    out[a] = u
+                else:
+                    del out[a]
 
 
 def _rewrite(p: NCPoly, rs: RewriteSystem) -> NCPoly:
@@ -787,9 +784,8 @@ def validate_system(
     For every corpus word: its normal form lies in the spanning set, and
     the image of the word equals the image of its normal form (soundness).
     The heap engine ``_rewrite`` must reach the same normal form as
-    ``reduce``'s walk (the tables for i > j, the closed form at (1, 1));
-    the two routes share only the rules, and a mismatch is a confluence
-    divergence.
+    ``reduce``'s walk; the two routes share only the rules, and a mismatch
+    is a confluence divergence.
     """
     model = matrix_model(rs.i, rs.j, rs.field)
     report = ValidationReport(i=rs.i, j=rs.j)

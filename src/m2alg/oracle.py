@@ -36,6 +36,10 @@ ENUM_FP = "ENUM_FP"
 ROOT_FP2 = "ROOT_FP2"
 CONSTRUCT_Q = "CONSTRUCT_Q"
 
+# the enumeration scans p^4 matrices: from this many on (p >= 256) a scan
+# could not finish, and for a huge p merely setting it up exhausts memory
+ENUM_SPACE_LIMIT = 2**32
+
 
 @dataclass
 class WitnessReport:
@@ -125,9 +129,12 @@ def enum_sweep_fp(p: int, pairs) -> dict:
     x^i E12 + E12 x^j = I, or None if the full space is exhausted.  The
     relation test reads the cached power rows; witnesses are re-verified
     with exact exponents before being reported by the single-pair API.
+    A p with p^4 >= ENUM_SPACE_LIMIT is refused before anything is built.
     """
     if not is_prime(p):
         raise UnsupportedParameters(f"{p} is not prime")
+    if p**4 >= ENUM_SPACE_LIMIT:
+        raise UnsupportedParameters(f"p = {p} is too large to enumerate: p^4 >= 2^32")
     pairs = list(pairs)
     for i, j in pairs:
         if i < 1 or j < 1:

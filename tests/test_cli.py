@@ -52,6 +52,7 @@ def test_structure_infinite(capsys):
 
 GOLDENS = Path(__file__).parent / "goldens"
 M89 = str(2**89 - 1)  # a prime beyond the proven range of the primality test
+P19 = "1000000000000000003"  # a prime whose p^4 matrices are far too many to scan
 
 
 @pytest.mark.parametrize(
@@ -77,7 +78,7 @@ M89 = str(2**89 - 1)  # a prime beyond the proven range of the primality test
         (["structure", "13", "7"], "structure_13_7.json"),
         # a pair far outside the structure benchmark's grid
         (["structure", "40", "13"], "structure_40_13.json"),
-        # N = 828: the closed-form rewrite tables far outside the words benchmark
+        # N = 828: the walk far outside the words benchmark
         (["reduce", "30", "7", "y*x^7*y*x^100*y"], "reduce_30_7.json"),
         # the Q table with the semantic route and the rational witnesses as referee
         (
@@ -223,6 +224,12 @@ def test_usage_errors_exit_2(capsys):
         (None, ["structure", "3", "2", "--field", "fp", "--p", M89], "too large"),
         (None, ["oracle", "3", "2", "--p", M89], "too large"),
         (None, ["table", "--max", "2", "--field", "fp", "--p", M89], "too large"),
+        (None, ["oracle", "3", "2", "--p", P19], "too large to enumerate"),
+        (
+            None,
+            ["table", "--max", "2", "--field", "fp", "--p", P19, "--oracle"],
+            "too large to enumerate",
+        ),
         (
             '{"primes_enum": [3, %s]}' % M89,
             ["selftest", "--config", "{cfg}"],
@@ -248,6 +255,8 @@ def test_usage_errors_exit_2(capsys):
         "structure-p-too-large",
         "oracle-p-too-large",
         "table-p-too-large",
+        "oracle-p-too-large-to-enumerate",
+        "table-oracle-p-too-large-to-enumerate",
         "primes-too-large",
     ],
 )
@@ -291,7 +300,7 @@ def test_table_threads_capped_by_cpu_count(capsys, monkeypatch):
 
 
 def test_reduce_long_x_run_at_1_1_needs_no_rewriting(capsys, monkeypatch):
-    # the heap engine would need 510000 steps; the closed form needs none
+    # the heap engine would need 510000 steps; the walk pushes the run once
     def refuse(p, rs):
         raise AssertionError("_rewrite called")
 

@@ -213,7 +213,7 @@ def test_model_injectivity_on_spanning_set():
 
 
 def test_validate_exhaustive_1_1():
-    # every word of length <= 10: the closed form against the heap engine
+    # every word of length <= 10: the walk against the heap engine
     for field in (QQ, GF(2), GF(3)):
         rs = build_rewrite_system(1, 1, field)
         rep = validate_system(rs, exhaustive_len=10)
@@ -312,33 +312,49 @@ def test_tables_need_no_rewriting(i, j, monkeypatch):
 
     monkeypatch.setattr(freealg, "_rewrite", refuse)
     rs = build_rewrite_system(i, j)
-    if rs.basis is not None:
-        assert len(rs.rx) == len(rs.ry) == len(rs.basis)
     p = parse_word_expr("y*x^5*y*x^2*y + x^4*y*x - 3*y*x^7", QQ)
     assert word_image(reduce(p, rs), i, j) == word_image(p, i, j)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_table_rows_match_heap_engine(field):
-    # every row of both tables: basis word times letter, rewritten by the rules
+    # every basis word times one letter: one step of the walk, against the rules
     for i in range(2, 10):
         for j in range(1, i):
             if math.gcd(i, j) != 1:
                 continue
             rs = build_rewrite_system(i, j, field)
-            index = {u: k for k, u in enumerate(rs.basis)}
-            for table, letter in ((rs.rx, "x"), (rs.ry, "y")):
-                for k, u in enumerate(rs.basis):
-                    row = {idx: field.of(c) for idx, c in table[k]}
-                    want = _rewrite(NCPoly.of_word(u * w(letter), field), rs)
-                    assert {idx: c for idx, c in row.items() if c} == {
-                        index[v]: c for v, c in want.terms.items()
-                    }, (i, j, k, letter)
+            for u in rs.basis:
+                for letter in "xy":
+                    p = NCPoly.of_word(u * w(letter), field)
+                    assert reduce(p, rs) == _rewrite(p, rs), (i, j, u, letter)
+
+
+@pytest.mark.parametrize("field", (QQ, GF(3)), ids=lambda f: f.name)
+def test_every_walk_step_matches_heap_engine(field):
+    # every state x^a or x^a y with a < M, times y or times one x-run x^e;
+    # a run beyond 10^9 is checked against its fold by x^M = (-1)^(i+j)
+    huge = 10**9 + 7
+    for i, j in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3)):
+        rs = build_rewrite_system(i, j, field)
+        M = i * i - j * j
+        folds = huge // M
+        for a, h in itertools.product(range(M), (0, 1)):
+            state = Word((("x", a), ("y", h)))
+            for e in range(1, M + 2):
+                p = NCPoly.of_word(state * Word.gen("x", e), field)
+                assert reduce(p, rs) == _rewrite(p, rs), (i, j, a, h, e)
+            p = NCPoly.of_word(state * w("y"), field)
+            assert reduce(p, rs) == _rewrite(p, rs), (i, j, a, h, "y")
+            p = NCPoly.of_word(state * Word.gen("x", huge), field)
+            folded = NCPoly.of_word(state * Word.gen("x", huge % M), field)
+            want = _rewrite(folded, rs).scale((-1) ** ((i + j) * folds))
+            assert reduce(p, rs) == want, (i, j, a, h, huge)
 
 
 def test_table_build_does_no_field_object_arithmetic(monkeypatch):
     def refuse(self, *args):
-        raise AssertionError("field object arithmetic in the table build")
+        raise AssertionError("field object arithmetic in the rule-set build")
 
     monkeypatch.setattr(freealg, "_build_sanity_check", lambda rs: None)
     for name in ("__add__", "__sub__", "__mul__"):

@@ -35,8 +35,10 @@ def test_cli_grid(capsys):
     assert load_script("cli_grid").main(argv) == 0
     out = capsys.readouterr().out
     headers = [line for line in out.splitlines() if line.startswith("== ")]
-    # 9 coprime pairs j < i <= 5, two commands, three fields
-    assert len(headers) == 54
+    # 9 coprime pairs j < i <= 5, two commands, three fields, and one reduce
+    # per pair under q
+    assert len(headers) == 63
+    assert "== m2alg reduce 5 4 'y*x^7*y*x^100*y + x^5*y*x^3 - 2*y*x'" in headers
     assert headers[0] == "== m2alg structure 2 1 --field q"
     assert headers[-1] == "== m2alg witness 5 4 --field fp --p 5"
     assert '"relations_verified": true' in out
