@@ -3,7 +3,9 @@
 With the defaults below ``m2alg selftest`` takes about 0.4 s (Python 3.11,
 2-core x86-64 host); CI setups that want deeper sweeps can point
 ``--config`` at a JSON object overriding any subset of the fields.  Values
-are type-checked on load: a wrong type raises ``ValueError``.
+are checked on load: a wrong type, a prime too large to enumerate
+(p^4 >= ``oracle.ENUM_SPACE_LIMIT``) or a ``rewrite_max_len`` below 1
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .fields import is_prime
+from .oracle import ENUM_SPACE_LIMIT
 
 
 def _is_int(value) -> bool:
@@ -50,6 +53,9 @@ class SelftestConfig:
                     _is_int(p) and is_prime(p) for p in value
                 ):
                     raise ValueError(f"{key} must be a list of primes, got {value!r}")
+                for p in value:
+                    if p**4 >= ENUM_SPACE_LIMIT:
+                        raise ValueError(f"{key}: p = {p} is too large to enumerate")
                 raw[key] = tuple(value)
             elif key == "rewrite_pairs":
                 if not isinstance(value, list) or not all(
@@ -62,6 +68,8 @@ class SelftestConfig:
                 raw[key] = tuple(tuple(p) for p in value)
             elif not _is_int(value):
                 raise ValueError(f"{key} must be an int, got {value!r}")
+            elif key == "rewrite_max_len" and value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value!r}")
         return cls(**raw)
 
     def to_dict(self) -> dict:

@@ -1,5 +1,8 @@
 """Words and noncommutative polynomials in x, y, with their normal forms.
 
+Words are run-length tuples, and ``NCPoly`` is a ``poly.SparsePoly`` whose
+monomials are words, multiplied by concatenation.
+
 The relations x^i y + y x^j = 1 and y^2 = 0 (gcd(i, j) = 1) yield a
 reduction system:
 
@@ -37,16 +40,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .errors import Inconsistency, UnsupportedParameters
+from .errors import Inconsistency
 from .fields import QQ
-from .groebner import structure_basis
+from .groebner import _oriented, structure_basis
 from .mat2 import Mat2, _rref, mat_pow
 from .model import witness_XY
-from .poly import _join_terms, _parse_terms, _term_text
+from .poly import SparsePoly, _join_terms, _parse_terms, _term_text
 
 
 class RewriteFuelExhausted(RuntimeError):
@@ -148,20 +150,12 @@ class Word:
         return self.text()
 
 
-class NCPoly:
+class NCPoly(SparsePoly):
     """Formal linear combination of words over a coefficient field."""
 
-    __slots__ = ("terms", "field")
+    __slots__ = ()
 
-    def __init__(self, terms: dict, field, _clean=True):
-        if _clean:
-            terms = {w: c for w, c in terms.items() if c}
-        self.terms = terms
-        self.field = field
-
-    @classmethod
-    def zero(cls, field):
-        return cls({}, field, _clean=False)
+    _mono_mul = staticmethod(Word.__mul__)
 
     @classmethod
     def of_word(cls, w: Word, field, coeff=1):
@@ -188,69 +182,11 @@ class NCPoly:
             return NCPoly.of_word(other, self.field)
         return NCPoly.of_word(Word.one(), self.field, self.field.of(other))
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w)
-            v = c if v is None else v + c
-            if v:
-                out[w] = v
-            elif w in out:
-                del out[w]
-        return NCPoly(out, self.field, _clean=False)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return NCPoly({w: -c for w, c in self.terms.items()}, self.field, _clean=False)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                v = out.get(w)
-                v = c1 * c2 if v is None else v + c1 * c2
-                if v:
-                    out[w] = v
-                elif w in out:
-                    del out[w]
-        return NCPoly(out, self.field, _clean=False)
-
-    __rmul__ = __mul__
-
     def lmul_word(self, w: Word):
-        return NCPoly({w * u: c for u, c in self.terms.items()}, self.field, _clean=False)
+        return self._new({w * u: c for u, c in self.terms.items()})
 
     def rmul_word(self, w: Word):
-        return NCPoly({u * w: c for u, c in self.terms.items()}, self.field, _clean=False)
-
-    def scale(self, c):
-        c = self.field.of(c) if isinstance(c, int) else c
-        if not c:
-            return NCPoly.zero(self.field)
-        return NCPoly({w: c * v for w, v in self.terms.items()}, self.field, _clean=False)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Word)):
-            other = self._coerce(other)
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.terms == other.terms and self.field == other.field
-
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.field))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._new({u * w: c for u, c in self.terms.items()})
 
     def text(self) -> str:
         pieces = []
@@ -258,9 +194,6 @@ class NCPoly:
             mono = "" if w.is_one() else w.text()
             pieces.append(_term_text(self.field, self.terms[w], mono))
         return _join_terms(pieces)
-
-    def __repr__(self):
-        return self.text()
 
 
 def parse_word_expr(text: str, field=QQ) -> NCPoly:
@@ -308,12 +241,7 @@ def build_rewrite_system(i: int, j: int, field=QQ) -> RewriteSystem:
     is walked on ints, so the build does no field arithmetic.  At (1, 1)
     the rule is y x -> 1 - x y, the one the diamond lemma certifies.
     """
-    if i < 1 or j < 1:
-        raise UnsupportedParameters("exponents must be >= 1")
-    if math.gcd(i, j) != 1:
-        raise UnsupportedParameters(f"gcd({i}, {j}) != 1")
-    if i < j:
-        i, j = j, i
+    i, j = _oriented(i, j)
     s, d = i + j, i - j
     N = (s - 1) * d
     # the alternating x-power relation x^N = x^(N-d) - x^(N-2d) + ... -+ 1
@@ -647,7 +575,7 @@ _MODELS: dict = {}
 
 def matrix_model(i: int, j: int, field=QQ) -> MatrixModel:
     """The model of the ring, built once: (i, j) and (j, i) present one ring."""
-    key = (max(i, j), min(i, j), field)
+    key = (*_oriented(i, j), field)
     if key not in _MODELS:
         _MODELS[key] = MatrixModel(*key)
     return _MODELS[key]
@@ -840,8 +768,7 @@ def check_identities(i: int, j: int, n_max: int = 6, field=QQ) -> IdentityReport
     root-of-unity power; centrality of x^(i+j) and x^i - x^j; and the full
     set of seventeen matrix-unit relations.
     """
-    if math.gcd(i, j) != 1:
-        raise UnsupportedParameters(f"gcd({i}, {j}) != 1")
+    hi, lo = _oriented(i, j)
     model = matrix_model(i, j, field)
     rep = IdentityReport(i=i, j=j)
     f = field
@@ -871,7 +798,6 @@ def check_identities(i: int, j: int, n_max: int = 6, field=QQ) -> IdentityReport
             rhs2 = rhs2 + x((n - 1) * j + k * (i - j)).scale((-1) ** k)
         rep.record(f"y*x^(j*{n}) push-through", eq(lhs2, rhs2))
 
-    hi, lo = max(i, j), min(i, j)
     if hi > lo:
         inv_right = x(lo - 1) * y + x(hi - lo - 1) - x(hi - 1) * y * x(hi - lo)
         rep.record("x * (right inverse) = 1", eq(x() * inv_right, one))

@@ -26,12 +26,11 @@ matrices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import Inconsistency, UnsupportedParameters
+from .errors import Inconsistency
 from .fields import QQ
-from .groebner import GroebnerBasis, QuotientRing, s_power_f, structure_basis
+from .groebner import GroebnerBasis, QuotientRing, _oriented, s_power_f, structure_basis
 from .mat2 import Mat2, mat_pow
 
 
@@ -53,11 +52,7 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
     in both orientations (the two presentations coincide).  A given gb must
     be the structure basis of the same pair over the same field.
     """
-    if i < 1 or j < 1:
-        raise UnsupportedParameters("exponents must be >= 1")
-    if math.gcd(i, j) != 1:
-        raise UnsupportedParameters(f"gcd({i}, {j}) != 1")
-    hi, lo = max(i, j), min(i, j)
+    hi, lo = _oriented(i, j)
     if gb is None:
         gb = structure_basis(hi, lo, field)
     elif gb.params != (hi, lo) or gb.field != field:

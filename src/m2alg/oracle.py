@@ -139,7 +139,7 @@ def enum_sweep_fp(p: int, pairs) -> dict:
     for i, j in pairs:
         if i < 1 or j < 1:
             raise UnsupportedParameters("exponents must be >= 1")
-    emax = max(max(i, j) for (i, j) in pairs)
+    emax = max((max(i, j) for (i, j) in pairs), default=0)
     result = {pair: None for pair in pairs}
     undecided = set(pairs)
     identity = (1 % p, 0, 0, 1 % p)

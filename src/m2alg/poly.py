@@ -1,16 +1,18 @@
-"""Commutative polynomial arithmetic over an exact field.
+"""Sparse polynomial arithmetic over an exact field.
 
-Two representations:
+``SparsePoly`` holds a polynomial as a map from monomials to nonzero
+coefficients and owns the one arithmetic (sum, difference, negation,
+product, scaling, equality, hash).  Three types subclass it:
 
-* ``UniPoly`` -- dense univariate polynomials (coefficient list, ascending),
-  with Euclidean division and monic gcd.
-* ``BiPoly`` -- sparse bivariate polynomials in s and t, as a map from
-  exponent pairs (e_s, e_t) to nonzero coefficients.
+* ``UniPoly`` -- univariate, monomial = degree, with Euclidean division
+  and monic gcd;
+* ``BiPoly`` -- bivariate in s and t, monomial = exponent pair (e_s, e_t);
+* ``freealg.NCPoly`` -- noncommutative in x and y, monomial = ``Word``.
 
-The monomial order used everywhere (display, Groebner bases, normal forms)
-is lexicographic with t > s: compare the t-exponent first, then the
-s-exponent.  Canonical text is written descending in that order, e.g.
-``t^3 - t^2 - 2*t + 1`` or ``t^6 + 5*s*t^4 + 6*s^2*t^2 + s^3``.
+The monomial order used everywhere for s and t (display, Groebner bases,
+normal forms) is lexicographic with t > s: compare the t-exponent first,
+then the s-exponent.  Canonical text is written descending in that order,
+e.g. ``t^3 - t^2 - 2*t + 1`` or ``t^6 + 5*s*t^4 + 6*s^2*t^2 + s^3``.
 """
 
 from __future__ import annotations
@@ -64,120 +66,172 @@ def _term_text(field, coeff, mono_text: str) -> tuple[bool, str]:
     return (neg, f"{mag}*{mono_text}")
 
 
-class UniPoly:
-    """Dense univariate polynomial over a field."""
+class SparsePoly:
+    """Sparse polynomial over a field: terms maps monomials to nonzero coeffs.
 
-    __slots__ = ("coeffs", "field", "var")
+    The one arithmetic behind ``UniPoly``, ``BiPoly`` and ``freealg.NCPoly``.
+    A subclass fixes the monomials through ``_mono_mul`` (their product,
+    which need not commute) and ``_coerce`` (a scalar, or anything else it
+    accepts, as a polynomial).  A polynomial equals only a polynomial of
+    the same type and field, and equal polynomials hash alike.
+    """
 
-    def __init__(self, coeffs, field, var="t"):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+    __slots__ = ("terms", "field")
+
+    def __init__(self, terms: dict, field, _clean=True):
+        if _clean:
+            terms = {m: c for m, c in terms.items() if c}
+        self.terms = terms
         self.field = field
-        self.var = var
+
+    def _new(self, terms: dict):
+        """A polynomial of the same kind from terms with no zero coefficient."""
+        return type(self)(terms, self.field, _clean=False)
 
     @classmethod
-    def zero(cls, field, var="t"):
-        return cls((), field, var)
-
-    @classmethod
-    def const(cls, c, field, var="t"):
-        return cls((field.of(c),), field, var)
-
-    @classmethod
-    def gen(cls, field, var="t"):
-        return cls((field.zero, field.one), field, var)
-
-    @classmethod
-    def of_ints(cls, ints, field, var="t"):
-        """Polynomial from ascending integer coefficients."""
-        return cls([field.of(n) for n in ints], field, var)
+    def zero(cls, field):
+        return cls({}, field, _clean=False)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def leading_coeff(self):
-        return self.coeffs[-1] if self.coeffs else self.field.zero
-
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else self.field.zero
-
-    def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.field.zero
+        return not self.terms
 
     def __add__(self, other):
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            (self[k] + other[k] for k in range(n)), self.field, self.var
-        )
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            v = out.get(m)
+            v = c if v is None else v + c
+            if v:
+                out[m] = v
+            elif m in out:
+                del out[m]
+        return self._new(out)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            (self[k] - other[k] for k in range(n)), self.field, self.var
-        )
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return UniPoly((-c for c in self.coeffs), self.field, self.var)
+        return self._new({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.field, self.var)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            for b, cb in enumerate(other.coeffs):
-                out[a + b] = out[a + b] + ca * cb
-        return UniPoly(out, self.field, self.var)
+        mono_mul = self._mono_mul
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = mono_mul(m1, m2)
+                v = out.get(m)
+                v = c1 * c2 if v is None else v + c1 * c2
+                if v:
+                    out[m] = v
+                elif m in out:
+                    del out[m]
+        return self._new(out)
 
-    __radd__ = __add__
     __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        return power(self, e, self._coerce(1))
+
+    def scale(self, c):
+        c = self.field.of(c) if isinstance(c, int) else c
+        if not c:
+            return self._new({})
+        return self._new({m: c * v for m, v in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms and self.field == other.field
+
+    def __hash__(self):
+        return hash((frozenset(self.terms.items()), self.field))
+
+    def __repr__(self):
+        return self.text()
+
+
+class UniPoly(SparsePoly):
+    """Univariate polynomial in var; terms maps degree -> nonzero coeff."""
+
+    __slots__ = ("var",)
+
+    def __init__(self, terms: dict, field, var="t", _clean=True):
+        super().__init__(terms, field, _clean)
+        self.var = var
+
+    def _new(self, terms):
+        return UniPoly(terms, self.field, self.var, _clean=False)
+
+    _mono_mul = staticmethod(int.__add__)
+    # perfbench's tracer wraps __mul__ from this class's own __dict__
+    __mul__ = SparsePoly.__mul__
+    __rmul__ = SparsePoly.__mul__
+
+    @classmethod
+    def zero(cls, field, var="t"):
+        return cls({}, field, var, _clean=False)
+
+    @classmethod
+    def const(cls, c, field, var="t"):
+        return cls({0: field.of(c)}, field, var)
+
+    @classmethod
+    def gen(cls, field, var="t"):
+        return cls({1: field.one}, field, var, _clean=False)
+
+    @classmethod
+    def of_ints(cls, ints, field, var="t"):
+        """Polynomial from ascending integer coefficients."""
+        return cls({k: field.of(n) for k, n in enumerate(ints)}, field, var)
 
     def _coerce(self, other):
         if isinstance(other, UniPoly):
             return other
         return UniPoly.const(other, self.field, self.var)
 
-    def scale(self, c):
-        c = self.field.of(c) if isinstance(c, int) else c
-        return UniPoly((c * a for a in self.coeffs), self.field, self.var)
+    @property
+    def degree(self):
+        return max(self.terms, default=NEG_INF)
+
+    @property
+    def coeffs(self) -> tuple:
+        """Dense ascending coefficients, up to the leading one."""
+        if not self.terms:
+            return ()
+        return tuple(self[k] for k in range(self.degree + 1))
+
+    def __getitem__(self, k):
+        return self.terms.get(k, self.field.zero)
+
+    def leading_coeff(self):
+        return self[self.degree]
+
+    def constant_term(self):
+        return self[0]
 
     def shift(self, k: int):
         """Multiply by var^k."""
-        if self.is_zero():
-            return self
-        return UniPoly(
-            (self.field.zero,) * k + self.coeffs, self.field, self.var
-        )
-
-    def __pow__(self, e: int):
-        return power(self, e, UniPoly.const(1, self.field, self.var))
+        return self._new({e + k: c for e, c in self.terms.items()})
 
     def divmod(self, other):
         """Euclidean division; other must be nonzero."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        q = UniPoly.zero(self.field, self.var)
+        q = {}
         r = self
         inv_lc = self.field.one / other.leading_coeff()
         while not r.is_zero() and r.degree >= other.degree:
             k = r.degree - other.degree
             c = r.leading_coeff() * inv_lc
-            q = q + UniPoly.const(c, self.field, self.var).shift(k)
+            q[k] = c
             r = r - other.scale(c).shift(k)
-        return q, r
+        return self._new(q), r
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -202,26 +256,12 @@ class UniPoly:
             return other.is_zero()
         return other.divmod(self)[1].is_zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.field == other.field
-
-    def __hash__(self):
-        return hash((self.coeffs, self.field, self.var))
-
     def text(self) -> str:
         pieces = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
+        for k in sorted(self.terms, reverse=True):
             mono = "" if k == 0 else (self.var if k == 1 else f"{self.var}^{k}")
-            pieces.append(_term_text(self.field, c, mono))
+            pieces.append(_term_text(self.field, self.terms[k], mono))
         return _join_terms(pieces)
-
-    def __repr__(self):
-        return self.text()
 
 
 def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -231,20 +271,18 @@ def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-class BiPoly:
+class BiPoly(SparsePoly):
     """Sparse polynomial in s and t; terms maps (e_s, e_t) -> nonzero coeff."""
 
-    __slots__ = ("terms", "field")
+    __slots__ = ()
 
-    def __init__(self, terms: dict, field, _clean=True):
-        if _clean:
-            terms = {m: c for m, c in terms.items() if c}
-        self.terms = terms
-        self.field = field
+    @staticmethod
+    def _mono_mul(m1, m2):
+        return (m1[0] + m2[0], m1[1] + m2[1])
 
-    @classmethod
-    def zero(cls, field):
-        return cls({}, field, _clean=False)
+    # perfbench's tracer wraps __mul__ from this class's own __dict__
+    __mul__ = SparsePoly.__mul__
+    __rmul__ = SparsePoly.__mul__
 
     @classmethod
     def const(cls, c, field):
@@ -259,75 +297,10 @@ class BiPoly:
     def t(cls, field, e=1):
         return cls({(0, e): field.one}, field, _clean=False)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m)
-            v = c if v is None else v + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return BiPoly(out, self.field, _clean=False)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return BiPoly(
-            {m: -c for m, c in self.terms.items()}, self.field, _clean=False
-        )
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1])
-                v = out.get(m)
-                v = c1 * c2 if v is None else v + c1 * c2
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return BiPoly(out, self.field, _clean=False)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
     def _coerce(self, other):
         if isinstance(other, BiPoly):
             return other
         return BiPoly.const(other, self.field)
-
-    def scale(self, c):
-        c = self.field.of(c) if isinstance(c, int) else c
-        if not c:
-            return BiPoly.zero(self.field)
-        return BiPoly(
-            {m: c * v for m, v in self.terms.items()}, self.field, _clean=False
-        )
-
-    def __pow__(self, e: int):
-        return power(self, e, BiPoly.const(1, self.field))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = BiPoly.const(other, self.field)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.terms == other.terms and self.field == other.field
-
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.field))
 
     def sorted_terms(self, reverse=True):
         return sorted(self.terms.items(), key=lambda kv: order_key(kv[0]), reverse=reverse)
@@ -348,13 +321,8 @@ class BiPoly:
         out: dict[int, object] = {}
         for (es, et), c in self.terms.items():
             w = c * v**es
-            if et in out:
-                out[et] = out[et] + w
-            else:
-                out[et] = w
-        deg = max(out, default=-1)
-        coeffs = [out.get(k, self.field.zero) for k in range(deg + 1)]
-        return UniPoly(coeffs, self.field, var="t")
+            out[et] = out[et] + w if et in out else w
+        return UniPoly(out, self.field)
 
     def evaluate(self, sv, tv):
         """Full evaluation at field elements (s, t)."""
@@ -368,9 +336,6 @@ class BiPoly:
             _term_text(self.field, c, _mono_text(m)) for m, c in self.sorted_terms()
         ]
         return _join_terms(pieces)
-
-    def __repr__(self):
-        return self.text()
 
 
 class BiPolyRing:
@@ -483,9 +448,8 @@ def parse_bipoly(text: str, field) -> BiPoly:
 
 
 def parse_unipoly(text: str, field, var="t") -> UniPoly:
-    coeffs: dict = {}
+    terms: dict = {}
     for coeff, factors in _parse_terms(text, field, (var,)):
         k = _exponent(factors, var)
-        coeffs[k] = coeffs.get(k, field.zero) + coeff
-    deg = max(coeffs, default=-1)
-    return UniPoly([coeffs.get(k, field.zero) for k in range(deg + 1)], field, var=var)
+        terms[k] = terms.get(k, field.zero) + coeff
+    return UniPoly(terms, field, var=var)

@@ -235,6 +235,10 @@ def test_usage_errors_exit_2(capsys):
             ["selftest", "--config", "{cfg}"],
             "too large",
         ),
+        # 257 is the smallest prime with p^4 >= oracle.ENUM_SPACE_LIMIT
+        ('{"primes_enum": [257]}', ["selftest", "--config", "{cfg}"], "too large to enumerate"),
+        ('{"rewrite_max_len": 0}', ["selftest", "--config", "{cfg}"], "rewrite_max_len must be >= 1"),
+        ('{"rewrite_max_len": -4}', ["selftest", "--config", "{cfg}"], "rewrite_max_len must be >= 1"),
     ],
     ids=[
         "unknown-key",
@@ -258,6 +262,9 @@ def test_usage_errors_exit_2(capsys):
         "oracle-p-too-large-to-enumerate",
         "table-oracle-p-too-large-to-enumerate",
         "primes-too-large",
+        "primes-too-large-to-enumerate",
+        "rewrite-max-len-zero",
+        "rewrite-max-len-negative",
     ],
 )
 def test_user_errors_exit_2(capsys, tmp_path, config_text, args, message):

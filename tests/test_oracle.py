@@ -68,6 +68,11 @@ def test_enum_sweep_matches_single_queries():
         assert single.found == (table[(i, j)] is not None), (i, j)
 
 
+def test_enum_sweep_of_no_pairs_is_empty():
+    assert enum_sweep_fp(3, []) == {}
+    assert enum_sweep_fp(2, iter(())) == {}
+
+
 def test_z2_agreement_small():
     pairs = [(i, j) for i in range(1, 13) for j in range(1, 13)]
     table = enum_sweep_fp(2, pairs)

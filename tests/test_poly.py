@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m2alg.fields import GF, QQ
+from m2alg.freealg import NCPoly, Word
 from m2alg.poly import (
     BiPoly,
     NEG_INF,
@@ -162,3 +163,42 @@ def test_round_trip_over_fp():
 def test_evaluate_full():
     p = bp("s*t^2 - 2*s + 1")
     assert p.evaluate(QQ.of(2), QQ.of(3)) == QQ.of(2 * 9 - 4 + 1)
+
+
+# monomial k in {0, 1} of each polynomial type, so equal pairs are common
+_MONOS = {
+    "uni-t": lambda k: k,
+    "uni-x": lambda k: k,
+    "bi": lambda k: (0, k),
+    "nc": lambda k: Word.from_letters("x" * k),
+}
+
+
+@st.composite
+def any_polys(draw):
+    """A UniPoly (var t or x), BiPoly or NCPoly over Q or GF(3)."""
+    field = draw(st.sampled_from([QQ, GF(3)]))
+    kind = draw(st.sampled_from(sorted(_MONOS)))
+    ints = draw(st.lists(st.integers(0, 3), max_size=2))
+    terms = {_MONOS[kind](k): field.of(n) for k, n in enumerate(ints)}
+    if kind == "bi":
+        return BiPoly(terms, field)
+    if kind == "nc":
+        return NCPoly(terms, field)
+    return UniPoly(terms, field, var=kind[-1])
+
+
+@settings(max_examples=300)
+@given(any_polys(), any_polys())
+def test_equal_polynomials_hash_alike(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+        assert a in {b}
+
+
+@settings(max_examples=100)
+@given(any_polys(), st.integers(-2, 2))
+def test_polynomial_equals_no_int_or_word(p, n):
+    assert p != n and n != p
+    for w in (Word.one(), Word.from_letters("x")):
+        assert p != w and w != p
