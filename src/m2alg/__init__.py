@@ -29,7 +29,6 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     QuotientElem,
-    QuotientRing,
     buchberger,
     build_ideal_I,
     structure_basis,

@@ -116,7 +116,7 @@ def cmd_witness(parser, args) -> int:
         "X": [[str(v) for v in row] for row in pair.X.rows()],
         "Y": [[str(v) for v in row] for row in pair.Y.rows()],
         "relations_verified": True,
-        "quotient_basis": _quotient_basis_names(pair.ring.gb),
+        "quotient_basis": _quotient_basis_names(pair.ring),
     }
     params = {"i": args.i, "j": args.j, "field": args.field, "p": args.p}
     _emit(_record("witness", params, result))

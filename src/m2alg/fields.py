@@ -1,7 +1,9 @@
 """Exact coefficient arithmetic: rationals, prime fields, quadratic extensions.
 
 Every element type here is an immutable value supporting +, -, *, /, ** and
-equality, and may be mixed freely with plain ints on either side.  Rationals
+equality, and may be mixed freely with plain ints on either side of the
+arithmetic.  An F_p or F_{p^2} element equals only an element of its own
+type and p, never a plain int, so equal elements hash alike.  Rationals
 are plain ``fractions.Fraction`` (always stored in lowest terms with positive
 denominator, which is exactly the canonical form we need); the field objects
 ``QQ``, ``GF(p)`` and ``GF2(p)`` provide a uniform construction surface
@@ -219,10 +221,9 @@ class FpElem:
         return FpElem(pow(self.value, e, self.p), self.p)
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if not isinstance(other, FpElem):
             return NotImplemented
-        return self.value == o.value
+        return self.value == self._lift(other).value
 
     def __hash__(self):
         return hash((self.value, self.p))
@@ -379,9 +380,9 @@ class Fp2Elem:
         return power(self, e, self.field.one)
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if not isinstance(other, Fp2Elem):
             return NotImplemented
+        o = self._lift(other)
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):

@@ -479,11 +479,12 @@ def _rewrite(p: NCPoly, rs: RewriteSystem) -> NCPoly:
 
 
 class MatrixModel:
-    """Evaluation of words at the witness matrices over A[s,t]/I.
+    """Evaluation of words at the witness matrices over L = A[s,t]/I.
 
-    The represented algebra is isomorphic to the full 2x2 matrix algebra
-    over the quotient, so equality of images decides equality in the
-    presented ring.
+    ``ring`` is L, the structure basis of (i, j) (a ``GroebnerBasis``), and
+    ``pair`` the witness pair over it.  The represented algebra is
+    isomorphic to the full 2x2 matrix algebra over L, so equality of images
+    decides equality in the presented ring.
 
     Y is the matrix unit e12, which is checked once at construction, so
     e12 M e12 = M_21 e12 for every M.  A word x^a0 y x^a1 y ... y x^ak with
@@ -498,9 +499,8 @@ class MatrixModel:
         self.i = i
         self.j = j
         self.field = field
-        self.gb = structure_basis(i, j, field)
-        self.pair = witness_XY(i, j, field, gb=self.gb)
-        self.ring = self.pair.ring
+        self.ring = structure_basis(i, j, field)
+        self.pair = witness_XY(i, j, field, gb=self.ring)
         if self.pair.Y != Mat2.e12(self.ring):
             raise Inconsistency(f"Y is not the matrix unit e12 for (i, j) = ({i}, {j})")
         self.identity = Mat2.identity(self.ring)
@@ -622,10 +622,10 @@ def certify_normal_forms(rs: RewriteSystem) -> bool:
     if any(model.image(lhs) != model.image(rhs) for lhs, rhs in rules):
         return False
     images = [model.word_matrix(w).entries() for w in rs.basis]
-    monos = model.gb.quotient_basis()
+    monos = model.ring.quotient_basis()
     zero = field.zero
     # one equation per coordinate, one unknown per spanning word
-    rows = [[m[k].poly.terms.get(mono, zero) for m in images] for k in range(4) for mono in monos]
+    rows = [[m[k].terms.get(mono, zero) for m in images] for k in range(4) for mono in monos]
     if len(rows) < len(images):
         return False
     _, nullspace = _rref(rows, [zero] * len(rows), field)

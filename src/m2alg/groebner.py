@@ -24,11 +24,14 @@ from ``pow(c, -1, p)``; over Q ints, with a ``Fraction`` only where a
 leading coefficient other than +-1 has to be divided out.  The structure
 ideals meet only leading coefficients +-1 (the tests check every coprime
 pair with i <= 21), so their bases are integral and monic and their
-division never leaves Z.  BiPolys are converted to and from this form
-only at the boundary: ``buchberger``, ``buchberger_with_certificate``,
-``GroebnerBasis.normal_form`` and ``GroebnerBasis.multiply``, the product
-in the quotient, which multiplies its operands on numbers and divides the
-product once.
+division never leaves Z.  Polynomials are converted to and from this
+form only at the boundary: ``buchberger``, ``buchberger_with_certificate``,
+``GroebnerBasis.normal_form``, and ``GroebnerBasis.of`` and ``multiply``.
+
+A ``GroebnerBasis`` is also the ring L = A[s,t]/I it presents, and a
+``QuotientElem`` (a ``SparsePoly`` that knows its basis) is a normal form
+in it.  ``of`` and ``multiply`` build elements straight from a kernel
+remainder; a product multiplies its operands on numbers and divides once.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedParameters
-from .fields import QQ, FpElem, PrimeField, RationalField, power
-from .poly import BiPoly, mono_divides, order_key
+from .fields import QQ, FpElem, PrimeField, RationalField
+from .poly import BiPoly, SparsePoly, mono_divides, order_key
 from .sequences import f_coeffs, f_st
 
 
@@ -114,11 +117,16 @@ def _numbers(p: BiPoly, mod: int) -> dict:
     return {m: c.numerator if c.denominator == 1 else c for m, c in p.terms.items()}
 
 
+def _coeffs(nums: dict, mod: int) -> dict:
+    """Field coefficients of a kernel dict: FpElems over GF(p), Fractions over Q."""
+    if mod:
+        return {m: FpElem(c, mod) for m, c in nums.items()}
+    return {m: Fraction(c) for m, c in nums.items()}
+
+
 def _poly(nums: dict, field, mod: int) -> BiPoly:
     """The BiPoly over field of a kernel dict."""
-    if mod:
-        return BiPoly({m: FpElem(c, mod) for m, c in nums.items()}, field, _clean=False)
-    return BiPoly({m: Fraction(c) for m, c in nums.items()}, field, _clean=False)
+    return BiPoly(_coeffs(nums, mod), field, _clean=False)
 
 
 def _sub_shifted(acc: dict, h: dict, c, ds: int, dt: int, mod: int) -> None:
@@ -316,15 +324,19 @@ def _buchberger(gens, mod: int, cofs=()):
 
 
 class GroebnerBasis:
-    """A reduced basis over Q or GF(p): BiPolys, plus the kernel's number form.
+    """A reduced basis over Q or GF(p), and the quotient ring L it presents.
 
     ``polys`` are the basis polynomials.  ``_divisors`` holds each one in
     kernel form, split into its leading monomial and the rest; it is what
     ``normal_form`` and ``multiply`` divide by, so they convert only their
     inputs and the remainder.
+
+    The basis is also the ring L = A[s,t]/I: ``zero``, ``one``, ``of``,
+    ``s``, ``t``, ``name`` and ``random_element`` are the protocol ``Mat2``
+    reads, and its elements are ``QuotientElem``s, the normal forms.
     """
 
-    __slots__ = ("polys", "field", "params", "_mod", "_lms", "_divisors")
+    __slots__ = ("polys", "field", "params", "zero", "one", "_mod", "_lms", "_divisors")
 
     def __init__(self, polys, field, params=None, numbers=None):
         """numbers, when given, is the kernel form of polys, in the same order."""
@@ -341,17 +353,24 @@ class GroebnerBasis:
             (lm, {m: c for m, c in g.items() if m != lm})
             for g, lm in zip(numbers, self._lms)
         )
+        self.zero = QuotientElem({}, self, _clean=False)
+        self.one = self.of(1)
 
     def normal_form(self, p: BiPoly) -> BiPoly:
         """The unique remainder of p modulo the basis; zero iff p is in the ideal."""
         mod = self._mod
         return _poly(_divide(_numbers(p, mod), self._divisors, mod)[0], self.field, mod)
 
-    def multiply(self, p: BiPoly, q: BiPoly) -> BiPoly:
-        """normal_form(p * q), with the product formed on kernel numbers.
+    def _element(self, nums: dict) -> QuotientElem:
+        """The element of L represented by the kernel dict nums."""
+        mod = self._mod
+        return QuotientElem(_coeffs(_divide(nums, self._divisors, mod)[0], mod), self, _clean=False)
 
-        Each operand and the remainder are converted once; the product is
-        never built as a BiPoly.
+    def multiply(self, p, q) -> QuotientElem:
+        """The element p * q of L, for BiPolys or elements p and q.
+
+        The product is formed on kernel numbers and divided once; it is
+        never built as a polynomial.
         """
         mod = self._mod
         b = _numbers(q, mod).items()
@@ -365,7 +384,37 @@ class GroebnerBasis:
             # _divide copies an unreduced leading coefficient into the remainder
             prod = {m: c % mod for m, c in prod.items()}
         # cancelled (zero) terms are skipped by _divide
-        return _poly(_divide(prod, self._divisors, mod)[0], self.field, mod)
+        return self._element(prod)
+
+    def of(self, x) -> QuotientElem:
+        """x in L: an element of this ring, a BiPoly or a scalar."""
+        if isinstance(x, QuotientElem):
+            if x.ring is not self and x.ring != self:
+                raise ValueError("element of a different quotient")
+            return x
+        if isinstance(x, BiPoly):
+            return self._element(_numbers(x, self._mod))
+        c = self.field.of(x)
+        # a nonzero constant is a normal form unless the basis is {1}
+        if not c or (0, 0) in self._lms:
+            return self.zero
+        return QuotientElem({(0, 0): c}, self, _clean=False)
+
+    def s(self, e=1) -> QuotientElem:
+        return self._element({(e, 0): 1})
+
+    def t(self, e=1) -> QuotientElem:
+        return self._element({(0, e): 1})
+
+    @property
+    def name(self):
+        return f"{self.field.name}[s,t]/I"
+
+    def random_element(self, rng) -> QuotientElem:
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            terms[(rng.randint(0, 2), rng.randint(0, 2))] = self.field.random_element(rng)
+        return self.of(BiPoly(terms, self.field))
 
     def is_trivial(self) -> bool:
         """True iff 1 is in the ideal, i.e. the basis is {1}."""
@@ -404,7 +453,7 @@ class GroebnerBasis:
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
             return NotImplemented
-        return self.polys == other.polys and self.field == other.field
+        return self.field == other.field and self.polys == other.polys
 
     def __hash__(self):
         return hash((self.polys, self.field))
@@ -513,123 +562,56 @@ def buchberger_with_certificate(ideal: Ideal):
     return gb, [[_poly(q, field, mod) for q in cofs] for cofs in certs]
 
 
-class QuotientElem:
-    """Normal-form representative in A[s,t]/I against a fixed basis.
+class QuotientElem(SparsePoly):
+    """An element of L = A[s,t]/I: a normal form against ``ring``, its basis.
 
-    A product with a zero or constant operand skips the product and the
-    division; any other product is formed and reduced on kernel numbers by
-    ``GroebnerBasis.multiply``.
+    A ``SparsePoly`` on (e_s, e_t) monomials, with +, -, negation, ``**``,
+    ``scale`` and hash from it.  It equals only an element of the same
+    ring with the same terms.  A product with a zero or constant operand
+    skips the product and the division; any other product is formed and
+    reduced on kernel numbers by ``GroebnerBasis.multiply``.
     """
 
-    __slots__ = ("poly", "ring")
+    __slots__ = ("ring",)
 
-    def __init__(self, poly: BiPoly, ring: "QuotientRing"):
-        self.poly = poly
+    def __init__(self, terms: dict, ring: GroebnerBasis, _clean=True):
+        super().__init__(terms, ring.field, _clean)
         self.ring = ring
 
-    def __add__(self, other):
-        other = self.ring.of(other)
-        return QuotientElem(self.poly + other.poly, self.ring)
+    def _new(self, terms):
+        return QuotientElem(terms, self.ring, _clean=False)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self.ring.of(other)
-        return QuotientElem(self.poly - other.poly, self.ring)
-
-    def __rsub__(self, other):
-        return self.ring.of(other) - self
-
-    def __neg__(self):
-        return QuotientElem(-self.poly, self.ring)
+    def _coerce(self, other):
+        return self.ring.of(other)
 
     def __mul__(self, other):
         ring = self.ring
         if not isinstance(other, (QuotientElem, BiPoly)):
-            return self._times_constant(ring.field.of(other))
-        other = ring.of(other)
-        a, b = self.poly.terms, other.poly.terms
-        if not a or not b:
-            return ring.zero
-        # a constant times a normal form is a normal form: no product, no division
-        if len(b) == 1 and (0, 0) in b:
-            return self._times_constant(b[0, 0])
-        if len(a) == 1 and (0, 0) in a:
-            return other._times_constant(a[0, 0])
-        return QuotientElem(ring.gb.multiply(self.poly, other.poly), ring)
+            c, other = ring.field.of(other), self
+        else:
+            other = ring.of(other)
+            a, b = self.terms, other.terms
+            if not a or not b:
+                return ring.zero
+            # a constant times a normal form is a normal form: no product, no division
+            if len(b) == 1 and (0, 0) in b:
+                c, other = b[0, 0], self
+            elif len(a) == 1 and (0, 0) in a:
+                c = a[0, 0]
+            else:
+                return ring.multiply(self, other)
+        return other if c == ring.field.one else other.scale(c)
 
     __rmul__ = __mul__
 
-    def _times_constant(self, c):
-        if c == self.ring.field.one:
-            return self
-        return QuotientElem(self.poly.scale(c), self.ring)
-
-    def __pow__(self, e: int):
-        return power(self, e, self.ring.one)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, BiPoly)):
-            other = self.ring.of(other)
-        if not isinstance(other, QuotientElem):
-            return NotImplemented
-        return self.poly == other.poly and (
-            self.ring is other.ring or self.ring.gb == other.ring.gb
-        )
-
-    def __hash__(self):
-        return hash((self.poly, self.ring.gb))
-
     def __bool__(self):
-        return not self.poly.is_zero()
-
-    def __repr__(self):
-        return self.poly.text()
-
-
-class QuotientRing:
-    """A[s,t]/I presented by a reduced Groebner basis; elements are normal forms."""
-
-    __slots__ = ("gb", "field", "zero", "one")
-
-    def __init__(self, gb: GroebnerBasis):
-        self.gb = gb
-        self.field = gb.field
-        self.zero = QuotientElem(BiPoly.zero(self.field), self)
-        self.one = QuotientElem(
-            gb.normal_form(BiPoly.const(1, self.field)), self
-        )
-
-    def of(self, x) -> QuotientElem:
-        if isinstance(x, QuotientElem):
-            if x.ring is not self and x.ring.gb != self.gb:
-                raise ValueError("element of a different quotient")
-            return x
-        if not isinstance(x, BiPoly):
-            x = BiPoly.const(x, self.field)
-        return QuotientElem(self.gb.normal_form(x), self)
-
-    def s(self, e=1) -> QuotientElem:
-        return self.of(BiPoly.s(self.field, e))
-
-    def t(self, e=1) -> QuotientElem:
-        return self.of(BiPoly.t(self.field, e))
-
-    @property
-    def name(self):
-        return f"{self.field.name}[s,t]/I"
-
-    def random_element(self, rng):
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            terms[(rng.randint(0, 2), rng.randint(0, 2))] = self.field.random_element(rng)
-        return self.of(BiPoly(terms, self.field))
+        return bool(self.terms)
 
     def __eq__(self, other):
-        return isinstance(other, QuotientRing) and other.gb == self.gb
+        if type(other) is not QuotientElem:
+            return NotImplemented
+        return (self.ring is other.ring or self.ring == other.ring) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(("QuotientRing", self.gb))
-
-    def __repr__(self):
-        return self.name
+    # defining __eq__ clears the inherited hash; equal elements have equal terms
+    __hash__ = SparsePoly.__hash__
+    text = BiPoly.text

@@ -5,11 +5,12 @@ For coprime (i, j), the pair
     X = s^(-beta) * [[t, s], [1, 0]]^(alpha+beta)   (alpha*j - beta*i = 1),
     Y = [[0, 1], [0, 0]],
 
-computed in the quotient, satisfies the defining relations
+computed in the quotient L, satisfies the defining relations
 X^i Y + Y X^j = 1 and Y^2 = 0, and in fact X^j = [[t, s], [1, 0]] and
 X^i = [[0, s], [1, -t]].  For i = j = 1 the quotient degenerates to A[s]
 and X = [[0, s], [1, 0]].  All of this is re-verified at construction;
-a failure raises Inconsistency rather than returning a bad pair.
+a failure raises Inconsistency rather than returning a bad pair.  The
+pair's ``ring`` is L itself: the reduced basis, a ``GroebnerBasis``.
 
 X is built in closed form, with no matrix power: with C = [[t, s], [1, 0]],
 C^k = f(k)*C + s*f(k-1)*I, so X = a*C + b*I where a = s^(-beta)*f(k) and
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import Inconsistency
 from .fields import QQ
-from .groebner import GroebnerBasis, QuotientRing, _oriented, s_power_f, structure_basis
+from .groebner import GroebnerBasis, _oriented, s_power_f, structure_basis
 from .mat2 import Mat2, mat_pow
 
 
@@ -42,7 +43,7 @@ class WitnessPair:
     Y: Mat2
     i: int
     j: int
-    ring: QuotientRing
+    ring: GroebnerBasis
 
 
 def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> WitnessPair:
@@ -53,14 +54,12 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
     be the structure basis of the same pair over the same field.
     """
     hi, lo = _oriented(i, j)
-    if gb is None:
-        gb = structure_basis(hi, lo, field)
-    elif gb.params != (hi, lo) or gb.field != field:
+    ring = structure_basis(hi, lo, field) if gb is None else gb
+    if ring.params != (hi, lo) or ring.field != field:
         raise ValueError(
-            f"basis for {gb.params} over {gb.field.name} does not present"
+            f"basis for {ring.params} over {ring.field.name} does not present"
             f" ({hi}, {lo}) over {field.name}"
         )
-    ring = QuotientRing(gb)
     companion = Mat2(ring, ring.t(), ring.s(), ring.one, ring.zero)
     ident = Mat2.identity(ring)
     if hi == lo == 1:

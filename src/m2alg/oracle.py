@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import Inconsistency, UnsupportedParameters
 from .fields import GF, QQ, is_prime, smallest_nonresidue
 from .mat2 import Mat2, mat_pow
-from .membership import decide_Q, decide_Q_semantic
+from .membership import _require_ij, decide_Q, decide_Q_semantic
 
 ENUM_FP = "ENUM_FP"
 ROOT_FP2 = "ROOT_FP2"
@@ -137,8 +137,7 @@ def enum_sweep_fp(p: int, pairs) -> dict:
         raise UnsupportedParameters(f"p = {p} is too large to enumerate: p^4 >= 2^32")
     pairs = list(pairs)
     for i, j in pairs:
-        if i < 1 or j < 1:
-            raise UnsupportedParameters("exponents must be >= 1")
+        _require_ij(i, j)
     emax = max((max(i, j) for (i, j) in pairs), default=0)
     result = {pair: None for pair in pairs}
     undecided = set(pairs)
@@ -189,13 +188,9 @@ def oracle_enum_fp(p: int, i: int, j: int, full: bool = False) -> WitnessReport:
     With ``full=True`` (supported for p <= 3) additionally enumerates every
     square-zero y and confirms that fixing y = E12 loses nothing.
     """
-    if not is_prime(p):
-        raise UnsupportedParameters(f"{p} is not prime")
-    if i < 1 or j < 1:
-        raise UnsupportedParameters("exponents must be >= 1")
     if full and p > 3:
         raise UnsupportedParameters("--full is supported for p <= 3 only")
-    hit = enum_sweep_fp(p, [(i, j)])[(i, j)]
+    hit = enum_sweep_fp(p, [(i, j)])[(i, j)]  # checks p, i and j
     details = {}
     if full:
         unrestricted = _full_enum(p, i, j)
@@ -296,8 +291,7 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     """
     if not is_prime(p) or p == 2:
         raise UnsupportedParameters("p must be an odd prime")
-    if i < 1 or j < 1:
-        raise UnsupportedParameters("exponents must be >= 1")
+    _require_ij(i, j)
     fp = GF(p)
     u = smallest_nonresidue(p)
     u_inv = pow(u, -1, p)
@@ -356,8 +350,7 @@ def construct_witness_Q(i: int, j: int) -> WitnessReport:
     Failure to build one when membership is asserted raises Inconsistency -
     the oracle is the referee, never silent.
     """
-    if i < 1 or j < 1:
-        raise UnsupportedParameters("exponents must be >= 1")
+    _require_ij(i, j)
     if not decide_Q(i, j).verdict:
         return _report(False, CONSTRUCT_Q, i, j)
     if i % 2 == 1 and j % 2 == 1:

@@ -302,9 +302,6 @@ class BiPoly(SparsePoly):
             return other
         return BiPoly.const(other, self.field)
 
-    def sorted_terms(self, reverse=True):
-        return sorted(self.terms.items(), key=lambda kv: order_key(kv[0]), reverse=reverse)
-
     def lm(self) -> tuple[int, int]:
         """Leading monomial under lex t > s; polynomial must be nonzero."""
         return max(self.terms, key=order_key)
@@ -332,10 +329,9 @@ class BiPoly(SparsePoly):
         return acc
 
     def text(self) -> str:
-        pieces = [
-            _term_text(self.field, c, _mono_text(m)) for m, c in self.sorted_terms()
-        ]
-        return _join_terms(pieces)
+        # groebner.QuotientElem's text too: it reads only terms and field
+        monos = sorted(self.terms, key=order_key, reverse=True)
+        return _join_terms([_term_text(self.field, self.terms[m], _mono_text(m)) for m in monos])
 
 
 class BiPolyRing:

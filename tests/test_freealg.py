@@ -207,7 +207,7 @@ def test_model_injectivity_on_spanning_set():
             for with_y in (False, True):
                 word = Word((("x", a), ("y", 1))) if with_y else Word.gen("x", a)
                 m = model.word_matrix(word)
-                key = (m.a.poly.text(), m.b.poly.text(), m.c.poly.text(), m.d.poly.text())
+                key = (m.a.text(), m.b.text(), m.c.text(), m.d.text())
                 assert key not in images, (i, j, word, images[key])
                 images[key] = word
 

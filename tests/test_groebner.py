@@ -13,7 +13,6 @@ from m2alg.groebner import (
     GroebnerBasis,
     Ideal,
     QuotientElem,
-    QuotientRing,
     buchberger,
     buchberger_with_certificate,
     build_ideal_I,
@@ -21,7 +20,7 @@ from m2alg.groebner import (
 )
 from m2alg.mat2 import Mat2, mat_pow
 from m2alg.model import witness_XY
-from m2alg.poly import BiPoly, order_key, parse_bipoly, uni_gcd
+from m2alg.poly import BiPoly, SparsePoly, order_key, parse_bipoly, uni_gcd
 from m2alg.sequences import f_st, fbar
 
 
@@ -180,19 +179,21 @@ def _draw_operand(ring, rng):
 
 
 def _as_poly(ring, x):
-    return x.poly if isinstance(x, QuotientElem) else BiPoly.const(x, ring.field)
+    if isinstance(x, QuotientElem):
+        return BiPoly(x.terms, ring.field)
+    return BiPoly.const(x, ring.field)
 
 
 def test_normal_form_respects_multiplication():
     for field in (QQ, GF(3)):
-        ring = QuotientRing(structure_basis(4, 3, field))
+        ring = structure_basis(4, 3, field)
         rng = random.Random(7)
         for _ in range(300):
             p = ring.random_element(rng) if rng.random() < 0.5 else ring.of(_draw_operand(ring, rng))
             q = _draw_operand(ring, rng)
-            direct = ring.gb.normal_form(p.poly * _as_poly(ring, q))
-            assert (p * q).poly == direct
-            assert (q * p).poly == direct
+            direct = ring.normal_form(_as_poly(ring, p) * _as_poly(ring, q))
+            assert (p * q).terms == direct.terms
+            assert (q * p).terms == direct.terms
             assert (p * q).ring is ring
 
 
@@ -229,28 +230,52 @@ def test_dense_products_match_bipoly_route(field):
         right = [e for group in groups for e in group]
         for p in groups[0]:
             for q in right:
-                got = (p * q).poly
-                want = ring.gb.normal_form(p.poly * q.poly)
+                got = p * q
+                want = ring.normal_form(BiPoly(p.terms, field) * BiPoly(q.terms, field))
                 assert got.text() == want.text(), (i, j, p, q)
-                assert [type(c) for _, c in got.sorted_terms()] == [
-                    type(c) for _, c in want.sorted_terms()
-                ]
+                assert {m: type(c) for m, c in got.terms.items()} == {
+                    m: type(c) for m, c in want.terms.items()
+                }
 
 
 def test_quotient_ring_arithmetic():
-    ring = QuotientRing(structure_basis(2, 1))
+    ring = structure_basis(2, 1)
     # in this quotient s = -1 and t = 1, so everything collapses to a scalar
     assert ring.s() == ring.of(-1)
     assert ring.t() == ring.one
     assert ring.t(5) + ring.s() == ring.zero
-    ring43 = QuotientRing(structure_basis(4, 3))
+    ring43 = structure_basis(4, 3)
     t = ring43.t()
     assert t**3 == ring43.of(parse_bipoly("t^2 + 2*t - 1", QQ))
-    assert (t - t).poly.is_zero()
+    assert (t - t).is_zero()
+
+
+def test_quotient_elem_is_a_sparse_poly_of_its_ring():
+    ring = structure_basis(7, 3, GF(3))
+    t = ring.t()
+    assert isinstance(t, SparsePoly) and not hasattr(t, "poly")
+    for x in (t + 1, 1 - t, -t, t.scale(2), t**4, 2 * t, t * ring.s()):
+        assert type(x) is QuotientElem and x.ring is ring
+    assert t.text() == "t" and str(ring.of(5)) == "2"
+    # an element equals only an element of the same ring
+    assert t != BiPoly.t(GF(3)) and ring.one != 1
+    assert ring.t() == t and structure_basis(7, 3, GF(3)).t() == t
+    assert structure_basis(7, 3, QQ).t() != t
+    with pytest.raises(ValueError):
+        structure_basis(4, 3, GF(3)).of(t)
+    # no inherited constructor makes an element without a ring
+    with pytest.raises(AttributeError):
+        QuotientElem.zero(GF(3))
+
+
+def test_trivial_quotient_constants_are_zero():
+    gb = buchberger([BiPoly.const(2, QQ), BiPoly.s(QQ)], QQ)
+    assert gb.is_trivial()
+    assert gb.one == gb.zero and not gb.of(5) and not gb.t()
 
 
 def test_quotient_elem_pow_negative():
-    ring = QuotientRing(structure_basis(2, 1))
+    ring = structure_basis(2, 1)
     with pytest.raises(ValueError):
         ring.t() ** (-2)
 
@@ -422,11 +447,12 @@ def test_random_ideals_match_object_route(field):
     for gens in _redundant_inputs(field):
         _assert_same_basis(buchberger(gens, field), _buchberger_objects(gens))
     rng = random.Random(2024)
+    units = (field.of(1), field.of(-1))
     non_unit_lcs = 0
     for _ in range(60):
         gens = _random_ideal(rng, field)
         non_unit_lcs += sum(
-            not g.is_zero() and g.terms[g.lm()] not in (1, -1) for g in gens
+            not g.is_zero() and g.terms[g.lm()] not in units for g in gens
         )
         _assert_same_basis(buchberger(gens, field), _buchberger_objects(gens))
     assert non_unit_lcs > 20  # the Fraction path over Q is exercised

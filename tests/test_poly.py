@@ -1,9 +1,12 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from m2alg.fields import GF, QQ
+from m2alg.fields import GF, GF2, QQ, FpElem
 from m2alg.freealg import NCPoly, Word
+from m2alg.groebner import structure_basis
 from m2alg.poly import (
     BiPoly,
     NEG_INF,
@@ -202,3 +205,46 @@ def test_polynomial_equals_no_int_or_word(p, n):
     assert p != n and n != p
     for w in (Word.one(), Word.from_letters("x")):
         assert p != w and w != p
+
+
+# L over Q and GF(3) at (4, 3), where s = -1 and most elements are
+# constants, and at (7, 3)
+_RINGS = [structure_basis(i, j, f) for f in (QQ, GF(3)) for i, j in ((4, 3), (7, 3))]
+
+
+@st.composite
+def ring_values(draw):
+    """An element of L (random_element, from one of four seeds), an FpElem
+    over GF(5) or GF(7), or an Fp2Elem over GF2(7)."""
+    kind = draw(st.sampled_from(["L", "fp", "fp2"]))
+    if kind == "L":
+        ring = draw(st.sampled_from(_RINGS))
+        return ring.random_element(random.Random(draw(st.integers(0, 3))))
+    if kind == "fp":
+        return GF(draw(st.sampled_from([5, 7]))).of(draw(st.integers(-7, 7)))
+    return GF2(7).make(draw(st.integers(-7, 7)), draw(st.integers(0, 1)))
+
+
+_VALUES = st.one_of(any_polys(), ring_values())
+
+
+@settings(max_examples=300)
+@given(_VALUES, _VALUES)
+def test_equal_values_hash_alike(a, b):
+    if isinstance(a, FpElem) and isinstance(b, FpElem) and a.p != b.p:
+        with pytest.raises(ValueError):
+            a == b
+        return
+    if a == b:
+        assert hash(a) == hash(b)
+        assert a in {b}
+
+
+@settings(max_examples=200)
+@example(_RINGS[0].one, 1)
+@example(GF(5).of(6), 1)
+@example(GF2(7).make(8, 0), 1)
+@given(_VALUES, st.integers(-2, 8))
+def test_value_equals_no_int(a, n):
+    assert a != n and n != a
+    assert n not in {a}

@@ -1,5 +1,6 @@
 """Smoke tests for the command-line scripts under scripts/, run in-process."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -28,6 +29,18 @@ def test_membership_atlas_oracle(capsys):
     assert load_script("membership_atlas").main(argv) == 0
     out = capsys.readouterr().out
     assert out.count("oracle agreement 100%") == 3  # Z_2, Z_3 and Z_5
+
+
+# sha256 of `cli_grid.py --max 9 --fields q f2 fp3 fp5`: every coprime pair
+# j < i <= 9 over four fields; a change to these bytes is a change of output
+CLI_GRID_MAX9_SHA256 = "8a204f925e4f40faa7b41b11ce78661d56ab4d4b4cfb82d1cd717b9cdf6f0d28"
+
+
+def test_cli_grid_bytes(capsys):
+    argv = ["--max", "9", "--fields", "q", "f2", "fp3", "fp5"]
+    assert load_script("cli_grid").main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_GRID_MAX9_SHA256
 
 
 def test_cli_grid(capsys):
