@@ -21,17 +21,26 @@ always produce the identical reduced basis.
 The kernel (``_buchberger``, ``_divide``) runs on plain numbers in
 ``{(e_s, e_t): c}`` dicts: over GF(p) ints reduced mod p, with inverses
 from ``pow(c, -1, p)``; over Q ints, with a ``Fraction`` only where a
-leading coefficient other than +-1 has to be divided out.  The structure
-ideals meet only leading coefficients +-1 (the tests check every coprime
-pair with i <= 21), so their bases are integral and monic and their
-division never leaves Z.  Polynomials are converted to and from this
-form only at the boundary: ``buchberger``, ``buchberger_with_certificate``,
-``GroebnerBasis.normal_form``, and ``GroebnerBasis.of`` and ``multiply``.
+leading coefficient other than +-1 has to be divided out or a
+``Fraction`` scalar comes in.  The structure ideals meet only leading
+coefficients +-1 (the tests check every coprime pair with i <= 21), so
+their bases are integral and monic and their division never leaves Z.
+``_divide`` is the one division routine, behind Buchberger, normal forms
+and every product in L.  It needs no heap: it sweeps the pending terms
+t-level by t-level from the top, and within a level by s-exponent from
+the top, which is descending lex order, because every term a division
+step adds is lex-smaller than the term it removes.  A reduced basis
+lists its divisors ascending by leading monomial, so in a structure ring
+s^d - sigma comes first and folding s^d = sigma is a one-term step.
 
 A ``GroebnerBasis`` is also the ring L = A[s,t]/I it presents, and a
 ``QuotientElem`` (a ``SparsePoly`` that knows its basis) is a normal form
-in it.  ``of`` and ``multiply`` build elements straight from a kernel
-remainder; a product multiplies its operands on numbers and divides once.
+in it, held on kernel numbers as well: its sums, negations, scalings and
+products never leave them.  Coefficients are converted to and from field
+elements only at the ``BiPoly`` boundary: ``buchberger``,
+``buchberger_with_certificate`` and ``structure_basis`` (the basis
+polynomials), ``GroebnerBasis.normal_form``, ``GroebnerBasis.of`` of a
+``BiPoly``, and ``QuotientElem.bipoly``, which ``text`` prints.
 """
 
 from __future__ import annotations
@@ -117,16 +126,11 @@ def _numbers(p: BiPoly, mod: int) -> dict:
     return {m: c.numerator if c.denominator == 1 else c for m, c in p.terms.items()}
 
 
-def _coeffs(nums: dict, mod: int) -> dict:
-    """Field coefficients of a kernel dict: FpElems over GF(p), Fractions over Q."""
-    if mod:
-        return {m: FpElem(c, mod) for m, c in nums.items()}
-    return {m: Fraction(c) for m, c in nums.items()}
-
-
 def _poly(nums: dict, field, mod: int) -> BiPoly:
-    """The BiPoly over field of a kernel dict."""
-    return BiPoly(_coeffs(nums, mod), field, _clean=False)
+    """The BiPoly over field of a kernel dict: FpElems over GF(p), Fractions over Q."""
+    if mod:
+        return BiPoly({m: FpElem(c, mod) for m, c in nums.items()}, field, _clean=False)
+    return BiPoly({m: Fraction(c) for m, c in nums.items()}, field, _clean=False)
 
 
 def _sub_shifted(acc: dict, h: dict, c, ds: int, dt: int, mod: int) -> None:
@@ -156,51 +160,80 @@ def _scale(f: dict, c, mod: int) -> dict:
 def _divide(p: dict, divisors, mod: int, cofs=(), divisor_cofs=()):
     """Remainder of the kernel dict p on division by monic divisors.
 
-    Over GF(p) the coefficients of p must be reduced mod p; zero
+    Over GF(p) the coefficients of p are reduced mod p here; zero
     coefficients are skipped.
 
     divisors[k] is (leading monomial, the rest of the polynomial), both in
     kernel form.  Returns (remainder, cofactors).  When p carries cofactors
     cofs over some fixed generators and divisors[k] carries divisor_cofs[k],
     the returned cofactors express the remainder over the same generators.
+
+    The pending terms are swept in descending lex order (t > s): t-level
+    by t-level from the top, and within a level by s-exponent from the
+    top.  Each term is divided by the first divisor in list order whose
+    leading monomial divides it.  Every term a step adds is lex-smaller
+    than the one it removes, on a lower t-level or on the same level with
+    a lower s-exponent, so the sweep never has to look back.
     """
-    work = dict(p)
+    rows = {}  # t-exponent -> {s-exponent: coefficient} of the pending terms
+    for (es, et), c in p.items():
+        if mod:
+            c %= mod
+        if c:
+            row = rows.get(et)
+            if row is None:
+                rows[et] = {es: c}
+            else:
+                row[es] = c
     cofs = [dict(c) for c in cofs]
+    divs = [(gs, gt, tail, k) for k, ((gs, gt), tail) in enumerate(divisors)]
     remainder = {}
-    # pending monomials as (-e_t, -e_s), so the heap top is the largest;
-    # every term a step adds lies below the leading monomial it removes
-    heap = [(-et, -es) for es, et in work]
-    heapq.heapify(heap)
-    while heap:
-        nt, ns = heapq.heappop(heap)
-        ls, lt = lm = (-ns, -nt)
-        lc = work.pop(lm, 0)
-        if not lc:
-            continue  # cancelled after it was queued
-        for k, ((gs, gt), tail) in enumerate(divisors):
-            if gs <= ls and gt <= lt:
-                ds, dt = ls - gs, lt - gt
-                # the monic leading term cancels lc exactly
-                for (es, et), c in tail.items():
-                    m = (es + ds, et + dt)
-                    v = work.get(m)
-                    if v is None:
-                        work[m] = -lc * c % mod if mod else -lc * c
-                        heapq.heappush(heap, (-m[1], -m[0]))
-                        continue
-                    v -= lc * c
-                    if mod:
-                        v %= mod
-                    if v:
-                        work[m] = v
-                    else:
-                        del work[m]
-                if cofs:
-                    for cof, h in zip(cofs, divisor_cofs[k]):
-                        _sub_shifted(cof, h, lc, ds, dt, mod)
-                break
-        else:
-            remainder[lm] = lc
+    lt = -1
+    while rows:
+        # the next level down, or, when it is empty, the highest pending one
+        row = rows.pop(lt, None)
+        if row is None:
+            lt = max(rows)
+            row = rows.pop(lt)
+        ls = -1
+        while row:
+            lc = row.pop(ls, 0)
+            if not lc:
+                ls = max(row)
+                lc = row.pop(ls)
+            for gs, gt, tail, k in divs:
+                if gs <= ls and gt <= lt:
+                    ds, dt = ls - gs, lt - gt
+                    # the monic leading term cancels lc exactly
+                    for (es, et), c in tail.items():
+                        es += ds
+                        if et == gt:
+                            level = row
+                        else:
+                            et += dt
+                            level = rows.get(et)
+                            if level is None:
+                                rows[et] = {es: -lc * c % mod if mod else -lc * c}
+                                continue
+                        v = level.get(es)
+                        if v is None:
+                            level[es] = -lc * c % mod if mod else -lc * c
+                            continue
+                        v -= lc * c
+                        if mod:
+                            v %= mod
+                        if v:
+                            level[es] = v
+                        else:
+                            del level[es]
+                    if cofs:
+                        for cof, h in zip(cofs, divisor_cofs[k]):
+                            _sub_shifted(cof, h, lc, ds, dt, mod)
+                    break
+            else:
+                remainder[ls, lt] = lc
+            ls -= 1
+        lt -= 1
     return remainder, cofs
 
 
@@ -326,14 +359,17 @@ def _buchberger(gens, mod: int, cofs=()):
 class GroebnerBasis:
     """A reduced basis over Q or GF(p), and the quotient ring L it presents.
 
-    ``polys`` are the basis polynomials.  ``_divisors`` holds each one in
-    kernel form, split into its leading monomial and the rest; it is what
-    ``normal_form`` and ``multiply`` divide by, so they convert only their
-    inputs and the remainder.
+    ``polys`` are the basis polynomials, ascending by leading monomial
+    when Buchberger built them.  ``_divisors`` holds each one in kernel
+    form, split into its leading monomial and the rest, in the same
+    order; it is what ``normal_form`` and every product in L divide by.
 
     The basis is also the ring L = A[s,t]/I: ``zero``, ``one``, ``of``,
     ``s``, ``t``, ``name`` and ``random_element`` are the protocol ``Mat2``
-    reads, and its elements are ``QuotientElem``s, the normal forms.
+    reads, and its elements are ``QuotientElem``s, the normal forms on
+    kernel numbers.  ``_mod`` (p over GF(p), 0 over Q) and ``_number``
+    (a scalar as a kernel number) are the two hooks their ``SparsePoly``
+    arithmetic reads.
     """
 
     __slots__ = ("polys", "field", "params", "zero", "one", "_mod", "_lms", "_divisors")
@@ -363,27 +399,33 @@ class GroebnerBasis:
 
     def _element(self, nums: dict) -> QuotientElem:
         """The element of L represented by the kernel dict nums."""
-        mod = self._mod
-        return QuotientElem(_coeffs(_divide(nums, self._divisors, mod)[0], mod), self, _clean=False)
+        return QuotientElem(_divide(nums, self._divisors, self._mod)[0], self, _clean=False)
 
-    def multiply(self, p, q) -> QuotientElem:
-        """The element p * q of L, for BiPolys or elements p and q.
+    def _number(self, c):
+        """The scalar c as a kernel number: an int in [0, p) over GF(p).
 
-        The product is formed on kernel numbers and divided once; it is
-        never built as a polynomial.
+        Over Q an int stays an int and any other scalar becomes a Fraction,
+        integral or not.
         """
         mod = self._mod
-        b = _numbers(q, mod).items()
+        if mod:
+            return c % mod if type(c) is int else self.field.of(c).value
+        return c if type(c) is int or type(c) is Fraction else self.field.of(c)
+
+    def multiply(self, p: QuotientElem, q: QuotientElem) -> QuotientElem:
+        """The element p * q of L, for elements p and q of this ring.
+
+        The product is formed on their kernel numbers and divided once; it
+        is never built as a polynomial.
+        """
+        b = q.terms.items()
         prod = {}
         get = prod.get
-        for (as_, at), ca in _numbers(p, mod).items():
+        for (as_, at), ca in p.terms.items():
             for (bs, bt), cb in b:
                 m = (as_ + bs, at + bt)
                 prod[m] = get(m, 0) + ca * cb
-        if mod:
-            # _divide copies an unreduced leading coefficient into the remainder
-            prod = {m: c % mod for m, c in prod.items()}
-        # cancelled (zero) terms are skipped by _divide
+        # _divide reduces mod p and skips cancelled (zero) terms
         return self._element(prod)
 
     def of(self, x) -> QuotientElem:
@@ -394,7 +436,7 @@ class GroebnerBasis:
             return x
         if isinstance(x, BiPoly):
             return self._element(_numbers(x, self._mod))
-        c = self.field.of(x)
+        c = self._number(x)
         # a nonzero constant is a normal form unless the basis is {1}
         if not c or (0, 0) in self._lms:
             return self.zero
@@ -565,11 +607,20 @@ def buchberger_with_certificate(ideal: Ideal):
 class QuotientElem(SparsePoly):
     """An element of L = A[s,t]/I: a normal form against ``ring``, its basis.
 
-    A ``SparsePoly`` on (e_s, e_t) monomials, with +, -, negation, ``**``,
-    ``scale`` and hash from it.  It equals only an element of the same
-    ring with the same terms.  A product with a zero or constant operand
-    skips the product and the division; any other product is formed and
-    reduced on kernel numbers by ``GroebnerBasis.multiply``.
+    A ``SparsePoly`` on (e_s, e_t) monomials whose coefficients are the
+    kernel's numbers.  Over GF(p) they are ints in [0, p).  Over Q they
+    are ints, with a ``Fraction`` only where one came in: a non-integral
+    ``BiPoly`` coefficient, or a ``Fraction`` scalar, which stays a
+    ``Fraction`` even when it is integral (it equals and hashes like its
+    int).  Arithmetic on int-valued elements stays on ints.
+
+    Its +, -, negation, ``**``, ``scale`` and hash are ``SparsePoly``'s,
+    through the ``_mod`` and ``_scalar`` hooks, which it reads from its
+    ring.  It equals only an element of the same ring with the same terms.
+    A product with a zero or constant operand skips the product and the
+    division; any other product is formed and reduced on kernel numbers by
+    ``GroebnerBasis.multiply``.  ``bipoly`` (behind ``text``) is the
+    element as a ``BiPoly`` over the field.
     """
 
     __slots__ = ("ring",)
@@ -577,6 +628,13 @@ class QuotientElem(SparsePoly):
     def __init__(self, terms: dict, ring: GroebnerBasis, _clean=True):
         super().__init__(terms, ring.field, _clean)
         self.ring = ring
+
+    @property
+    def _mod(self):
+        return self.ring._mod
+
+    def _scalar(self, c):
+        return self.ring._number(c)
 
     def _new(self, terms):
         return QuotientElem(terms, self.ring, _clean=False)
@@ -587,7 +645,7 @@ class QuotientElem(SparsePoly):
     def __mul__(self, other):
         ring = self.ring
         if not isinstance(other, (QuotientElem, BiPoly)):
-            c, other = ring.field.of(other), self
+            c, other = ring._number(other), self
         else:
             other = ring.of(other)
             a, b = self.terms, other.terms
@@ -600,7 +658,7 @@ class QuotientElem(SparsePoly):
                 c = a[0, 0]
             else:
                 return ring.multiply(self, other)
-        return other if c == ring.field.one else other.scale(c)
+        return other if c == 1 else other.scale(c)
 
     __rmul__ = __mul__
 
@@ -614,4 +672,10 @@ class QuotientElem(SparsePoly):
 
     # defining __eq__ clears the inherited hash; equal elements have equal terms
     __hash__ = SparsePoly.__hash__
-    text = BiPoly.text
+
+    def bipoly(self) -> BiPoly:
+        """This element as a BiPoly over the field: its normal form."""
+        return _poly(self.terms, self.field, self.ring._mod)
+
+    def text(self) -> str:
+        return self.bipoly().text()

@@ -69,14 +69,26 @@ def _term_text(field, coeff, mono_text: str) -> tuple[bool, str]:
 class SparsePoly:
     """Sparse polynomial over a field: terms maps monomials to nonzero coeffs.
 
-    The one arithmetic behind ``UniPoly``, ``BiPoly`` and ``freealg.NCPoly``.
-    A subclass fixes the monomials through ``_mono_mul`` (their product,
-    which need not commute) and ``_coerce`` (a scalar, or anything else it
-    accepts, as a polynomial).  A polynomial equals only a polynomial of
-    the same type and field, and equal polynomials hash alike.
+    The one arithmetic behind ``UniPoly``, ``BiPoly``, ``freealg.NCPoly``
+    and ``groebner.QuotientElem``.  A subclass fixes the monomials through
+    ``_mono_mul`` (their product, which need not commute) and ``_coerce``
+    (a scalar, or anything else it accepts, as a polynomial).  A
+    polynomial equals only a polynomial of the same type and field, and
+    equal polynomials hash alike.
+
+    Two hooks let a subclass hold plain numbers instead of field elements:
+    ``_scalar`` turns a scalar into the coefficient type, and a nonzero
+    ``_mod`` makes every sum, negation and scaling reduce its
+    coefficients mod ``_mod``.
     """
 
     __slots__ = ("terms", "field")
+
+    _mod = 0  # coefficients are field elements; no reduction
+
+    def _scalar(self, c):
+        """The scalar c as a coefficient."""
+        return self.field.of(c) if isinstance(c, int) else c
 
     def __init__(self, terms: dict, field, _clean=True):
         if _clean:
@@ -97,13 +109,19 @@ class SparsePoly:
 
     def __add__(self, other):
         other = self._coerce(other)
+        mod = self._mod
         out = dict(self.terms)
         for m, c in other.terms.items():
             v = out.get(m)
-            v = c if v is None else v + c
+            if v is None:
+                out[m] = c
+                continue
+            v += c
+            if mod:
+                v %= mod
             if v:
                 out[m] = v
-            elif m in out:
+            else:
                 del out[m]
         return self._new(out)
 
@@ -116,7 +134,8 @@ class SparsePoly:
         return self._coerce(other) - self
 
     def __neg__(self):
-        return self._new({m: -c for m, c in self.terms.items()})
+        mod = self._mod
+        return self._new({m: -c % mod if mod else -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -139,10 +158,11 @@ class SparsePoly:
         return power(self, e, self._coerce(1))
 
     def scale(self, c):
-        c = self.field.of(c) if isinstance(c, int) else c
+        c = self._scalar(c)
         if not c:
             return self._new({})
-        return self._new({m: c * v for m, v in self.terms.items()})
+        mod = self._mod
+        return self._new({m: c * v % mod if mod else c * v for m, v in self.terms.items()})
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -329,7 +349,6 @@ class BiPoly(SparsePoly):
         return acc
 
     def text(self) -> str:
-        # groebner.QuotientElem's text too: it reads only terms and field
         monos = sorted(self.terms, key=order_key, reverse=True)
         return _join_terms([_term_text(self.field, self.terms[m], _mono_text(m)) for m in monos])
 
@@ -347,13 +366,6 @@ class BiPolyRing:
         if isinstance(n, BiPoly):
             return n
         return BiPoly.const(n, self.field)
-
-    def random_element(self, rng):
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            mono = (rng.randint(0, 2), rng.randint(0, 2))
-            terms[mono] = self.field.random_element(rng)
-        return BiPoly(terms, self.field)
 
     def __eq__(self, other):
         return isinstance(other, BiPolyRing) and other.field == self.field

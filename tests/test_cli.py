@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -96,6 +97,24 @@ def test_output_bytes_golden(capsys, args, golden):
     assert code == 0
     assert err == ""
     assert out == (GOLDENS / golden).read_text()
+
+
+# sha256 of the stdout of `structure` and then `witness` at each pair, over
+# Q and then GF(3): both parities of i + j, and dense quotients with
+# d = i - j up to 27 (cli_grid's --max 9 check stops at d = 8)
+DENSE_L_PAIRS = ((13, 1), (13, 2), (23, 7), (40, 13), (61, 60))
+DENSE_L_SHA256 = "f9f64d6c80e8f13bde3985477b5a265548dd4d9c9593a0ece2e914d2c4e0235a"
+
+
+def test_dense_quotient_output_bytes(capsys):
+    out = []
+    for field in (["--field", "q"], ["--field", "fp", "--p", "3"]):
+        for i, j in DENSE_L_PAIRS:
+            for command in ("structure", "witness"):
+                code, text, _ = run_cli([command, str(i), str(j), *field], capsys)
+                assert code == 0
+                out.append(text)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == DENSE_L_SHA256
 
 
 def test_decide_golden(capsys):

@@ -1,8 +1,11 @@
+import heapq
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m2alg import groebner
 from m2alg.errors import UnsupportedParameters
@@ -180,7 +183,7 @@ def _draw_operand(ring, rng):
 
 def _as_poly(ring, x):
     if isinstance(x, QuotientElem):
-        return BiPoly(x.terms, ring.field)
+        return x.bipoly()
     return BiPoly.const(x, ring.field)
 
 
@@ -192,8 +195,8 @@ def test_normal_form_respects_multiplication():
             p = ring.random_element(rng) if rng.random() < 0.5 else ring.of(_draw_operand(ring, rng))
             q = _draw_operand(ring, rng)
             direct = ring.normal_form(_as_poly(ring, p) * _as_poly(ring, q))
-            assert (p * q).terms == direct.terms
-            assert (q * p).terms == direct.terms
+            assert (p * q).bipoly() == direct
+            assert (q * p).bipoly() == direct
             assert (p * q).ring is ring
 
 
@@ -231,11 +234,182 @@ def test_dense_products_match_bipoly_route(field):
         for p in groups[0]:
             for q in right:
                 got = p * q
-                want = ring.normal_form(BiPoly(p.terms, field) * BiPoly(q.terms, field))
+                want = ring.normal_form(p.bipoly() * q.bipoly())
+                assert got.bipoly() == want, (i, j, p, q)
                 assert got.text() == want.text(), (i, j, p, q)
-                assert {m: type(c) for m, c in got.terms.items()} == {
-                    m: type(c) for m, c in want.terms.items()
-                }
+                _assert_kernel_numbers(got)
+                if field == QQ and _int_valued(p) and _int_valued(q):
+                    assert _int_valued(got), (i, j, p, q)
+
+
+def _int_valued(x):
+    return all(type(c) is int for c in x.terms.values())
+
+
+def _assert_kernel_numbers(x):
+    """The coefficients of an element of L are the kernel's numbers.
+
+    Over GF(p) every coefficient is an int in [0, p), never zero; over Q
+    each is a nonzero int or Fraction.
+    """
+    mod = x.ring.field.char
+    for c in x.terms.values():
+        if mod:
+            assert type(c) is int and 0 < c < mod, x.terms
+        else:
+            assert type(c) in (int, Fraction) and c, x.terms
+
+
+# An independent referee for the division sweep: division as it was done
+# with a heap of pending monomials, the largest popped first.
+
+
+def _heap_divide(p, divisors, mod, cofs=(), divisor_cofs=()):
+    """Remainder and cofactors of p, like groebner._divide, by a heap.
+
+    Over GF(p) the coefficients of p must be reduced mod p.
+    """
+    work = {m: c for m, c in p.items() if c}
+    cofs = [dict(c) for c in cofs]
+    remainder = {}
+    heap = [(-et, -es) for es, et in work]
+    heapq.heapify(heap)
+    while heap:
+        nt, ns = heapq.heappop(heap)
+        ls, lt = lm = (-ns, -nt)
+        lc = work.pop(lm, 0)
+        if not lc:
+            continue  # cancelled after it was queued
+        for k, ((gs, gt), tail) in enumerate(divisors):
+            if gs <= ls and gt <= lt:
+                ds, dt = ls - gs, lt - gt
+                for (es, et), c in tail.items():
+                    m = (es + ds, et + dt)
+                    if m not in work:
+                        heapq.heappush(heap, (-m[1], -m[0]))
+                    _add_term(work, m, -lc * c, mod)
+                for cof, h in zip(cofs, divisor_cofs[k] if cofs else ()):
+                    for (es, et), c in h.items():
+                        _add_term(cof, (es + ds, et + dt), -lc * c, mod)
+                break
+        else:
+            remainder[lm] = lc
+    return remainder, cofs
+
+
+def _add_term(acc, m, v, mod):
+    v += acc.get(m, 0)
+    if mod:
+        v %= mod
+    if v:
+        acc[m] = v
+    else:
+        acc.pop(m, None)
+
+
+def _kernel_product(p, q, mod):
+    prod = {}
+    for (as_, at), a in p.terms.items():
+        for (bs, bt), b in q.terms.items():
+            m = (as_ + bs, at + bt)
+            prod[m] = prod.get(m, 0) + a * b
+    return {m: c % mod for m, c in prod.items()} if mod else prod
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=lambda f: f.name)
+def test_divide_matches_heap_referee_on_dense_products(field):
+    """Every coprime j < i <= 21 and (1, 1): each plain witness entry times
+    one partner, spread over _dense_operands' plain and scaled groups."""
+    for i, j in coprime_pairs(21):
+        ring, groups = _dense_operands(i, j, field)
+        mod = ring._mod
+        right = [e for group in groups for e in group]
+        for n, p in enumerate(groups[0]):
+            q = right[(7 * n + 1) % len(right)]
+            prod = _kernel_product(p, q, mod)
+            want = _heap_divide(prod, ring._divisors, mod)
+            assert groebner._divide(prod, ring._divisors, mod) == want, (i, j, p, q)
+            assert (p * q).terms == want[0], (i, j, p, q)
+
+
+@pytest.mark.parametrize("mod", [0, 2, 3, 5])
+def test_divide_matches_heap_referee_on_random_divisors(mod):
+    """Monic divisors in no particular order, as Buchberger divides by:
+    the first dividing divisor wins, so the order of division matters."""
+    rng = random.Random(1000 + mod)
+
+    def coefficient():
+        c = rng.randint(-5, 5)
+        return c % mod if mod else Fraction(c, rng.randint(1, 3))
+
+    def kernel_dict(n, top):
+        terms = {(rng.randint(0, top), rng.randint(0, top)): coefficient() for _ in range(n)}
+        return {m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                for m, c in terms.items() if c}
+
+    for _ in range(300):
+        divisors, divisor_cofs = [], []
+        for _ in range(rng.randint(1, 4)):
+            lm = (rng.randint(0, 3), rng.randint(0, 3))
+            rest = kernel_dict(rng.randint(0, 5), 4)
+            divisors.append((lm, {m: c for m, c in rest.items() if order_key(m) < order_key(lm)}))
+            divisor_cofs.append([kernel_dict(2, 2) for _ in range(2)])
+        p = kernel_dict(rng.randint(0, 9), 7)
+        cofs = [kernel_dict(2, 2) for _ in range(2)]
+        want = _heap_divide(p, divisors, mod, cofs, divisor_cofs)
+        assert groebner._divide(p, divisors, mod, cofs, divisor_cofs) == want, (p, divisors)
+
+
+# Ring axioms for the arithmetic on kernel numbers, at pairs where i + j
+# is odd ((4, 3), (8, 3)) and even ((7, 3))
+_AXIOM_RINGS = [
+    structure_basis(i, j, field) for field in (QQ, GF(2), GF(3)) for i, j in ((4, 3), (7, 3), (8, 3))
+]
+
+
+@st.composite
+def _ring_values(draw):
+    """A ring, three of its elements and a scalar: an int, 1/2 or an FpElem."""
+    ring = draw(st.sampled_from(_AXIOM_RINGS))
+    field = ring.field
+    monomials = st.tuples(st.integers(0, 5), st.integers(0, 5))
+
+    def element():
+        terms = draw(st.dictionaries(monomials, st.integers(-6, 6), max_size=6))
+        return ring.of(BiPoly({m: field.of(c) for m, c in terms.items()}, field))
+
+    scalars = [st.integers(-7, 7)]
+    if field.char != 2:
+        scalars.append(st.just(Fraction(1, 2)))
+    if field.char:
+        scalars.append(st.integers(0, field.char - 1).map(field.of))
+    return ring, element(), element(), element(), draw(st.one_of(scalars))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_values())
+def test_quotient_arithmetic_ring_axioms(values):
+    ring, a, b, c, k = values
+    equal = [
+        ((a * b) * c, a * (b * c)),
+        ((a + b) + c, a + (b + c)),
+        (a * (b + c), a * b + a * c),
+        ((a + b) * c, a * c + b * c),
+        (a - a, ring.zero),
+        (-(-a), a),
+        (a - b, a + (-b)),
+        (a.scale(k), ring.of(k) * a),
+        (a.scale(k), a * k),
+        (a.scale(k), ring.multiply(ring.of(k), a)),
+    ]
+    for x, y in equal:
+        assert x == y, (x, y)
+        assert hash(x) == hash(y)
+        _assert_kernel_numbers(x)
+        _assert_kernel_numbers(y)
+    _assert_kernel_numbers(-a)
+    assert (-a).bipoly() == -a.bipoly()
+    assert a.scale(k).bipoly() == a.bipoly().scale(ring.field.of(k))
 
 
 def test_quotient_ring_arithmetic():
