@@ -621,14 +621,14 @@ def certify_normal_forms(rs: RewriteSystem) -> bool:
     rules = ((y * y, NCPoly.zero(field)), (y * x, rs.yx_rhs), (NCPoly.x(field, N), xrhs))
     if any(model.image(lhs) != model.image(rhs) for lhs, rhs in rules):
         return False
-    images = [model.word_matrix(w).entries() for w in rs.basis]
+    # entries as BiPolys: field elements for _rref, not the ring's kernel numbers
+    images = [[e.bipoly() for e in model.word_matrix(w).entries()] for w in rs.basis]
     monos = model.ring.quotient_basis()
-    zero = field.zero
     # one equation per coordinate, one unknown per spanning word
-    rows = [[m[k].terms.get(mono, zero) for m in images] for k in range(4) for mono in monos]
+    rows = [[m[k].coeff(mono) for m in images] for k in range(4) for mono in monos]
     if len(rows) < len(images):
         return False
-    _, nullspace = _rref(rows, [zero] * len(rows), field)
+    _, nullspace = _rref(rows, [field.zero] * len(rows), field)
     return not nullspace
 
 

@@ -621,12 +621,19 @@ class QuotientElem(SparsePoly):
     division; any other product is formed and reduced on kernel numbers by
     ``GroebnerBasis.multiply``.  ``bipoly`` (behind ``text``) is the
     element as a ``BiPoly`` over the field.
+
+    ``QuotientElem(terms, ring)`` takes any coefficients the ring's scalars
+    take and any monomials: it reduces them mod p and divides by the basis,
+    like ``ring._element``.  Only ``_clean=False`` trusts terms to be a
+    normal form on kernel numbers already.
     """
 
     __slots__ = ("ring",)
 
     def __init__(self, terms: dict, ring: GroebnerBasis, _clean=True):
-        super().__init__(terms, ring.field, _clean)
+        if _clean:
+            terms = ring._element({m: ring._number(c) for m, c in terms.items()}).terms
+        super().__init__(terms, ring.field, False)
         self.ring = ring
 
     @property

@@ -12,24 +12,27 @@ matrices satisfying x^i y + y x^j = 1, y^2 = 0.
 * ``oracle_roots_fp2``: decides via the root analysis of x^2 - ax + b over
   F_p and its quadratic extension.  The scan is plain int arithmetic:
   F_{p^2} elements are int pairs, square roots come from a per-call table of
-  smallest roots.  A witness is then rebuilt as ``Mat2`` over GF(p): x from
-  the root data, and y = E12 / (x^i)_21 by ``_e12_witness``.
+  smallest roots, and x is built from the root data.
 * ``construct_witness_Q``: builds verified rational witnesses for members
-  over Q, x from the semantic root data and y again by ``_e12_witness``.
+  over Q; x, from the semantic root data, is an integer matrix.
 
-Every returned witness re-verifies the defining relations, with the exact
-exponents and powers taken by ``mat_pow`` (the Cayley-Hamilton ladder of
-``mat2``), before the report is built.
+All three find x as an int 4-tuple, and ``_e12_scale`` checks it on ints,
+mod p or over Z, with the exact exponents: it returns the c with
+x^i E12 + E12 x^j = c*I, and the witness is (x, E12/c).  Only then are x
+and y built as ``Mat2`` over GF(p) or Q, once, for the ``WitnessReport``;
+``Mat2`` is the report form, not the arithmetic.  ``verify_pair`` is the
+independent ``Mat2`` check of a reported pair.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .errors import Inconsistency, UnsupportedParameters
 from .fields import GF, QQ, is_prime, smallest_nonresidue
-from .mat2 import Mat2, mat_pow
+from .mat2 import Mat2
 from .membership import _require_ij, decide_Q, decide_Q_semantic
 
 ENUM_FP = "ENUM_FP"
@@ -37,7 +40,8 @@ ROOT_FP2 = "ROOT_FP2"
 CONSTRUCT_Q = "CONSTRUCT_Q"
 
 # the enumeration scans p^4 matrices: from this many on (p >= 256) a scan
-# could not finish, and for a huge p merely setting it up exhausts memory
+# could not finish, and for a huge p merely setting it up exhausts memory.
+# The roots scan covers p^2 quadratics and is held to the same limit.
 ENUM_SPACE_LIMIT = 2**32
 
 
@@ -80,25 +84,16 @@ class WitnessReport:
 def verify_pair(x: Mat2, y: Mat2, i: int, j: int) -> bool:
     """Exact check of the defining relations.
 
-    Both powers are computed exactly by mat_pow: no folding of exponents by
-    a period of x and no closed forms for the powers.
+    Both powers are computed exactly by ``Mat2``'s ``**``: no folding of
+    exponents by a period of x and no closed forms for the powers.  The
+    oracles check their witnesses on ints (``_e12_scale``); this is the
+    second route, on the reported matrices.
     """
     ident = Mat2.identity(x.ring)
-    return (y * y).is_zero() and mat_pow(x, i) * y + y * mat_pow(x, j) == ident
+    return (y * y).is_zero() and x**i * y + y * x**j == ident
 
 
-def _report(found, method, i, j, p=None, x=None, y=None, **details) -> WitnessReport:
-    rep = WitnessReport(found, method, i, j, p=p, x=x, y=y, details=details)
-    if found:
-        if not verify_pair(x, y, i, j):
-            raise Inconsistency(
-                f"{method} produced a non-witness for (i, j) = ({i}, {j})"
-            )
-        rep.verified = True
-    return rep
-
-
-# 2x2 matrices over F_p as flat tuples (a, b, c, d), row-major
+# 2x2 matrices over F_p (or Z) as flat tuples (a, b, c, d), row-major
 
 
 def _mul4(u, v, p):
@@ -107,19 +102,67 @@ def _mul4(u, v, p):
     return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
 
 
+def _mulz(u, v):
+    """u * v over Z; ``_mul4`` stays free of a branch for this case."""
+    a, b, c, d = u
+    e, f, g, h = v
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 def _pow4(u, e, p):
-    result = (1 % p, 0, 0, 1 % p)
+    """u^e by square-and-multiply: mod p, or over Z when p = 0."""
+    result = (1, 0, 0, 1)
     while e:
         if e & 1:
-            result = _mul4(result, u, p)
-        u = _mul4(u, u, p)
+            result = _mul4(result, u, p) if p else _mulz(result, u)
+        u = _mul4(u, u, p) if p else _mulz(u, u)
         e >>= 1
     return result
 
 
-def _tuple_to_mat(t, p) -> Mat2:
-    ring = GF(p)
-    return Mat2.of_rows(ring, ((t[0], t[1]), (t[2], t[3])))
+def _e12_scale(x, i: int, j: int, mod: int) -> int:
+    """The c != 0 with x^i E12 + E12 x^j = c*I, checked exactly on ints.
+
+    x is a 2x2 int matrix as a 4-tuple, taken mod the prime ``mod``, or
+    over Z when ``mod`` = 0.  The relation reads (x^i)_21 = (x^j)_21 = c
+    and (x^i)_11 + (x^j)_22 = 0, so when this returns, (x, E12/c) is a
+    witness: E12/c squares to zero and x^i y + y x^j = 1.  Both powers are
+    taken with their exact exponents; no period of x is folded.  For a
+    companion matrix [[0, -b], [1, a]], Cayley-Hamilton gives
+    (x^n)_21 = f_n with f_0 = 0, f_1 = 1, f_(n+1) = a*f_n - b*f_(n-1), and
+    the root conditions of the oracles make f_i = f_j != 0.  Raises
+    Inconsistency when c = 0 or the relation fails.
+    """
+    xi = _pow4(x, i, mod)
+    xj = xi if i == j else _pow4(x, j, mod)
+    c = xi[2]
+    trace = xi[0] + xj[3]
+    if mod:
+        trace %= mod
+    if not c or xj[2] != c or trace:
+        where = f"mod {mod}" if mod else "over Z"
+        raise Inconsistency(
+            f"x = {x} {where} pairs with no multiple of E12 at (i, j) = ({i}, {j})"
+        )
+    return c
+
+
+def _report(method, i, j, p=None, x=None, **details) -> WitnessReport:
+    """The verdict: not found, or the int witness x checked, then built as Mat2.
+
+    x is an int 4-tuple over F_p when p is given, else over Z (a witness
+    over Q); ``_e12_scale`` checks it before anything is built.
+    """
+    if x is None:
+        return WitnessReport(False, method, i, j, p=p, details=details)
+    c = _e12_scale(x, i, j, p or 0)
+    ring, inv = (GF(p), pow(c, -1, p)) if p else (QQ, Fraction(1, c))
+    return WitnessReport(
+        True, method, i, j, p=p,
+        x=Mat2.of_rows(ring, (x[:2], x[2:])),
+        y=Mat2(ring, ring.zero, ring.of(inv), ring.zero, ring.zero),
+        verified=True, details=details,
+    )
 
 
 def enum_sweep_fp(p: int, pairs) -> dict:
@@ -127,8 +170,8 @@ def enum_sweep_fp(p: int, pairs) -> dict:
 
     Returns {(i, j): x-tuple or None}: the first x in scan order with
     x^i E12 + E12 x^j = I, or None if the full space is exhausted.  The
-    relation test reads the cached power rows; witnesses are re-verified
-    with exact exponents before being reported by the single-pair API.
+    relation test reads the cached power rows; the single-pair API checks
+    its witness again with exact exponents before reporting it.
     A p with p^4 >= ENUM_SPACE_LIMIT is refused before anything is built.
     """
     if not is_prime(p):
@@ -200,11 +243,8 @@ def oracle_enum_fp(p: int, i: int, j: int, full: bool = False) -> WitnessReport:
                 f"restricting y to E12 changed the verdict at p={p}, (i,j)=({i},{j})"
             )
         details["full_agrees"] = True
-    if hit is None:
-        return _report(False, ENUM_FP, i, j, p=p, **details)
-    return _report(
-        True, ENUM_FP, i, j, p=p, x=_tuple_to_mat(hit, p), y=Mat2.e12(GF(p)), **details
-    )
+    # a hit has (x^i)_21 = 1, so y = E12
+    return _report(ENUM_FP, i, j, p=p, x=hit, **details)
 
 
 def square_zero_conjugation_check(p: int) -> bool:
@@ -230,26 +270,6 @@ def square_zero_conjugation_check(p: int) -> bool:
         if not ok:
             return False
     return True
-
-
-def _e12_witness(x: Mat2, i: int, j: int) -> tuple[Mat2, Mat2]:
-    """The pair (x, y) with y = E12 / (x^i)_21, or Inconsistency if that is 0.
-
-    For y = c*E12 the relation x^i y + y x^j = 1 reads c*(x^i)_21 = 1,
-    c*(x^j)_21 = 1 and (x^i)_11 + (x^j)_22 = 0, so once x is chosen c is
-    forced; ``_report`` then checks the whole relation with exact exponents.
-    For a companion matrix [[0, -b], [1, a]], Cayley-Hamilton gives
-    (x^n)_21 = f_n with f_0 = 0, f_1 = 1, f_(n+1) = a*f_n - b*f_(n-1), and
-    the root conditions of the oracles make f_i = f_j != 0.
-    """
-    ring = x.ring
-    entry = mat_pow(x, i).c
-    if not entry:
-        raise Inconsistency(
-            f"(x^{i})_21 = 0, so no multiple of E12 pairs with x = {x} "
-            f"at (i, j) = ({i}, {j})"
-        )
-    return x, Mat2(ring, ring.zero, ring.one / entry, ring.zero, ring.zero)
 
 
 # F_{p^2} = F_p(w) with w^2 = u as int pairs (a, b) = a + b*w
@@ -285,19 +305,24 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     runs on plain ints: F_{p^2} elements are pairs a + b*w with w^2 = u the
     smallest nonresidue, and square roots come from a table holding the
     smallest root of each square.  On success x is the companion matrix
-    [[0, -b], [1, a]], or [[r, 0], [1, r]] for a double root r, as ``Mat2``
-    over GF(p); y = E12 / (x^i)_21, and the pair is verified with exact
-    exponents.
+    [[0, -b], [1, a]], or [[r, 0], [1, r]] for a double root r, and
+    y = E12 / (x^i)_21; the pair is checked on ints mod p with exact
+    exponents, and built as ``Mat2`` over GF(p) only for the report.  A p
+    with p^2 >= ENUM_SPACE_LIMIT is refused before anything is built.
     """
     if not is_prime(p) or p == 2:
         raise UnsupportedParameters("p must be an odd prime")
+    if p * p >= ENUM_SPACE_LIMIT:
+        raise UnsupportedParameters(f"p = {p} is too large for the roots scan: p^2 >= 2^32")
     _require_ij(i, j)
-    fp = GF(p)
     u = smallest_nonresidue(p)
     u_inv = pow(u, -1, p)
     inv2 = pow(2, -1, p)
     diff = abs(j - i)
     sqrt_table = _sqrt_table(p)
+    # rs = b for a separable quadratic, so (rs)^(j-i) = 1 tests b alone, and
+    # rejects both orientations at once: b^i for each b that passes
+    b_pow_i = {b: pow(b, i, p) for b in range(1, p) if pow(b, diff, p) == 1}
     for a in range(p):
         for b in range(p):
             disc = (a * a - 4 * b) % p
@@ -308,14 +333,13 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
                         continue
                 elif not r or (i + j) % p or i % p == 0 or pow(r, diff, p) != p - 1:
                     continue
-                x, y = _e12_witness(Mat2.of_rows(fp, ((r, 0), (1, r))), i, j)
                 return _report(
-                    True, ROOT_FP2, i, j, p=p, x=x, y=y,
+                    ROOT_FP2, i, j, p=p, x=(r, 0, 1, r),
                     quadratic=(a, b), branch="double-root",
                 )
-            # separable quadratic; skip a zero root.  rs = b, so the
-            # (rs)^(j-i) test rejects both orientations at once.
-            if b == 0 or pow(b, diff, p) != 1:
+            # separable quadratic; b = 0 (a zero root) is never in b_pow_i
+            b_i = b_pow_i.get(b)
+            if b_i is None:
                 continue
             root = sqrt_table.get(disc)
             if root is not None:
@@ -325,19 +349,17 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
                 c = sqrt_table[disc * u_inv % p] * inv2 % p
                 r0 = (a * inv2 % p, c)
                 s0 = (r0[0], -c % p)
-            b_i = pow(b, i, p)
             for r in (r0, s0):
                 if _pow2(r, diff, p, u) == (p - 1, 0):
                     continue
                 ra, rb = _pow2(r, i + j, p, u)
                 if rb or (ra + b_i) % p:
                     continue
-                x, y = _e12_witness(Mat2.of_rows(fp, ((0, -b), (1, a))), i, j)
                 return _report(
-                    True, ROOT_FP2, i, j, p=p, x=x, y=y,
+                    ROOT_FP2, i, j, p=p, x=(0, -b % p, 1, a),
                     quadratic=(a, b), branch="separable",
                 )
-    return _report(False, ROOT_FP2, i, j, p=p)
+    return _report(ROOT_FP2, i, j, p=p)
 
 
 def construct_witness_Q(i: int, j: int) -> WitnessReport:
@@ -346,16 +368,17 @@ def construct_witness_Q(i: int, j: int) -> WitnessReport:
     Non-members return not-found without searching (exhaustive search over
     Q is impossible; the classification is the certificate).  Members get
     a verified pair: x is the odd-odd involution, or a companion matrix
-    built from the semantic procedure's root, and y = E12 / (x^i)_21.
+    built from the semantic procedure's integer root, and y = E12 / (x^i)_21.
+    Every such x is an integer matrix, so the pair is checked exactly on
+    ints over Z, and built as ``Mat2`` over Q only for the report.
     Failure to build one when membership is asserted raises Inconsistency -
     the oracle is the referee, never silent.
     """
     _require_ij(i, j)
     if not decide_Q(i, j).verdict:
-        return _report(False, CONSTRUCT_Q, i, j)
+        return _report(CONSTRUCT_Q, i, j)
     if i % 2 == 1 and j % 2 == 1:
-        x = Mat2.of_rows(QQ, ((0, 1), (1, 0)))
-        branch = "odd-odd"
+        x, branch = (0, 1, 1, 0), "odd-odd"
     else:
         semantic = decide_Q_semantic(i, j)
         if not semantic.verdict:
@@ -363,12 +386,8 @@ def construct_witness_Q(i: int, j: int) -> WitnessReport:
                 f"congruence and semantic routes disagree at ({i}, {j})"
             )
         if i == j:
-            rs_val = QQ.of(semantic.aux["root"] + 2)  # r + s = rs = root + 2
-            x = Mat2(QQ, QQ.zero, -rs_val, QQ.one, rs_val)
-            branch = "diagonal"
+            rs = semantic.aux["root"] + 2  # r + s = rs = root + 2
+            x, branch = (0, -rs, 1, rs), "diagonal"
         else:
-            c = QQ.of(semantic.aux["root"])
-            x = Mat2(QQ, QQ.zero, -QQ.one, QQ.one, c)
-            branch = "unit-product"
-    x, y = _e12_witness(x, i, j)
-    return _report(True, CONSTRUCT_Q, i, j, x=x, y=y, branch=branch)
+            x, branch = (0, -1, 1, semantic.aux["root"]), "unit-product"
+    return _report(CONSTRUCT_Q, i, j, x=x, branch=branch)

@@ -117,6 +117,23 @@ def test_dense_quotient_output_bytes(capsys):
     assert hashlib.sha256("".join(out).encode()).hexdigest() == DENSE_L_SHA256
 
 
+# sha256 of the stdout of `table ... --oracle` over Q and over F_7: the rows
+# carry the agreement of each verdict with its checked witness (Q) or sweep
+ORACLE_TABLE_SHA256 = {
+    ("--field", "q", "--max", "60"): "e43ad552d831ff12ef6340e04ae423e7feda6e224ed78046f832f0378725a5b7",
+    ("--field", "fp", "--p", "7", "--max", "24"): (
+        "2982028035410b9fcb8e4584246c357ed27eec2563c6a4debd51f3776dda7b65"
+    ),
+}
+
+
+@pytest.mark.parametrize("table_args", sorted(ORACLE_TABLE_SHA256))
+def test_oracle_table_output_bytes(capsys, table_args):
+    code, out, err = run_cli(["table", *table_args, "--oracle", "--threads", "1"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_TABLE_SHA256[table_args]
+
+
 def test_decide_golden(capsys):
     code, record, _ = run_json(["decide", "4", "3", "--field", "q"], capsys)
     assert code == 0

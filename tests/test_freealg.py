@@ -475,3 +475,17 @@ def test_word_matrix_multiply_count(monkeypatch, k):
     assert len(calls) <= k + 4
     monkeypatch.undo()
     assert image == _plain_product(model.pair, word)
+
+
+def test_certify_normal_forms_rank_matrix_holds_field_elements(monkeypatch):
+    seen = []
+    real = freealg._rref
+
+    def spy(rows, rhs, field):
+        seen.append(rows)
+        return real(rows, rhs, field)
+
+    monkeypatch.setattr(freealg, "_rref", spy)
+    assert certify_normal_forms(build_rewrite_system(4, 3, GF(3)))
+    (rows,) = seen
+    assert rows and all(type(v) is FpElem and v.p == 3 for row in rows for v in row)

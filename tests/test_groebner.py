@@ -722,3 +722,14 @@ def test_quotient_products_build_no_bipoly_product(monkeypatch):
     monkeypatch.undo()
     assert image == model.image(word)
     assert not image.is_zero()
+
+
+def test_quotient_elem_constructor_reduces():
+    L = structure_basis(4, 3, GF(3))
+    three = QuotientElem({(0, 0): 3}, L)
+    assert not three and three == L.zero
+    # s = -1 in L at (4, 3), so s^5 = -1
+    assert QuotientElem({(5, 0): 1}, L) == L.of(-1)
+    assert QuotientElem({(5, 0): FpElem(1, 3), (0, 0): 1}, L) == L.zero
+    LQ = structure_basis(4, 3, QQ)
+    assert QuotientElem({(5, 0): 2, (0, 1): Fraction(1, 2)}, LQ) == LQ.of(-2) + LQ.t() * Fraction(1, 2)

@@ -1,15 +1,17 @@
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from m2alg import fields, mat2, oracle
-from m2alg.errors import UnsupportedParameters
+from m2alg.errors import Inconsistency, UnsupportedParameters
 from m2alg.fields import GF, GF2, QQ
 from m2alg.mat2 import Mat2, mat_pow, solve_sylvester
 from m2alg.membership import decide_Q, decide_Z2, decide_Zp
 from m2alg.oracle import (
+    _e12_scale,
     _sqrt_table,
     construct_witness_Q,
     enum_sweep_fp,
@@ -109,6 +111,20 @@ def test_roots_oracle_rejects():
         oracle_roots_fp2(2, 1, 1)
     with pytest.raises(UnsupportedParameters):
         oracle_roots_fp2(6, 1, 1)
+
+
+def test_roots_oracle_refuses_a_prime_too_large_to_scan(monkeypatch):
+    def refuse(p):
+        raise AssertionError("built a square-root table")
+
+    monkeypatch.setattr(oracle, "_sqrt_table", refuse)
+    # p^2 >= 2^32: refused before anything is built
+    for p in (65537, 10**9 + 7):
+        with pytest.raises(UnsupportedParameters, match="too large"):
+            oracle_roots_fp2(p, 2, 1)
+    # the largest prime below 2^16 passes the size test and starts building
+    with pytest.raises(AssertionError, match="square-root table"):
+        oracle_roots_fp2(65521, 2, 1)
 
 
 def _fp_sqrt(fp, c):
@@ -332,3 +348,136 @@ def test_zp_agreement_spot():
         table = enum_sweep_fp(p, pairs)
         for i, j in pairs:
             assert decide_Zp(p, i, j).verdict == (table[(i, j)] is not None), (p, i, j)
+
+
+def _all_witness_reports():
+    """Every report of the three oracles on small grids."""
+    for p in (3, 5, 7):
+        for i in range(1, 13):
+            for j in range(1, 13):
+                yield oracle_roots_fp2(p, i, j)
+    for p in (3, 5):
+        for i in range(1, 9):
+            for j in range(1, 9):
+                yield oracle_enum_fp(p, i, j)
+    for i in range(1, 31):
+        for j in range(1, 31):
+            yield construct_witness_Q(i, j)
+
+
+def test_every_oracle_witness_passes_the_mat2_route():
+    counts = {}
+    for rep in _all_witness_reports():
+        if not rep.found:
+            continue
+        assert rep.verified
+        assert verify_pair(rep.x, rep.y, rep.i, rep.j), (rep.method, rep.p, rep.i, rep.j)
+        counts[rep.method] = counts.get(rep.method, 0) + 1
+    assert set(counts) == {oracle.ROOT_FP2, oracle.ENUM_FP, oracle.CONSTRUCT_Q}
+
+
+def _mat2_scale(x, i, j, ring):
+    """The Mat2 route to _e12_scale: c = (x^i)_21 if (x, E12/c) is a witness, else None.
+
+    x^i E12 + E12 x^j = I forces the scale of E12, so c is the only candidate.
+    """
+    m = Mat2.of_rows(ring, (x[:2], x[2:]))
+    c = mat_pow(m, i).c
+    if not c or not verify_pair(m, Mat2.e12(ring).scale(1 / c), i, j):
+        return None
+    return c
+
+
+def _checked_scale(x, i, j, mod):
+    try:
+        return _e12_scale(x, i, j, mod)
+    except Inconsistency:
+        return None
+
+
+@pytest.mark.parametrize("i,j", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 5), (4, 2)])
+def test_e12_scale_matches_mat2_route_on_all_of_f3(i, j):
+    hits = 0
+    for x in itertools.product(range(3), repeat=4):
+        c = _checked_scale(x, i, j, 3)
+        ref = _mat2_scale(x, i, j, GF(3))
+        assert (c is None) == (ref is None), (x, i, j)
+        if c is not None:
+            hits += 1
+            assert GF(3).of(c) == ref, (x, i, j)
+    assert bool(hits) == decide_Zp(3, i, j).verdict
+
+
+def _witness_cases():
+    """(x, mod, i, j, ring) for an F_7 separable witness, an F_5 double root and Z."""
+    sep = next(
+        r for i in range(1, 13) for j in range(1, 13) if i != j
+        for r in [oracle_roots_fp2(7, i, j)] if r.details.get("branch") == "separable"
+    )
+    dbl = next(
+        r for i in range(1, 13) for j in range(1, 13) if i != j
+        for r in [oracle_roots_fp2(5, i, j)] if r.details.get("branch") == "double-root"
+    )
+    q = construct_witness_Q(1, 2)
+    for rep, mod in ((sep, 7), (dbl, 5), (q, 0)):
+        x = tuple(int(str(v)) for v in rep.x.entries())
+        yield x, mod, rep.i, rep.j, GF(mod) if mod else QQ
+
+
+def test_e12_scale_rejects_a_perturbed_x():
+    for x, mod, i, j, ring in _witness_cases():
+        assert ring.of(_e12_scale(x, i, j, mod)) == _mat2_scale(x, i, j, ring)
+        rejected = 0
+        for k in range(4):
+            bent = list(x)
+            bent[k] = (bent[k] + 1) % mod if mod else bent[k] + 1
+            bent = tuple(bent)
+            c = _checked_scale(bent, i, j, mod)
+            assert (c is None) == (_mat2_scale(bent, i, j, ring) is None), (bent, mod, i, j)
+            rejected += c is None
+        assert rejected, (x, mod, i, j)
+    with pytest.raises(Inconsistency):
+        _e12_scale((1, 0, 0, 1), 2, 3, 0)  # c = (x^i)_21 = 0
+
+
+def test_e12_scale_rejects_a_wrong_c(monkeypatch):
+    real = oracle._pow4
+    for x, mod, i, j, _ in _witness_cases():
+        assert i != j
+        # the entries the relation reads: (x^i)_11, (x^i)_21 = c, (x^j)_21, (x^j)_22
+        for e, k in ((i, 0), (i, 2), (j, 2), (j, 3)):
+            def bent(u, n, p, e=e, k=k):
+                out = list(real(u, n, p))
+                if n == e:
+                    out[k] = (out[k] + 1) % p if p else out[k] + 1
+                return tuple(out)
+
+            monkeypatch.setattr(oracle, "_pow4", bent)
+            with pytest.raises(Inconsistency):
+                _e12_scale(x, i, j, mod)
+        monkeypatch.setattr(oracle, "_pow4", real)
+        assert _e12_scale(x, i, j, mod)
+
+
+def test_oracle_scan_and_check_run_on_ints(monkeypatch):
+    """No FpElem or Fraction + or * while the oracles scan and check."""
+    def refuse(*args):
+        raise AssertionError("field arithmetic in an oracle")
+
+    # the classifications that construct_witness_Q consults, settled first
+    q_pairs = [(i, j) for i in range(1, 31) for j in range(1, 31)]
+    congruence = {ij: decide_Q(*ij) for ij in q_pairs}
+    semantic = {ij: oracle.decide_Q_semantic(*ij) for ij in q_pairs}
+    monkeypatch.setattr(oracle, "decide_Q", lambda i, j: congruence[i, j])
+    monkeypatch.setattr(oracle, "decide_Q_semantic", lambda i, j: semantic[i, j])
+    for cls in (fields.FpElem, Fraction):
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(cls, name, refuse)
+    reports = [oracle_roots_fp2(p, i, j) for p in (3, 5, 7) for i in range(1, 9) for j in range(1, 9)]
+    reports += [oracle_enum_fp(3, i, j) for i in range(1, 7) for j in range(1, 7)]
+    reports += [construct_witness_Q(i, j) for i, j in q_pairs]
+    monkeypatch.undo()
+    assert all(r.verified for r in reports if r.found)
+    assert {r.method for r in reports if r.found} == {
+        oracle.ROOT_FP2, oracle.ENUM_FP, oracle.CONSTRUCT_Q
+    }
