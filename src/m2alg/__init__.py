@@ -52,5 +52,5 @@ from .oracle import (
     oracle_enum_fp,
     oracle_roots_fp2,
 )
-from .poly import BiPoly, UniPoly, parse_bipoly, parse_unipoly, uni_gcd
+from .poly import BiPoly, UniPoly, parse_bipoly, parse_unipoly
 from .sequences import companion_power, f_st, fbar, trace_poly

@@ -267,6 +267,8 @@ def _selftest_checks(cfg: SelftestConfig):
                     gb = structure_basis(i, j, fld)
                     if gb.is_trivial() or gb != buchberger(build_ideal_I(i, j, fld)):
                         return False
+                    if i > j and 2 * gb.dimension() != (i + j - 1) * (i - j):
+                        return False
                     witness_XY(i, j, fld, gb=gb)
         return True
 

@@ -1,4 +1,4 @@
-"""Buchberger engine for ideals of A[s, t] over Q or GF(p), lex order t > s.
+"""Groebner bases of ideals of A[s, t] over Q or GF(p), lex order t > s.
 
 Purpose-built for the structure ideal
 
@@ -7,11 +7,11 @@ Purpose-built for the structure ideal
 defined for coprime i >= j (with the degenerate single generator (t) at
 i = j = 1), whose quotient carries the whole algebra via 2x2 matrices.
 ``build_ideal_I`` returns these generators, which ``structure`` prints;
-``structure_basis`` starts Buchberger instead from two generators of
-half their t-degree, read off the closed form of the powers of
-[[t, s], [1, 0]] (see its docstring), built on ints from ``math.comb``.
-The reduced basis is unique, so both starts give the same basis.
-The engine itself is standard: S-polynomials, multivariate division,
+``structure_basis`` writes their reduced basis down in closed form from
+two generators of half their t-degree, read off the closed form of the
+powers of [[t, s], [1, 0]] (see its docstring), built on ints from
+``math.comb``, and certifies it (``_certify``).  ``buchberger`` is the
+general engine and its referee: S-polynomials, multivariate division,
 Gebauer and Moeller's pair update (the coprime and chain criteria applied
 once, as each element is added, with elements whose leading monomial a
 newer one divides retired from division), full inter-reduction and
@@ -25,22 +25,23 @@ leading coefficient other than +-1 has to be divided out or a
 ``Fraction`` scalar comes in.  The structure ideals meet only leading
 coefficients +-1 (the tests check every coprime pair with i <= 21), so
 their bases are integral and monic and their division never leaves Z.
-``_divide`` is the one division routine, behind Buchberger, normal forms
-and every product in L.  It needs no heap: it sweeps the pending terms
-t-level by t-level from the top, and within a level by s-exponent from
-the top, which is descending lex order, because every term a division
-step adds is lex-smaller than the term it removes.  A reduced basis
-lists its divisors ascending by leading monomial, so in a structure ring
-s^d - sigma comes first and folding s^d = sigma is a one-term step.
+``_divide`` is the one division routine, behind Buchberger, ``_certify``,
+normal forms and every product in L.  It needs no heap: it sweeps the
+pending terms t-level by t-level from the top, and within a level by
+s-exponent from the top, which is descending lex order, because every
+term a division step adds is lex-smaller than the term it removes.  A
+reduced basis lists its divisors ascending by leading monomial, so in a
+structure ring s^d - sigma comes first and folding s^d = sigma is a
+one-term step.
 
 A ``GroebnerBasis`` is also the ring L = A[s,t]/I it presents, and a
 ``QuotientElem`` (a ``SparsePoly`` that knows its basis) is a normal form
 in it, held on kernel numbers as well: its sums, negations, scalings and
 products never leave them.  Coefficients are converted to and from field
-elements only at the ``BiPoly`` boundary: ``buchberger``,
-``buchberger_with_certificate`` and ``structure_basis`` (the basis
-polynomials), ``GroebnerBasis.normal_form``, ``GroebnerBasis.of`` of a
-``BiPoly``, and ``QuotientElem.bipoly``, which ``text`` prints.
+elements only at the ``BiPoly`` boundary: ``buchberger`` and
+``structure_basis`` (the basis polynomials), ``GroebnerBasis.normal_form``,
+``GroebnerBasis.of`` of a ``BiPoly``, and ``QuotientElem.bipoly``, which
+``text`` prints.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedParameters
+from .errors import Inconsistency, UnsupportedParameters
 from .fields import QQ, FpElem, PrimeField, RationalField
 from .poly import BiPoly, SparsePoly, mono_divides, order_key
 from .sequences import f_coeffs, f_st
@@ -157,16 +158,28 @@ def _scale(f: dict, c, mod: int) -> dict:
     return out
 
 
-def _divide(p: dict, divisors, mod: int, cofs=(), divisor_cofs=()):
+def _divisor(g: dict) -> tuple:
+    """The nonzero kernel dict g as a divisor: (leading monomial, the rest)."""
+    lm = max(g, key=order_key)
+    return lm, {m: c for m, c in g.items() if m != lm}
+
+
+def _spoly(a: tuple, b: tuple, mod: int) -> dict:
+    """The S-polynomial of the monic divisors a and b; their leading terms cancel."""
+    ((as_, at), tail_a), ((bs, bt), tail_b) = a, b
+    ls, lt = max(as_, bs), max(at, bt)
+    spoly = {}
+    _sub_shifted(spoly, tail_a, -1, ls - as_, lt - at, mod)
+    _sub_shifted(spoly, tail_b, 1, ls - bs, lt - bt, mod)
+    return spoly
+
+
+def _divide(p: dict, divisors, mod: int) -> dict:
     """Remainder of the kernel dict p on division by monic divisors.
 
     Over GF(p) the coefficients of p are reduced mod p here; zero
-    coefficients are skipped.
-
-    divisors[k] is (leading monomial, the rest of the polynomial), both in
-    kernel form.  Returns (remainder, cofactors).  When p carries cofactors
-    cofs over some fixed generators and divisors[k] carries divisor_cofs[k],
-    the returned cofactors express the remainder over the same generators.
+    coefficients are skipped.  divisors[k] is (leading monomial, the rest
+    of the polynomial), both in kernel form.
 
     The pending terms are swept in descending lex order (t > s): t-level
     by t-level from the top, and within a level by s-exponent from the
@@ -185,8 +198,7 @@ def _divide(p: dict, divisors, mod: int, cofs=(), divisor_cofs=()):
                 rows[et] = {es: c}
             else:
                 row[es] = c
-    cofs = [dict(c) for c in cofs]
-    divs = [(gs, gt, tail, k) for k, ((gs, gt), tail) in enumerate(divisors)]
+    divs = [(gs, gt, tail) for (gs, gt), tail in divisors]
     remainder = {}
     lt = -1
     while rows:
@@ -201,7 +213,7 @@ def _divide(p: dict, divisors, mod: int, cofs=(), divisor_cofs=()):
             if not lc:
                 ls = max(row)
                 lc = row.pop(ls)
-            for gs, gt, tail, k in divs:
+            for gs, gt, tail in divs:
                 if gs <= ls and gt <= lt:
                     ds, dt = ls - gs, lt - gt
                     # the monic leading term cancels lc exactly
@@ -226,39 +238,32 @@ def _divide(p: dict, divisors, mod: int, cofs=(), divisor_cofs=()):
                             level[es] = v
                         else:
                             del level[es]
-                    if cofs:
-                        for cof, h in zip(cofs, divisor_cofs[k]):
-                            _sub_shifted(cof, h, lc, ds, dt, mod)
                     break
             else:
                 remainder[ls, lt] = lc
             ls -= 1
         lt -= 1
-    return remainder, cofs
+    return remainder
 
 
-def _buchberger(gens, mod: int, cofs=()):
+def _buchberger(gens, mod: int) -> list:
     """Reduced Groebner basis of the kernel dicts gens, ascending by LM.
 
-    Zero generators are skipped.  cofs is empty, or cofs[k] lists the
-    cofactors of gens[k] over some fixed generators; returns (basis,
-    cofactors of each basis element), the cofactor lists being empty when
-    cofs is.
-
-    Pairs are pruned once, as each element h is added, by Gebauer and
-    Moeller's update (J. Symbolic Comput. 6, 1988): criterion B drops an
-    old pair whose lcm LM(h) divides unless h shares that lcm with one of
-    its elements; of the new pairs, one with the lowest partner is kept
-    per minimal lcm, and a whole lcm class is dropped if a pair in it has
-    coprime leading monomials; an element whose LM is divisible by LM(h)
-    is retired, and S-polynomials are divided by the active elements only.
+    Zero generators are skipped.  Pairs are pruned once, as each element
+    h is added, by Gebauer and Moeller's update (J. Symbolic Comput. 6,
+    1988): criterion B drops an old pair whose lcm LM(h) divides unless h
+    shares that lcm with one of its elements; of the new pairs, one with
+    the lowest partner is kept per minimal lcm, and a whole lcm class is
+    dropped if a pair in it has coprime leading monomials; an element
+    whose LM is divisible by LM(h) is retired, and S-polynomials are
+    divided by the active elements only.
     """
-    basis, basis_cofs, divisors = [], [], []
+    basis, divisors = [], []
     active = []  # indices of the elements not retired, ascending
     pairs = []  # heap of (lcm key, a, b): smallest lcm first, then indices
     live = {}  # (a, b) -> lcm for the heap entries no criterion removed
 
-    def add(f, f_cofs):
+    def add(f):
         lm = max(f, key=order_key)
         lc = f[lm]
         if lc != 1:
@@ -270,7 +275,6 @@ def _buchberger(gens, mod: int, cofs=()):
             else:
                 inv = 1 / Fraction(lc)
             f = _scale(f, inv, mod)
-            f_cofs = [_scale(c, inv, mod) for c in f_cofs]
         hs, ht = lm
         # criterion B: LM(h) divides the lcm of (a, c), and neither (a, h)
         # nor (c, h) has that same lcm
@@ -301,36 +305,18 @@ def _buchberger(gens, mod: int, cofs=()):
         active[:] = [a for a in active if not mono_divides(lm, divisors[a][0])]
         active.append(b)
         basis.append(f)
-        basis_cofs.append(f_cofs)
-        divisors.append((lm, {m: c for m, c in f.items() if m != lm}))
+        divisors.append(_divisor(f))
 
-    for g, g_cofs in zip(gens, cofs or [()] * len(gens)):
+    for g in gens:
         if g:
-            add(g, g_cofs)
+            add(g)
     while pairs:
-        lt, ls, a, b = heapq.heappop(pairs)
+        _, _, a, b = heapq.heappop(pairs)
         if live.pop((a, b), None) is None:
             continue  # removed by criterion B
-        ((as_, at), tail_a), ((bs, bt), tail_b) = divisors[a], divisors[b]
-        # x^ma * f_a - x^mb * f_b; the leading terms cancel
-        spoly = {}
-        _sub_shifted(spoly, tail_a, -1, ls - as_, lt - at, mod)
-        _sub_shifted(spoly, tail_b, 1, ls - bs, lt - bt, mod)
-        sp_cofs = []
-        for ca, cb in zip(basis_cofs[a], basis_cofs[b]):
-            c = {}
-            _sub_shifted(c, ca, -1, ls - as_, lt - at, mod)
-            _sub_shifted(c, cb, 1, ls - bs, lt - bt, mod)
-            sp_cofs.append(c)
-        r, r_cofs = _divide(
-            spoly,
-            [divisors[k] for k in active],
-            mod,
-            sp_cofs,
-            [basis_cofs[k] for k in active],
-        )
+        r = _divide(_spoly(divisors[a], divisors[b], mod), [divisors[k] for k in active], mod)
         if r:
-            add(r, r_cofs)
+            add(r)
     # minimalize: an input whose LM an earlier input's LM divides is still
     # active; no two active LMs are equal, since adding h retires an equal one
     keep = [
@@ -341,28 +327,42 @@ def _buchberger(gens, mod: int, cofs=()):
     keep.sort(key=lambda k: order_key(divisors[k][0]))
     # fully reduce each survivor against the others; its monic leading term
     # is divisible by no other LM, so it survives and stays leading
-    reduced = []
-    for k in keep:
-        others = [m for m in keep if m != k]
-        reduced.append(
-            _divide(
-                basis[k],
-                [divisors[m] for m in others],
-                mod,
-                basis_cofs[k],
-                [basis_cofs[m] for m in others],
-            )
-        )
-    return [r for r, _ in reduced], [c for _, c in reduced]
+    return [_divide(basis[k], [divisors[m] for m in keep if m != k], mod) for k in keep]
+
+
+def _certify(basis, gens, mod: int) -> None:
+    """Raise Inconsistency unless basis is a reduced Groebner basis holding gens.
+
+    basis and gens are kernel dicts, basis ascending by leading monomial.
+    Checked: each element is monic and the leading monomials ascend; no
+    monomial but an element's own leading one is divisible by a leading
+    monomial; Buchberger's criterion on each pair whose leading monomials
+    are not coprime; each of gens reduces to 0.
+    """
+    divisors = [_divisor(g) for g in basis]
+    lms = [lm for lm, _ in divisors]
+    pairs = [(a, b) for k, a in enumerate(divisors) for b in divisors[k + 1:]
+             if min(a[0][0], b[0][0]) or min(a[0][1], b[0][1])]
+    if (
+        any(g[lm] != 1 for g, lm in zip(basis, lms))
+        or any(order_key(a) >= order_key(b) for a, b in zip(lms, lms[1:]))
+        or any(mono_divides(h, m) and (m, h) != (lm, lm)
+               for g, lm in zip(basis, lms) for m in g for h in lms)
+        or any(_divide(_spoly(a, b, mod), divisors, mod) for a, b in pairs)
+        or any(_divide(g, divisors, mod) for g in gens)
+    ):
+        raise Inconsistency("the basis fails its certificate")
 
 
 class GroebnerBasis:
     """A reduced basis over Q or GF(p), and the quotient ring L it presents.
 
     ``polys`` are the basis polynomials, ascending by leading monomial
-    when Buchberger built them.  ``_divisors`` holds each one in kernel
-    form, split into its leading monomial and the rest, in the same
-    order; it is what ``normal_form`` and every product in L divide by.
+    when ``structure_basis`` wrote them down in closed form or the
+    ``buchberger`` referee computed them.  ``_divisors`` holds each one in
+    kernel form, split into its leading monomial and the rest, in the
+    same order; it is what ``normal_form`` and every product in L divide
+    by.
 
     The basis is also the ring L = A[s,t]/I: ``zero``, ``one``, ``of``,
     ``s``, ``t``, ``name`` and ``random_element`` are the protocol ``Mat2``
@@ -382,24 +382,21 @@ class GroebnerBasis:
         self._mod = mod = _modulus(field)
         if numbers is None:
             numbers = [_numbers(g, mod) for g in self.polys]
-        self._lms = tuple(max(g, key=order_key) for g in numbers)
+        self._divisors = tuple(_divisor(g) for g in numbers)
+        self._lms = tuple(lm for lm, _ in self._divisors)
         if any(g[lm] != 1 for g, lm in zip(numbers, self._lms)):
             raise ValueError("basis polynomials must be monic")
-        self._divisors = tuple(
-            (lm, {m: c for m, c in g.items() if m != lm})
-            for g, lm in zip(numbers, self._lms)
-        )
         self.zero = QuotientElem({}, self, _clean=False)
         self.one = self.of(1)
 
     def normal_form(self, p: BiPoly) -> BiPoly:
         """The unique remainder of p modulo the basis; zero iff p is in the ideal."""
         mod = self._mod
-        return _poly(_divide(_numbers(p, mod), self._divisors, mod)[0], self.field, mod)
+        return _poly(_divide(_numbers(p, mod), self._divisors, mod), self.field, mod)
 
     def _element(self, nums: dict) -> QuotientElem:
         """The element of L represented by the kernel dict nums."""
-        return QuotientElem(_divide(nums, self._divisors, self._mod)[0], self, _clean=False)
+        return QuotientElem(_divide(nums, self._divisors, self._mod), self, _clean=False)
 
     def _number(self, c):
         """The scalar c as a kernel number: an int in [0, p) over GF(p).
@@ -517,7 +514,7 @@ def buchberger(ideal_or_gens, field=None, params=None) -> GroebnerBasis:
                 raise ValueError("field required for an empty generator list")
             field = gens[0].field
     mod = _modulus(field)
-    nums = _buchberger([_numbers(g, mod) for g in gens], mod)[0]
+    nums = _buchberger([_numbers(g, mod) for g in gens], mod)
     return GroebnerBasis([_poly(g, field, mod) for g in nums], field, params, nums)
 
 
@@ -539,18 +536,8 @@ def _s_power_f(e: int, n: int, d: int, mod: int) -> dict:
     return out
 
 
-def s_power_f(e: int, n: int, d: int, field=QQ) -> BiPoly:
-    """s^e * f(n) over field, its s-exponents folded into [0, d) by s^d = (-1)^d.
-
-    In L = A[s,t]/I(i,j) with d = i - j >= 1 it is the element s^e * f(n),
-    for any integer e.
-    """
-    mod = _modulus(field)
-    return _poly(_s_power_f(e, n, d, mod), field, mod)
-
-
 def structure_basis(i: int, j: int, field=QQ) -> GroebnerBasis:
-    """The reduced basis of I(i, j), by Buchberger from half-degree generators.
+    """The reduced basis of I(i, j), in closed form.
 
     With C = [[t, s], [1, 0]], C^k = [[f(k+1), s*f(k)], [f(k), s*f(k-1)]]
     and det C = -s.  For i > j let n = i + j, d = i - j and
@@ -564,44 +551,38 @@ def structure_basis(i: int, j: int, field=QQ) -> GroebnerBasis:
         g2 = f(p) - (-1)^q s^(j-1-q) f(q+1),
 
     and (g1, g2, s^d - sigma) = I(i, j), since each step is invertible.
-    Their t-degrees are about half those of f(n) and f(n-1).  They are
-    built on ints, each s-exponent folded into [0, d), and handed to
-    Buchberger; a reduced basis is unique, so it equals
-    buchberger(build_ideal_I(i, j, field)).  (1, 1) has the one generator t.
+    They are built on ints, each s-exponent folded into [0, d).  The
+    reduced basis is {s^d - sigma, g1} for odd n, and {s^d - 1,
+    -(-1)^q g2, g1 reduced by these two} for even n; (1, 1) has the one
+    generator t.  It is certified at construction (``_certify``) instead
+    of computed by Buchberger, and equals buchberger(build_ideal_I(i, j,
+    field)), since a reduced basis is unique.
     """
     i, j = _oriented(i, j)
-    if i == j:
-        return buchberger(build_ideal_I(i, j, field))
     mod = _modulus(field)
+    if i == j:
+        return GroebnerBasis([BiPoly.t(field)], field, (1, 1))
     n, d = i + j, i - j
     q = (n - 1) // 2
     p = n - 1 - q
     sign = -1 if q % 2 else 1
     g1 = _s_power_f(0, p + 1, d, mod)
     _sub_shifted(g1, _s_power_f(j - q, q, d, mod), -sign, 0, 0, mod)
-    g2 = _s_power_f(0, p, d, mod)
-    _sub_shifted(g2, _s_power_f(j - 1 - q, q + 1, d, mod), sign, 0, 0, mod)
+    # -(-1)^q * g2: for even n its leading term is s^(d/2) t^(n/2-1) of
+    # s^(j-1-q) f(q+1), with coefficient 1, since an even d flips no sign
+    g2 = _s_power_f(j - 1 - q, q + 1, d, mod)
+    _sub_shifted(g2, _s_power_f(0, p, d, mod), sign, 0, 0, mod)
     unit = {(d, 0): 1}
     _sub_shifted(unit, {(0, 0): 1}, (-1) ** d, 0, 0, mod)  # s^d - sigma
-    nums = _buchberger([g1, g2, unit], mod)[0]
+    # rest: the generator that is not a basis element
+    if n % 2:
+        nums, rest = [unit, g1], g2
+    else:
+        # g1's leading term t^(n/2) is divisible by neither divisor, so the
+        # remainder keeps it and is monic
+        nums, rest = [unit, g2, _divide(g1, [_divisor(unit), _divisor(g2)], mod)], g1
+    _certify(nums, [rest], mod)
     return GroebnerBasis([_poly(g, field, mod) for g in nums], field, (i, j), nums)
-
-
-def buchberger_with_certificate(ideal: Ideal):
-    """Reduced basis plus, per element, cofactors over the input generators.
-
-    Returns (GroebnerBasis, certificates) where certificates[k] is a list of
-    polynomials q_m with basis[k] = sum_m q_m * generators[m].  Lets a test
-    confirm soundness (basis contained in the ideal) without trusting the
-    engine that produced the basis.
-    """
-    field = ideal.field
-    mod = _modulus(field)
-    n = len(ideal.generators)
-    units = [[{(0, 0): 1} if m == k else {} for m in range(n)] for k in range(n)]
-    nums, certs = _buchberger([_numbers(g, mod) for g in ideal.generators], mod, units)
-    gb = GroebnerBasis([_poly(g, field, mod) for g in nums], field, ideal.params, nums)
-    return gb, [[_poly(q, field, mod) for q in cofs] for cofs in certs]
 
 
 class QuotientElem(SparsePoly):

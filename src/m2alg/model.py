@@ -15,8 +15,8 @@ pair's ``ring`` is L itself: the reduced basis, a ``GroebnerBasis``.
 X is built in closed form, with no matrix power: with C = [[t, s], [1, 0]],
 C^k = f(k)*C + s*f(k-1)*I, so X = a*C + b*I where a = s^(-beta)*f(k) and
 b = s^(1-beta)*f(k-1), k = alpha+beta.  Each of a and b is one normal form
-of a polynomial whose s-exponents are folded by s^(i-j) = (-1)^(i-j)
-(``groebner.s_power_f``), and a*t, a*s are the only products.
+of a kernel dict whose s-exponents are folded by s^(i-j) = (-1)^(i-j)
+(``groebner._s_power_f``), and a*t, a*s are the only products.
 
 The verification computes X^lo and then X^hi = X^lo * X^(hi-lo), with
 lo = min(i, j) and hi = max(i, j).  For a correct pair X^lo is the
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import Inconsistency
 from .fields import QQ
-from .groebner import GroebnerBasis, _oriented, s_power_f, structure_basis
+from .groebner import GroebnerBasis, _oriented, _s_power_f, structure_basis
 from .mat2 import Mat2, mat_pow
 
 
@@ -69,8 +69,8 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
         beta = (alpha * lo - 1) // hi
         k, d = alpha + beta, hi - lo
         # C^k = f(k)*C + s*f(k-1)*I, scaled by s^(-beta)
-        a = ring.of(s_power_f(-beta, k, d, field))
-        b = ring.of(s_power_f(1 - beta, k - 1, d, field))
+        a = ring._element(_s_power_f(-beta, k, d, ring._mod))
+        b = ring._element(_s_power_f(1 - beta, k - 1, d, ring._mod))
         X = companion.scale(a) + ident.scale(b)
     Y = Mat2.e12(ring)
     power = {lo: mat_pow(X, lo)}

@@ -4,8 +4,7 @@
 coefficients and owns the one arithmetic (sum, difference, negation,
 product, scaling, equality, hash).  Three types subclass it:
 
-* ``UniPoly`` -- univariate, monomial = degree, with Euclidean division
-  and monic gcd;
+* ``UniPoly`` -- univariate, monomial = degree;
 * ``BiPoly`` -- bivariate in s and t, monomial = exponent pair (e_s, e_t);
 * ``freealg.NCPoly`` -- noncommutative in x and y, monomial = ``Word``.
 
@@ -239,31 +238,6 @@ class UniPoly(SparsePoly):
         """Multiply by var^k."""
         return self._new({e + k: c for e, c in self.terms.items()})
 
-    def divmod(self, other):
-        """Euclidean division; other must be nonzero."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        q = {}
-        r = self
-        inv_lc = self.field.one / other.leading_coeff()
-        while not r.is_zero() and r.degree >= other.degree:
-            k = r.degree - other.degree
-            c = r.leading_coeff() * inv_lc
-            q[k] = c
-            r = r - other.scale(c).shift(k)
-        return self._new(q), r
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        lc = self.leading_coeff()
-        if lc == self.field.one:
-            return self
-        return self.scale(self.field.one / lc)
-
     def evaluate(self, v):
         """Horner evaluation at a field element."""
         acc = self.field.zero
@@ -271,24 +245,12 @@ class UniPoly(SparsePoly):
             acc = acc * v + c
         return acc
 
-    def divides(self, other) -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return other.divmod(self)[1].is_zero()
-
     def text(self) -> str:
         pieces = []
         for k in sorted(self.terms, reverse=True):
             mono = "" if k == 0 else (self.var if k == 1 else f"{self.var}^{k}")
             pieces.append(_term_text(self.field, self.terms[k], mono))
         return _join_terms(pieces)
-
-
-def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
 
 
 class BiPoly(SparsePoly):

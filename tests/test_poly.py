@@ -13,7 +13,6 @@ from m2alg.poly import (
     UniPoly,
     parse_bipoly,
     parse_unipoly,
-    uni_gcd,
 )
 from m2alg.sequences import f_st
 
@@ -32,47 +31,12 @@ def test_unipoly_basics():
     assert (p * u([0, 1])).text() == "-2*t^3 + t"
 
 
-def test_uni_gcd_golden():
-    a = u([-1, 0, 6, 0, -5, 0, 1])  # t^6 - 5t^4 + 6t^2 - 1
-    b = u([-1, 3, 0, -4, 0, 1])  # t^5 - 4t^3 + 3t - 1
-    g = uni_gcd(a, b)
-    assert g.text() == "t^3 - t^2 - 2*t + 1"
-    assert g.divides(a) and g.divides(b)
-
-
-def test_uni_gcd_degenerate():
-    p = u([2, 4])
-    assert uni_gcd(p, u([])) == p.monic()
-    assert uni_gcd(u([]), u([])).is_zero()
-    assert uni_gcd(u([-1, 0, 1]), u([-1, 1])).text() == "t - 1"
-
-
-def test_uni_divmod_over_fp():
-    f5 = GF(5)
-    a = UniPoly.of_ints([1, 0, 1], f5)
-    b = UniPoly.of_ints([2, 1], f5)
-    q, r = a.divmod(b)
-    assert (q * b + r) == a
-    assert r.degree < b.degree
-
-
 @st.composite
 def unipolys(draw, field=QQ, max_deg=4):
     coeffs = draw(
         st.lists(st.integers(-5, 5), min_size=0, max_size=max_deg + 1)
     )
     return UniPoly.of_ints(coeffs, field)
-
-
-@settings(max_examples=50)
-@given(unipolys(), unipolys())
-def test_gcd_divides_both(a, b):
-    g = uni_gcd(a, b)
-    if g.is_zero():
-        assert a.is_zero() and b.is_zero()
-    else:
-        assert g.divides(a) and g.divides(b)
-        assert g.leading_coeff() == QQ.one
 
 
 def bp(text, field=QQ):
