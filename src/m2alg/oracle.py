@@ -10,9 +10,13 @@ matrices satisfying x^i y + y x^j = 1, y^2 = 0.
   order so the first witness is reproducible.  ``enum_sweep_fp`` amortizes
   one scan over many (i, j) pairs.
 * ``oracle_roots_fp2``: decides via the root analysis of x^2 - ax + b over
-  F_p and its quadratic extension.  The scan is plain int arithmetic:
-  F_{p^2} elements are int pairs, square roots come from a per-call table of
-  smallest roots, and x is built from the root data.
+  F_p and its quadratic extension.  The scan is plain int arithmetic and
+  visits only the quadratics that can pass: for each a, the b's with
+  b^(j-i) = 1 and the one b with a double root.  Square roots come from a
+  per-call table of smallest roots.  Split roots are tested in F_p with
+  builtin ``pow``.  Inert roots are int pairs in F_{p^2}, and only one of
+  the two is tested, since its Frobenius conjugate gets the same verdict.
+  x is built from the root data.
 * ``construct_witness_Q``: builds verified rational witnesses for members
   over Q; x, from the semantic root data, is an integer matrix.
 
@@ -39,9 +43,11 @@ ENUM_FP = "ENUM_FP"
 ROOT_FP2 = "ROOT_FP2"
 CONSTRUCT_Q = "CONSTRUCT_Q"
 
-# the enumeration scans p^4 matrices: from this many on (p >= 256) a scan
-# could not finish, and for a huge p merely setting it up exhausts memory.
-# The roots scan covers p^2 quadratics and is held to the same limit.
+# the enumeration scans p^4 matrices, so this many and more (p >= 256) are
+# refused: for a huge p merely setting up the scan exhausts memory.  The
+# bound admits p = 251, whose full scan is about 4*10^9 matrices, at roughly
+# 1.5 us each about 100 minutes.  The roots scan covers p^2 quadratics and
+# is held to the same limit.
 ENUM_SPACE_LIMIT = 2**32
 
 
@@ -298,14 +304,23 @@ def _sqrt_table(p):
 def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     """Membership over F_p via the roots of x^2 - ax + b in F_p or F_{p^2}.
 
-    Scans all (a, b).  A double root r must satisfy p | i+j, p not | i and
-    r^(j-i) = -1 (with the degenerate r = 0 allowed only at i = j = 1); a
-    separable pair (r, s) must satisfy (rs)^(j-i) = 1,
-    r^(i+j) + (rs)^i = 0 and r^(j-i) != -1 in either orientation.  The scan
-    runs on plain ints: F_{p^2} elements are pairs a + b*w with w^2 = u the
-    smallest nonresidue, and square roots come from a table holding the
-    smallest root of each square.  On success x is the companion matrix
-    [[0, -b], [1, a]], or [[r, 0], [1, r]] for a double root r, and
+    Scans (a, b) with a ascending and, for each a, b ascending.  A double
+    root r must satisfy p | i+j, p not | i and r^(j-i) = -1 (with the
+    degenerate r = 0 allowed only at i = j = 1); a separable pair (r, s)
+    must satisfy (rs)^(j-i) = 1, r^(i+j) + (rs)^i = 0 and r^(j-i) != -1 in
+    either orientation.  Since rs = b, only the admissible b's, those with
+    b^(j-i) = 1, can give a separable witness, so for each a the scan visits
+    those and the one b = a^2/4 with a double root, in ascending order; the
+    skipped quadratics all fail, so the first hit is the same as in a scan
+    of all (a, b).  The scan runs on plain ints, and square roots come from
+    a table holding the smallest root of each square.  Split roots lie in
+    F_p and are tested with builtin ``pow``, r0 = (a + root)/2 before
+    s0 = (a - root)/2.  Inert roots are pairs c0 + c1*w in F_{p^2}, with
+    w^2 = u the smallest nonresidue, and only r0 is tested: s0 = r0^p is its
+    Frobenius conjugate, and conjugation fixes F_p, so r0^(j-i) = -1 iff
+    s0^(j-i) = -1 and r0^(i+j) = -b^i iff s0^(i+j) = -b^i.  On success x
+    is the companion matrix [[0, -b], [1, a]], which does not depend on
+    which root passed, or [[r, 0], [1, r]] for a double root r, and
     y = E12 / (x^i)_21; the pair is checked on ints mod p with exact
     exponents, and built as ``Mat2`` over GF(p) only for the report.  A p
     with p^2 >= ENUM_SPACE_LIMIT is refused before anything is built.
@@ -324,10 +339,12 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     # rejects both orientations at once: b^i for each b that passes
     b_pow_i = {b: pow(b, i, p) for b in range(1, p) if pow(b, diff, p) == 1}
     for a in range(p):
-        for b in range(p):
+        half = a * inv2 % p
+        # the admissible b's and b = (a/2)^2, the one with a double root
+        for b in sorted({*b_pow_i, half * half % p}):
             disc = (a * a - 4 * b) % p
             if disc == 0:
-                r = a * inv2 % p
+                r = half
                 if (i, j) == (1, 1):
                     if r:
                         continue
@@ -337,28 +354,30 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
                     ROOT_FP2, i, j, p=p, x=(r, 0, 1, r),
                     quadratic=(a, b), branch="double-root",
                 )
-            # separable quadratic; b = 0 (a zero root) is never in b_pow_i
-            b_i = b_pow_i.get(b)
-            if b_i is None:
-                continue
+            # separable quadratic with an admissible b (never 0, a zero root)
+            b_i = b_pow_i[b]
             root = sqrt_table.get(disc)
             if root is not None:
-                r0 = ((a + root) * inv2 % p, 0)
-                s0 = ((a - root) * inv2 % p, 0)
-            else:
-                c = sqrt_table[disc * u_inv % p] * inv2 % p
-                r0 = (a * inv2 % p, c)
-                s0 = (r0[0], -c % p)
-            for r in (r0, s0):
-                if _pow2(r, diff, p, u) == (p - 1, 0):
+                # split: both roots lie in F_p
+                if not any(
+                    pow(r, diff, p) != p - 1 and (pow(r, i + j, p) + b_i) % p == 0
+                    for r in ((a + root) * inv2 % p, (a - root) * inv2 % p)
+                ):
                     continue
-                ra, rb = _pow2(r, i + j, p, u)
+            else:
+                # inert: the roots are Frobenius conjugates, and conjugation
+                # fixes -1 and -b^i, so one root decides both
+                c = sqrt_table[disc * u_inv % p] * inv2 % p
+                r0 = (half, c)
+                if _pow2(r0, diff, p, u) == (p - 1, 0):
+                    continue
+                ra, rb = _pow2(r0, i + j, p, u)
                 if rb or (ra + b_i) % p:
                     continue
-                return _report(
-                    ROOT_FP2, i, j, p=p, x=(0, -b % p, 1, a),
-                    quadratic=(a, b), branch="separable",
-                )
+            return _report(
+                ROOT_FP2, i, j, p=p, x=(0, -b % p, 1, a),
+                quadratic=(a, b), branch="separable",
+            )
     return _report(ROOT_FP2, i, j, p=p)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -12,6 +13,7 @@ from m2alg.mat2 import Mat2, mat_pow, solve_sylvester
 from m2alg.membership import decide_Q, decide_Z2, decide_Zp
 from m2alg.oracle import (
     _e12_scale,
+    _pow2,
     _sqrt_table,
     construct_witness_Q,
     enum_sweep_fp,
@@ -224,6 +226,93 @@ def test_roots_oracle_reports_golden():
     text = "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in reps) + "\n]\n"
     golden = Path(__file__).parent / "goldens" / "roots_fp2_p3-7_ij8.json"
     assert text == golden.read_text()
+
+
+# sha256 of the report lines on the benchmark's F_7 and F_13 grids and on
+# four more primes, as a scan of every (a, b) writes them
+ROOTS_GRIDS = ((7, 40), (13, 24), (11, 24), (17, 24), (19, 24), (23, 24))
+ROOTS_GRIDS_SHA256 = "8836af7b8cb35af24a66f73971382b4cdef0bd9edea0c25add3316bd679371db"
+
+
+def test_roots_reports_on_the_benchmark_grids_are_byte_stable():
+    digest = hashlib.sha256()
+    for p, top in ROOTS_GRIDS:
+        for i in range(1, top + 1):
+            for j in range(1, top + 1):
+                line = json.dumps(oracle_roots_fp2(p, i, j).to_dict(), sort_keys=True)
+                digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == ROOTS_GRIDS_SHA256
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_pow2_on_fp_is_builtin_pow(p):
+    u = fields.smallest_nonresidue(p)
+    for r in range(p):
+        for e in range(51):
+            assert _pow2((r, 0), e, p, u) == (pow(r, e, p), 0), (p, r, e)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_inert_conjugate_roots_get_one_verdict(p):
+    """Both roots of an inert x^2 - ax + b pass the separable test, or neither."""
+    u = fields.smallest_nonresidue(p)
+    inv2 = pow(2, -1, p)
+    squares = {r * r % p for r in range(p)}
+    passed = 0
+    for a in range(p):
+        for b in range(1, p):
+            disc = (a * a - 4 * b) % p
+            if disc in squares:
+                continue
+            c = next(c for c in range(1, p) if c * c * u % p == disc)
+            r0 = (a * inv2 % p, c * inv2 % p)
+            s0 = (r0[0], -r0[1] % p)
+            assert _pow2(r0, p, p, u) == s0  # the Frobenius conjugate
+            for ra, rb in (r0, s0):
+                sa, sb = _pow2((ra, rb), 2, p, u)
+                assert ((sa - a * ra + b) % p, (sb - a * rb) % p) == (0, 0)
+            for i in range(1, 13):
+                for j in range(1, 13):
+                    minus_b_i = (-pow(b, i, p) % p, 0)
+                    verdicts = {
+                        _pow2(r, abs(j - i), p, u) != (p - 1, 0)
+                        and _pow2(r, i + j, p, u) == minus_b_i
+                        for r in (r0, s0)
+                    }
+                    assert len(verdicts) == 1, (p, a, b, i, j)
+                    passed += True in verdicts
+    assert passed
+
+
+def _inert_admissible_scanned(p, i, j, hit):
+    """Inert x^2 - ax + b with b^(j-i) = 1, in scan order up to the hit, by brute force."""
+    squares = {r * r % p for r in range(p)}
+    count = 0
+    for a in range(p):
+        for b in range(p):
+            if (a * a - 4 * b) % p not in squares and pow(b, abs(j - i), p) == 1:
+                count += 1
+            if (a, b) == hit:
+                return count
+    return count
+
+
+@pytest.mark.parametrize("p,i,j", [(13, 12, 24), (13, 4, 16), (13, 24, 24), (7, 6, 12)])
+def test_roots_scan_ladders_only_inert_roots_once_each(monkeypatch, p, i, j):
+    """No F_{p^2} ladder for a split root, at most two per inert quadratic."""
+    ladders = []
+    real = oracle._pow2
+
+    def counted(z, e, mod, u):
+        ladders.append(z)
+        return real(z, e, mod, u)
+
+    monkeypatch.setattr(oracle, "_pow2", counted)
+    rep = oracle_roots_fp2(p, i, j)
+    monkeypatch.undo()
+    assert ladders and all(z[1] for z in ladders), (p, i, j)
+    inert = _inert_admissible_scanned(p, i, j, rep.details.get("quadratic"))
+    assert len(ladders) <= 2 * inert, (p, i, j, len(ladders), inert)
 
 
 def _sylvester_square_zero_y(x, i, j, p):
