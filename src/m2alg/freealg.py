@@ -47,7 +47,7 @@ from .errors import Inconsistency
 from .fields import QQ
 from .groebner import _oriented, structure_basis
 from .mat2 import Mat2, _rref, mat_pow
-from .model import witness_XY
+from .model import witness_XY, x_power
 from .poly import SparsePoly, _join_terms, _parse_terms, _term_text
 
 
@@ -492,7 +492,8 @@ class MatrixModel:
     c = (X^a1)_21 ... (X^a(k-1))_21 and a missing first or last x-run read
     as X^0 = I: at most k + 4 products in L instead of a matrix product
     per run.  A word containing y^2 maps to zero.  The model uses only X,
-    Y and their powers, never the rewrite rules.
+    Y and their powers X^e = s^m * C^u (``model.x_power``, no matrix
+    product), never the rewrite rules.
     """
 
     def __init__(self, i: int, j: int, field=QQ):
@@ -503,28 +504,27 @@ class MatrixModel:
         self.pair = witness_XY(i, j, field, gb=self.ring)
         if self.pair.Y != Mat2.e12(self.ring):
             raise Inconsistency(f"Y is not the matrix unit e12 for (i, j) = ({i}, {j})")
-        self.identity = Mat2.identity(self.ring)
         self.zero_mat = Mat2.zero(self.ring)
-        self._xpow = [self.identity, self.pair.X]
-        # a scalar power of X bounds the power cache: X^M = (-1)^(i+j) I with
-        # M = i^2 - j^2 for i != j, and X^2 = s I at (1, 1), where X has
-        # infinite order
-        self._flip = (i + j) % 2 == 1
-        self._s = self.ring.s() if i == j else None
+        # X^M = (-1)^(i+j) I with M = i^2 - j^2 for i != j, so X^e is cached
+        # under e mod 2M; X^2 = s I at (1, 1), where X has infinite order and
+        # nothing is cached
         if i == j:
-            self._period, scalar = 2, self._s
+            period, scalar, self._cycle = 2, self.ring.s(), None
         else:
-            self._period, scalar = abs(i * i - j * j), -1 if self._flip else 1
-        if mat_pow(self.pair.X, self._period) != Mat2.scalar(self.ring, scalar):
-            raise Inconsistency(f"X^{self._period} is not scalar for (i, j) = ({i}, {j})")
+            period, scalar = abs(i * i - j * j), (-1) ** (i + j)
+            self._cycle = 2 * period
+        if mat_pow(self.pair.X, period) != Mat2.scalar(self.ring, scalar):
+            raise Inconsistency(f"X^{period} is not scalar for (i, j) = ({i}, {j})")
+        self._xpow: dict = {}
 
     def xpow(self, e: int) -> Mat2:
-        folds, e = divmod(e, self._period)
-        while len(self._xpow) <= e:
-            self._xpow.append(self._xpow[-1] * self.pair.X)
-        if self._s is not None and folds:
-            return self._xpow[e].scale(self._s**folds)
-        return -self._xpow[e] if self._flip and folds % 2 else self._xpow[e]
+        if self._cycle is None:
+            return x_power(self.ring, e)
+        e %= self._cycle
+        power = self._xpow.get(e)
+        if power is None:
+            power = self._xpow[e] = x_power(self.ring, e)
+        return power
 
     def word_matrix(self, w: Word) -> Mat2:
         # the x-exponents around the y's, a missing run counting as 0
@@ -565,9 +565,6 @@ class MatrixModel:
                 m = m.scale(c)
             total = m if total is None else total + m
         return self.zero_mat if total is None else total
-
-    def equal_in_ring(self, p, q) -> bool:
-        return self.image(p) == self.image(q)
 
 
 _MODELS: dict = {}
@@ -775,46 +772,46 @@ def check_identities(i: int, j: int, n_max: int = 6, field=QQ) -> IdentityReport
     one = NCPoly.one(f)
     x = lambda e=1: NCPoly.x(f, e) if e else one
     y = NCPoly.y(f)
-    eq = model.equal_in_ring
+    img = model.image
 
-    rep.record("y*x^i*y = y", eq(y * x(i) * y, y))
-    rep.record("y*x^j*y = y", eq(y * x(j) * y, y))
-    rep.record("y*x^(i+j)*y = 0", eq(y * x(i + j) * y, NCPoly.zero(f)))
+    rep.record("y*x^i*y = y", img(y * x(i) * y) == img(y))
+    rep.record("y*x^j*y = y", img(y * x(j) * y) == img(y))
+    rep.record("y*x^(i+j)*y = 0", img(y * x(i + j) * y) == img(NCPoly.zero(f)))
     rep.record(
-        "y*x^(2i)*y = -y*x^(2j)*y", eq(y * x(2 * i) * y, -(y * x(2 * j) * y))
+        "y*x^(2i)*y = -y*x^(2j)*y", img(y * x(2 * i) * y) == img(-(y * x(2 * j) * y))
     )
-    rep.record("x^i*y + y*x^j = 1", eq(x(i) * y + y * x(j), one))
-    rep.record("x^j*y + y*x^i = 1 (swap)", eq(x(j) * y + y * x(i), one))
+    rep.record("x^i*y + y*x^j = 1", img(x(i) * y + y * x(j)) == img(one))
+    rep.record("x^j*y + y*x^i = 1 (swap)", img(x(j) * y + y * x(i)) == img(one))
 
     for n in range(1, n_max + 1):
         lhs1 = y * x(i * n)
         rhs1 = (x(j * n) * y).scale((-1) ** n)
         for k in range(n):
             rhs1 = rhs1 + x((n - 1) * j + k * (i - j)).scale((-1) ** (n - 1 - k))
-        rep.record(f"y*x^(i*{n}) push-through", eq(lhs1, rhs1))
+        rep.record(f"y*x^(i*{n}) push-through", img(lhs1) == img(rhs1))
         lhs2 = y * x(j * n)
         rhs2 = (x(i * n) * y).scale((-1) ** n)
         for k in range(n):
             rhs2 = rhs2 + x((n - 1) * j + k * (i - j)).scale((-1) ** k)
-        rep.record(f"y*x^(j*{n}) push-through", eq(lhs2, rhs2))
+        rep.record(f"y*x^(j*{n}) push-through", img(lhs2) == img(rhs2))
 
     if hi > lo:
         inv_right = x(lo - 1) * y + x(hi - lo - 1) - x(hi - 1) * y * x(hi - lo)
-        rep.record("x * (right inverse) = 1", eq(x() * inv_right, one))
+        rep.record("x * (right inverse) = 1", img(x() * inv_right) == img(one))
         inv_left = x(hi - lo - 1) - x(hi - lo) * y * x(hi - 1) + y * x(lo - 1)
-        rep.record("(left inverse) * x = 1", eq(inv_left * x(), one))
+        rep.record("(left inverse) * x = 1", img(inv_left * x()) == img(one))
         N = (hi + lo - 1) * (hi - lo)
         alt = NCPoly.zero(f)
         for k in range(1, hi + lo):
             alt = alt + x((hi + lo - 1 - k) * (hi - lo)).scale((-1) ** (k + 1))
-        rep.record("alternating x-power relation", eq(x(N), alt))
+        rep.record("alternating x-power relation", img(x(N)) == img(alt))
     rep.record(
         "x^(i^2-j^2) = (-1)^(i+j)",
-        eq(x(hi * hi - lo * lo), one.scale((-1) ** (i + j))),
+        img(x(hi * hi - lo * lo)) == img(one.scale((-1) ** (i + j))),
     )
     for name, z in (("x^(i+j)", x(i + j)), ("x^i - x^j", x(i) - x(j))):
-        rep.record(f"[{name}, x] = 0", eq(z * x() - x() * z, NCPoly.zero(f)))
-        rep.record(f"[{name}, y] = 0", eq(z * y - y * z, NCPoly.zero(f)))
+        rep.record(f"[{name}, x] = 0", img(z * x() - x() * z) == img(NCPoly.zero(f)))
+        rep.record(f"[{name}, y] = 0", img(z * y - y * z) == img(NCPoly.zero(f)))
 
     e = {
         (1, 1): y * x(lo),
@@ -822,7 +819,7 @@ def check_identities(i: int, j: int, n_max: int = 6, field=QQ) -> IdentityReport
         (2, 1): x(hi) * y * x(lo),
         (2, 2): x(hi) * y,
     }
-    rep.record("e11 + e22 = 1", eq(e[(1, 1)] + e[(2, 2)], one))
+    rep.record("e11 + e22 = 1", img(e[(1, 1)] + e[(2, 2)]) == img(one))
     for h in (1, 2):
         for k in (1, 2):
             for l in (1, 2):
@@ -830,6 +827,6 @@ def check_identities(i: int, j: int, n_max: int = 6, field=QQ) -> IdentityReport
                     want = e[(h, m)] if k == l else NCPoly.zero(f)
                     rep.record(
                         f"e{h}{k}*e{l}{m}",
-                        eq(e[(h, k)] * e[(l, m)], want),
+                        img(e[(h, k)] * e[(l, m)]) == img(want),
                     )
     return rep

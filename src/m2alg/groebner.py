@@ -519,14 +519,15 @@ def buchberger(ideal_or_gens, field=None, params=None) -> GroebnerBasis:
 
 
 def _s_power_f(e: int, n: int, d: int, mod: int) -> dict:
-    """Kernel form of s^e * f(n) modulo s^d - (-1)^d, for d >= 1.
+    """Kernel form of s^e * f(n) modulo s^d - (-1)^d, for d >= 0.
 
-    Every s-exponent is folded into [0, d) by s^d = (-1)^d, so e may be
-    negative: s is a unit modulo s^d - (-1)^d.
+    For d >= 1 every s-exponent is folded into [0, d) by s^d = (-1)^d, so e
+    may be negative: s is a unit modulo s^d - (-1)^d.  For d = 0 nothing is
+    folded and e must be >= 0.
     """
     out = {}
     for k, c in enumerate(f_coeffs(n)):
-        q, r = divmod(e + k, d)
+        q, r = divmod(e + k, d) if d else (0, e + k)
         # distinct k have distinct t-exponents, so no two terms meet
         c = -c if d * q % 2 else c
         if mod:

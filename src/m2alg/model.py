@@ -1,28 +1,26 @@
 """Explicit 2x2 witness matrices over the quotient ring A[s,t]/I.
 
-For coprime (i, j), the pair
-
-    X = s^(-beta) * [[t, s], [1, 0]]^(alpha+beta)   (alpha*j - beta*i = 1),
-    Y = [[0, 1], [0, 0]],
-
+For coprime (i, j), with lo = min(i, j), hi = max(i, j), n = i + j and
+C = [[t, s], [1, 0]], the pair X = x_power(L, 1), Y = [[0, 1], [0, 0]],
 computed in the quotient L, satisfies the defining relations
-X^i Y + Y X^j = 1 and Y^2 = 0, and in fact X^j = [[t, s], [1, 0]] and
-X^i = [[0, s], [1, -t]].  For i = j = 1 the quotient degenerates to A[s]
-and X = [[0, s], [1, 0]].  All of this is re-verified at construction;
-a failure raises Inconsistency rather than returning a bad pair.  The
-pair's ``ring`` is L itself: the reduced basis, a ``GroebnerBasis``.
+X^i Y + Y X^j = 1 and Y^2 = 0, and in fact X^lo = C and
+X^hi = [[0, s], [1, -t]] = s*C^(-1), so X^n = s*I.  For i = j = 1 the
+quotient degenerates to A[s] and X = C = [[0, s], [1, 0]].  All of this is
+re-verified at construction; a failure raises Inconsistency rather than
+returning a bad pair.  The pair's ``ring`` is L itself: the reduced basis,
+a ``GroebnerBasis``.
 
-X is built in closed form, with no matrix power: with C = [[t, s], [1, 0]],
-C^k = f(k)*C + s*f(k-1)*I, so X = a*C + b*I where a = s^(-beta)*f(k) and
-b = s^(1-beta)*f(k-1), k = alpha+beta.  Each of a and b is one normal form
-of a kernel dict whose s-exponents are folded by s^(i-j) = (-1)^(i-j)
-(``groebner._s_power_f``), and a*t, a*s are the only products.
+Every power of X has one closed form, ``x_power``: lo is a unit mod n, so
+e = u*lo + m*n with u = e*lo^(-1) mod n, X^e = s^m * C^u, and
+C^u = f(u)*C + s*f(u-1)*I.  So X^e = s^m*I for u = 0, and a*C + b*I with
+a = s^m*f(u), b = s^(m+1)*f(u-1) otherwise: each one normal form of
+``groebner._s_power_f`` (s-exponents folded by s^(i-j) = (-1)^(i-j); m < 0
+only for i != j, where s is a unit), with a*t and a*s the only products.
 
-The verification computes X^lo and then X^hi = X^lo * X^(hi-lo), with
-lo = min(i, j) and hi = max(i, j).  For a correct pair X^lo is the
-companion matrix, whose entries 1, 0, s and t make that last product
-cheap; both powers are still compared entry by entry with the expected
-matrices.
+The verification computes X^lo and X^hi = X^lo * X^(hi-lo) by ``mat_pow``
+(X^lo = C makes that last product cheap) and compares both entry by entry
+with the expected matrices; with C^u = f(u)*C + s*f(u-1)*I, an identity in
+A[s,t], that makes x_power(L, e) = X^e for every e >= 0.
 """
 
 from __future__ import annotations
@@ -61,27 +59,30 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
             f" ({hi}, {lo}) over {field.name}"
         )
     companion = Mat2(ring, ring.t(), ring.s(), ring.one, ring.zero)
-    ident = Mat2.identity(ring)
-    if hi == lo == 1:
-        X = Mat2(ring, ring.zero, ring.s(), ring.one, ring.zero)
-    else:
-        alpha = pow(lo, -1, hi)
-        beta = (alpha * lo - 1) // hi
-        k, d = alpha + beta, hi - lo
-        # C^k = f(k)*C + s*f(k-1)*I, scaled by s^(-beta)
-        a = ring._element(_s_power_f(-beta, k, d, ring._mod))
-        b = ring._element(_s_power_f(1 - beta, k - 1, d, ring._mod))
-        X = companion.scale(a) + ident.scale(b)
+    X = x_power(ring, 1)
     Y = Mat2.e12(ring)
     power = {lo: mat_pow(X, lo)}
     power[hi] = power[lo] * mat_pow(X, hi - lo)
     checks = [
         (Y * Y).is_zero(),
-        power[i] * Y + Y * power[j] == ident,
-        power[j] * Y + Y * power[i] == ident,
+        power[i] * Y + Y * power[j] == Mat2.identity(ring),
+        power[j] * Y + Y * power[i] == Mat2.identity(ring),
         power[lo] == companion,
         power[hi] == Mat2(ring, ring.zero, ring.s(), ring.one, -ring.t()),
     ]
     if not all(checks):
         raise Inconsistency(f"witness construction failed for (i, j) = ({i}, {j})")
     return WitnessPair(X=X, Y=Y, i=i, j=j, ring=ring)
+
+
+def x_power(ring: GroebnerBasis, e: int) -> Mat2:
+    """X^e = s^m * C^u over L, the structure basis, for e >= 0 (module doc)."""
+    hi, lo = ring.params
+    n, d, mod = hi + lo, hi - lo, ring._mod
+    u = e * pow(lo, -1, n) % n
+    m = (e - u * lo) // n
+    if not u:
+        return Mat2.scalar(ring, ring._element(_s_power_f(m, 1, d, mod)))
+    a = ring._element(_s_power_f(m, u, d, mod))
+    b = ring._element(_s_power_f(m + 1, u - 1, d, mod))
+    return Mat2(ring, a * ring.t() + b, a * ring.s(), a, b)

@@ -90,6 +90,10 @@ P19 = "1000000000000000003"  # a prime whose p^4 matrices are far too many to sc
         # coefficients that vanish mod 2 dropped
         (["structure", "61", "60"], "structure_61_60.json"),
         (["structure", "61", "60", "--field", "f2"], "structure_61_60_f2.json"),
+        # a normal form up to x^1621 and the identities at a pair with
+        # i^2 - j^2 = 3311: the model's x-powers far outside the words grid
+        (["reduce", "60", "17", "y*x^7*y*x^100*y"], "reduce_60_17.json"),
+        (["verify", "60", "17"], "verify_60_17.json"),
     ],
 )
 def test_output_bytes_golden(capsys, args, golden):
@@ -97,6 +101,15 @@ def test_output_bytes_golden(capsys, args, golden):
     assert code == 0
     assert err == ""
     assert out == (GOLDENS / golden).read_text()
+
+
+def test_verify_big_pair_all_ok(capsys):
+    # i^2 - j^2 = 39991: the model evaluates x-powers near 40,000
+    code, record, err = run_json(["verify", "200", "3"], capsys)
+    assert code == 0 and err == ""
+    checks = record["result"]["checks"]
+    assert record["result"]["ok"] is True
+    assert checks and all(check["ok"] for check in checks)
 
 
 # sha256 of the stdout of `structure` and then `witness` at each pair, over

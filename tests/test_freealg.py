@@ -26,6 +26,7 @@ from m2alg.freealg import (
     word_image,
 )
 from m2alg.mat2 import Mat2, mat_pow
+from m2alg.model import x_power
 
 
 def w(letters):
@@ -182,13 +183,13 @@ def test_word_image_examples():
             NCPoly.x(QQ, j) - NCPoly.x(QQ, i)
         ) == Mat2.scalar(ring, ring.t())
         rel = NCPoly.x(QQ, i) * NCPoly.y(QQ) + NCPoly.y(QQ) * NCPoly.x(QQ, j)
-        assert model.image(rel) == model.identity
+        assert model.image(rel) == Mat2.identity(ring)
 
 
 def test_word_image_function_form():
     img = word_image(parse_word_expr("x*y + y*x", QQ), 1, 1)
     model = matrix_model(1, 1)
-    assert img == model.identity
+    assert img == Mat2.identity(model.ring)
 
 
 def test_word_image_rejects_non_coprime():
@@ -375,7 +376,8 @@ def test_model_powers_stay_bounded():
     p = NCPoly.x(QQ, e) * NCPoly.y(QQ)
     folded = (NCPoly.x(QQ, e % M) * NCPoly.y(QQ)).scale((-1) ** ((i + j) * (e // M)))
     assert model.image(p) == model.image(folded)
-    assert len(model._xpow) <= M
+    # X^(2M) = I: powers are cached under e mod 2M
+    assert len(model._xpow) <= 2 * M
     assert reduce(p, rs) == reduce(folded, rs) == _rewrite(folded, rs)
 
 
@@ -385,13 +387,64 @@ def test_model_powers_stay_bounded_at_1_1():
     for e in (20_000, 20_001):
         p = NCPoly.x(QQ, e) * NCPoly.y(QQ)
         assert model.image(p) == mat_pow(X, e) * Y
-    assert len(model._xpow) <= 2
+    # X has infinite order at (1, 1): every power is built afresh
+    assert not model._xpow
 
 
 def test_one_model_per_ring():
     assert matrix_model(4, 5) is matrix_model(5, 4)
     assert matrix_model(4, 5, GF(3)) is matrix_model(5, 4, GF(3))
     assert matrix_model(4, 5) is not matrix_model(4, 5, GF(3))
+
+
+def _period(i, j):
+    """The least e with X^e scalar: i^2 - j^2, or 2 at (1, 1)."""
+    return 2 if i == j else abs(i * i - j * j)
+
+
+MODEL_PAIRS = [(1, 1), (2, 1), (3, 2), (5, 4), (7, 3), (10, 7), (4, 5), (13, 8)]
+MODEL_FIELDS = pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+
+
+@MODEL_FIELDS
+@pytest.mark.parametrize("i,j", MODEL_PAIRS)
+def test_x_power_matches_repeated_multiplication(i, j, field):
+    pair = matrix_model(i, j, field).pair
+    power = Mat2.identity(pair.ring)
+    for e in range(2 * _period(i, j) + 3):
+        assert x_power(pair.ring, e) == power, e
+        power = power * pair.X
+
+
+@MODEL_FIELDS
+@pytest.mark.parametrize("i,j", MODEL_PAIRS)
+def test_x_power_matches_mat_pow(i, j, field):
+    pair = matrix_model(i, j, field).pair
+    rng = random.Random(1000 * i + j)
+    for e in [rng.randrange(10**6) for _ in range(4)]:
+        assert x_power(pair.ring, e) == mat_pow(pair.X, e), e
+
+
+def test_xpow_runs_no_matrix_product(monkeypatch):
+    i, j = 10, 7
+    model = freealg.MatrixModel(i, j, QQ)  # a fresh model: nothing cached yet
+    cycle = 2 * _period(i, j)
+    exponents = [5, 97, cycle - 1, cycle + 40, 10 * cycle + 3, 987_654_321]
+    assert len({e % cycle for e in exponents}) == len(exponents)
+    calls = []
+    real = Mat2.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Mat2, "__mul__", counting)
+    powers = [model.xpow(e) for e in exponents]
+    assert not calls
+    monkeypatch.undo()
+    assert sorted(model._xpow) == sorted(e % cycle for e in exponents)
+    for e, power in zip(exponents, powers):
+        assert power == mat_pow(model.pair.X, e)
 
 
 def _plain_product(pair, word):
@@ -431,12 +484,12 @@ def _model_words(rng, period):
     return fixed + drawn
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F2", "F3"])
+@MODEL_FIELDS
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 1), (3, 2), (5, 4), (7, 3), (10, 7), (4, 5)])
 def test_word_matrix_matches_plain_product(i, j, field):
     model = matrix_model(i, j, field)
     rng = random.Random(100 * i + j)
-    for word in _model_words(rng, model._period):
+    for word in _model_words(rng, _period(i, j)):
         assert model.word_matrix(word) == _plain_product(model.pair, word), word.text()
 
 
@@ -458,9 +511,10 @@ def test_word_matrix_multiply_count(monkeypatch, k):
     """A word with k single y's costs at most k + 4 general products in L."""
     model = matrix_model(10, 7)
     rng = random.Random(k)
-    runs = [("x", rng.randint(1, 2 * model._period))]
+    period = _period(10, 7)
+    runs = [("x", rng.randint(1, 2 * period))]
     for _ in range(k):
-        runs += [("y", 1), ("x", rng.randint(1, 2 * model._period))]
+        runs += [("y", 1), ("x", rng.randint(1, 2 * period))]
     word = Word(runs)
     model.word_matrix(word)  # caches the x-powers
     calls = []
