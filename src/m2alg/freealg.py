@@ -46,7 +46,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import Inconsistency
 from .fields import QQ
 from .groebner import _oriented, structure_basis
-from .mat2 import Mat2, _rref, mat_pow
+from .mat2 import Mat2, _rref
 from .model import witness_XY, x_power
 from .poly import SparsePoly, _join_terms, _parse_terms, _term_text
 
@@ -505,16 +505,14 @@ class MatrixModel:
         if self.pair.Y != Mat2.e12(self.ring):
             raise Inconsistency(f"Y is not the matrix unit e12 for (i, j) = ({i}, {j})")
         self.zero_mat = Mat2.zero(self.ring)
-        # X^M = (-1)^(i+j) I with M = i^2 - j^2 for i != j, so X^e is cached
-        # under e mod 2M; X^2 = s I at (1, 1), where X has infinite order and
-        # nothing is cached
-        if i == j:
-            period, scalar, self._cycle = 2, self.ring.s(), None
-        else:
-            period, scalar = abs(i * i - j * j), (-1) ** (i + j)
-            self._cycle = 2 * period
-        if mat_pow(self.pair.X, period) != Mat2.scalar(self.ring, scalar):
-            raise Inconsistency(f"X^{period} is not scalar for (i, j) = ({i}, {j})")
+        # witness_XY has checked X^lo = C and X^hi = s C^(-1), so X^(i+j) = s I
+        # and X^(i^2 - j^2) = s^d I with d = |i - j|; once s^d = (-1)^d in L,
+        # X^e is cached under e mod 2(i^2 - j^2).  At (1, 1) X has infinite
+        # order and nothing is cached
+        d = abs(i - j)
+        if self.ring.s(d) != self.ring.of((-1) ** d):
+            raise Inconsistency(f"s^{d} is not {(-1) ** d} in L for (i, j) = ({i}, {j})")
+        self._cycle = 2 * d * (i + j) or None
         self._xpow: dict = {}
 
     def xpow(self, e: int) -> Mat2:

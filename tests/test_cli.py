@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -251,19 +253,30 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+# selftest reads no config file: the files its former --config loader
+# refused, and an absent one, all meet the parser's unknown-option error
+FORMER_SELFTEST_CONFIGS = {
+    "unknown-key": '{"no_such_key": 1}',
+    "missing-file": None,
+    "invalid-json": "{not json",
+    "int-field-str": '{"enum_max": "3"}',
+    "int-field-bool": '{"seed": true}',
+    "primes-not-prime": '{"primes_enum": [3, 4]}',
+    "pairs-not-pairs": '{"rewrite_pairs": [[2, 1, 1]]}',
+    "not-an-object": "[]",
+    "primes-too-large": '{"primes_enum": [3, %s]}' % M89,
+    "primes-too-large-to-enumerate": '{"primes_enum": [257]}',
+    "rewrite-max-len-zero": '{"rewrite_max_len": 0}',
+    "rewrite-max-len-negative": '{"rewrite_max_len": -4}',
+}
+
+
 @pytest.mark.parametrize(
     "config_text,args,message",
     [
-        ('{"no_such_key": 1}', ["selftest", "--config", "{cfg}"], "no_such_key"),
-        (None, ["selftest", "--config", "{cfg}"], "bad --config"),
-        ("{not json", ["selftest", "--config", "{cfg}"], "bad --config"),
         (None, ["table", "--max", "-3"], "--max must be >= 1"),
-        # values of the wrong type are usage errors, not failed checks
-        ('{"enum_max": "3"}', ["selftest", "--config", "{cfg}"], "enum_max must be an int"),
-        ('{"seed": true}', ["selftest", "--config", "{cfg}"], "seed must be an int"),
-        ('{"primes_enum": [3, 4]}', ["selftest", "--config", "{cfg}"], "list of primes"),
-        ('{"rewrite_pairs": [[2, 1, 1]]}', ["selftest", "--config", "{cfg}"], "two-int pairs"),
-        ("[]", ["selftest", "--config", "{cfg}"], "must be a JSON object"),
+        (None, ["table", "--max", "3", "--threads", "-1"], "--threads must be >= 0"),
+        (None, ["verify", "3", "2", "--nmax", "-1"], "--nmax must be >= 0"),
         (None, ["reduce", "2", "1", "1/0*x"], "zero denominator"),
         (None, ["reduce", "2", "1", "x**2"], "empty factor"),
         (None, ["reduce", "2", "1", "*x"], "empty factor"),
@@ -279,26 +292,15 @@ def test_usage_errors_exit_2(capsys):
             ["table", "--max", "2", "--field", "fp", "--p", P19, "--oracle"],
             "too large to enumerate",
         ),
-        (
-            '{"primes_enum": [3, %s]}' % M89,
-            ["selftest", "--config", "{cfg}"],
-            "too large",
-        ),
-        # 257 is the smallest prime with p^4 >= oracle.ENUM_SPACE_LIMIT
-        ('{"primes_enum": [257]}', ["selftest", "--config", "{cfg}"], "too large to enumerate"),
-        ('{"rewrite_max_len": 0}', ["selftest", "--config", "{cfg}"], "rewrite_max_len must be >= 1"),
-        ('{"rewrite_max_len": -4}', ["selftest", "--config", "{cfg}"], "rewrite_max_len must be >= 1"),
+    ]
+    + [
+        (text, ["selftest", "--config", "{cfg}"], "unrecognized arguments: --config")
+        for text in FORMER_SELFTEST_CONFIGS.values()
     ],
     ids=[
-        "unknown-key",
-        "missing-file",
-        "invalid-json",
         "table-max-negative",
-        "int-field-str",
-        "int-field-bool",
-        "primes-not-prime",
-        "pairs-not-pairs",
-        "not-an-object",
+        "table-threads-negative",
+        "verify-nmax-negative",
         "reduce-zero-denominator",
         "reduce-double-star",
         "reduce-leading-star",
@@ -310,10 +312,7 @@ def test_usage_errors_exit_2(capsys):
         "table-p-too-large",
         "oracle-p-too-large-to-enumerate",
         "table-oracle-p-too-large-to-enumerate",
-        "primes-too-large",
-        "primes-too-large-to-enumerate",
-        "rewrite-max-len-zero",
-        "rewrite-max-len-negative",
+        *FORMER_SELFTEST_CONFIGS,
     ],
 )
 def test_user_errors_exit_2(capsys, tmp_path, config_text, args, message):
@@ -425,30 +424,57 @@ def test_verbose_writes_to_stderr(capsys):
     json.loads(out)  # stdout stays pure JSON
 
 
-def test_selftest_smoke(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "primes_enum": [3],
-                "enum_max": 6,
-                "z2_max": 8,
-                "q_max": 10,
-                "q_witness_max": 6,
-                "structure_max_i": 3,
-                "rewrite_pairs": [[1, 1], [2, 1]],
-                "rewrite_words": 25,
-                "rewrite_max_len": 7,
-                "corollary_p3_max": 12,
-                "pi_samples": 10,
-            }
-        )
-    )
-    code, record, err = run_json(["selftest", "--config", str(cfg)], capsys)
+SELFTEST_CHECKS = [
+    "field-axioms",
+    "sequence-recursions",
+    "structure-bases",
+    "rewriting",
+    "membership-fp-vs-enumeration",
+    "membership-z2-vs-enumeration",
+    "membership-q-two-routes",
+    "corollary-congruences-p3",
+    "pi-identities",
+]
+
+
+def test_selftest_smoke(capsys):
+    code, record, err = run_json(["selftest"], capsys)
     assert code == 0
     assert record["result"]["ok"] is True
+    assert [c["name"] for c in record["result"]["checks"]] == SELFTEST_CHECKS
     assert all(c["ok"] for c in record["result"]["checks"])
-    assert "PASS" in err
+    assert record["params"]["config"] == json.loads(json.dumps(cli.SELFTEST_BOUNDS))
+    assert err == "".join(f"[selftest] {name}: PASS\n" for name in SELFTEST_CHECKS)
+
+
+def test_selftest_membership_checks_read_table_rows(capsys, monkeypatch):
+    # the three membership checks are the comparison `table --oracle` prints
+    monkeypatch.setattr(cli, "_table_chunk", lambda task: [{"i": 1, "j": 1, "agrees": False}])
+    code, record, _ = run_json(["selftest"], capsys)
+    assert code == 1
+    failed = [c["name"] for c in record["result"]["checks"] if not c["ok"]]
+    assert failed == [name for name in SELFTEST_CHECKS if name.startswith("membership-")]
+
+
+def test_readme_synopsis_matches_parser():
+    # every --option in README's command-line block, per subcommand, is one
+    # the parser defines, and every option the parser defines is shown
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    shown = {}
+    for line in block.strip().splitlines():
+        words = line.split("#", 1)[0].split()
+        assert words[0] == "m2alg", line
+        shown[words[1]] = set(re.findall(r"--[a-z]+", " ".join(words[2:])))
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {o for a in sp._actions for o in a.option_strings if o.startswith("--")}
+        - {"--help", "--verbose"}
+        for name, sp in sub.choices.items()
+    }
+    assert shown == defined
 
 
 def _module_env():
@@ -515,7 +541,7 @@ def test_selftest_failure_exits_nonzero(capsys, monkeypatch):
     monkeypatch.setattr(
         cli_mod,
         "_selftest_checks",
-        lambda cfg: [("always-fails", lambda: False), ("raises", _boom)],
+        lambda: [("always-fails", lambda: False), ("raises", _boom)],
     )
     code = main(["selftest"])
     captured = capsys.readouterr()

@@ -410,9 +410,14 @@ MODEL_FIELDS = pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "F
 @pytest.mark.parametrize("i,j", MODEL_PAIRS)
 def test_x_power_matches_repeated_multiplication(i, j, field):
     pair = matrix_model(i, j, field).pair
+    period = _period(i, j)
+    scalar = pair.ring.s() if i == j else pair.ring.of((-1) ** (i + j))
     power = Mat2.identity(pair.ring)
-    for e in range(2 * _period(i, j) + 3):
+    for e in range(2 * period + 3):
         assert x_power(pair.ring, e) == power, e
+        if e == period:
+            # the model caches X^e by this period without a matrix power
+            assert power == Mat2.scalar(pair.ring, scalar)
         power = power * pair.X
 
 
