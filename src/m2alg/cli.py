@@ -19,15 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .errors import Inconsistency, UnsupportedParameters
 from .fields import GF, QQ, is_prime
-from .freealg import (
-    build_rewrite_system,
-    certify_normal_forms,
-    check_identities,
-    matrix_model,
-    parse_word_expr,
-    reduce as nc_reduce,
-    validate_system,
-)
 from .groebner import INFINITE, build_ideal_I, buchberger, structure_basis
 from .mat2 import pi_identity_check
 from .membership import decide, decide_Q_semantic, decide_corollaries
@@ -35,6 +26,9 @@ from .model import witness_XY
 from .oracle import construct_witness_Q, enum_sweep_fp, oracle_enum_fp
 from .poly import BiPoly, _mono_text, parse_bipoly
 from .sequences import f_st
+
+# m2alg.freealg, the costliest module to import, is imported only where words
+# are rewritten: by `verify`, `reduce` and selftest's rewriting check
 
 SCHEMA_VERSION = 1
 
@@ -156,6 +150,8 @@ def cmd_oracle(parser, args) -> int:
 def cmd_verify(parser, args) -> int:
     if args.nmax < 0:
         parser.error("--nmax must be >= 0")
+    from .freealg import check_identities
+
     report = check_identities(args.i, args.j, n_max=args.nmax)
     params = {"i": args.i, "j": args.j, "nmax": args.nmax}
     _emit(_record("verify", params, report.to_dict()))
@@ -164,6 +160,9 @@ def cmd_verify(parser, args) -> int:
 
 
 def cmd_reduce(parser, args) -> int:
+    from .freealg import build_rewrite_system, matrix_model, parse_word_expr
+    from .freealg import reduce as nc_reduce
+
     rs = build_rewrite_system(args.i, args.j, QQ)
     try:
         expr = parse_word_expr(args.expr, QQ)
@@ -288,6 +287,13 @@ def _selftest_checks():
         return True
 
     def check_rewriting():
+        from .freealg import (
+            build_rewrite_system,
+            certify_normal_forms,
+            check_identities,
+            validate_system,
+        )
+
         for i, j in cfg["rewrite_pairs"]:
             rs = build_rewrite_system(i, j, QQ)
             rep = validate_system(
@@ -443,6 +449,8 @@ def main(argv=None) -> int:
     for name in ("i", "j"):
         if hasattr(args, name) and getattr(args, name) < 1:
             parser.error(f"{name} must be >= 1")
+    if getattr(args, "field", "fp") != "fp" and args.p is not None:
+        parser.error(f"--p is used only with --field fp, not --field {args.field}")
     try:
         return args.fn(parser, args)
     except UnsupportedParameters as exc:

@@ -253,6 +253,16 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+# a --p that no --field fp asks for is refused, not echoed and ignored
+STRAY_P = {
+    "decide-f2-stray-p": ["decide", "3", "2", "--field", "f2", "--p", "5"],
+    "decide-q-stray-p": ["decide", "3", "2", "--field", "q", "--p", "7"],
+    "structure-stray-p": ["structure", "3", "2", "--p", "3"],
+    "witness-f2-stray-p": ["witness", "3", "2", "--field", "f2", "--p", "2"],
+    "table-stray-p": ["table", "--max", "2", "--field", "q", "--p", "3"],
+}
+
+
 # selftest reads no config file: the files its former --config loader
 # refused, and an absent one, all meet the parser's unknown-option error
 FORMER_SELFTEST_CONFIGS = {
@@ -293,6 +303,7 @@ FORMER_SELFTEST_CONFIGS = {
             "too large to enumerate",
         ),
     ]
+    + [(None, args, "--p is used only with --field fp") for args in STRAY_P.values()]
     + [
         (text, ["selftest", "--config", "{cfg}"], "unrecognized arguments: --config")
         for text in FORMER_SELFTEST_CONFIGS.values()
@@ -312,6 +323,7 @@ FORMER_SELFTEST_CONFIGS = {
         "table-p-too-large",
         "oracle-p-too-large-to-enumerate",
         "table-oracle-p-too-large-to-enumerate",
+        *STRAY_P,
         *FORMER_SELFTEST_CONFIGS,
     ],
 )
