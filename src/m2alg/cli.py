@@ -14,7 +14,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .errors import Inconsistency, UnsupportedParameters
@@ -28,7 +27,18 @@ from .poly import BiPoly, _mono_text, parse_bipoly
 from .sequences import f_st
 
 # m2alg.freealg, the costliest module to import, is imported only where words
-# are rewritten: by `verify`, `reduce` and selftest's rewriting check
+# are rewritten: by `verify`, `reduce` and selftest's rewriting check; and
+# concurrent.futures only by `table` with more than one worker, which reads
+# the module attribute ProcessPoolExecutor (tests patch it)
+
+
+def __getattr__(name):
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SCHEMA_VERSION = 1
 
@@ -226,7 +236,7 @@ def cmd_table(parser, args) -> int:
     bounds = [1 + (args.max * k) // threads for k in range(threads + 1)]
     tasks = [(kind, p, lo, hi, args.max, args.oracle) for lo, hi in zip(bounds, bounds[1:])]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_table_chunk, tasks))
     else:
         chunks = map(_table_chunk, tasks)
@@ -451,6 +461,12 @@ def main(argv=None) -> int:
             parser.error(f"{name} must be >= 1")
     if getattr(args, "field", "fp") != "fp" and args.p is not None:
         parser.error(f"--p is used only with --field fp, not --field {args.field}")
+    # exact output has no length limit, so lift the interpreter's limit on
+    # str() of an int (4300 digits) while a command runs; the expression
+    # parser bounds its literals itself (poly.MAX_LITERAL_DIGITS)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(parser, args)
     except UnsupportedParameters as exc:
@@ -465,6 +481,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

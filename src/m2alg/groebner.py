@@ -10,8 +10,8 @@ i = j = 1), whose quotient carries the whole algebra via 2x2 matrices.
 ``structure_basis`` writes their reduced basis down in closed form from
 two generators of half their t-degree, read off the closed form of the
 powers of [[t, s], [1, 0]] (see its docstring), built on ints from
-``math.comb``, and certifies it (``_certify``).  ``buchberger`` is the
-general engine and its referee: S-polynomials, multivariate division,
+``sequences.f_coeffs``, and certifies it (``_certify``).  ``buchberger``
+is the general engine and its referee: S-polynomials, multivariate division,
 Gebauer and Moeller's pair update (the coprime and chain criteria applied
 once, as each element is added, with elements whose leading monomial a
 newer one divides retired from division), full inter-reduction and
@@ -32,7 +32,9 @@ s-exponent from the top, which is descending lex order, because every
 term a division step adds is lex-smaller than the term it removes.  A
 reduced basis lists its divisors ascending by leading monomial, so in a
 structure ring s^d - sigma comes first and folding s^d = sigma is a
-one-term step.
+one-term step.  ``_mul_into`` is the one product loop; it leaves its sums
+unreduced, so a sum of products needs one division, since the remainder
+is linear (Cox, Little and O'Shea, ch. 2 section 6).
 
 A ``GroebnerBasis`` is also the ring L = A[s,t]/I it presents, and a
 ``QuotientElem`` (a ``SparsePoly`` that knows its basis) is a normal form
@@ -145,6 +147,20 @@ def _sub_shifted(acc: dict, h: dict, c, ds: int, dt: int, mod: int) -> None:
             acc[m] = w
         elif m in acc:
             del acc[m]
+
+
+def _mul_into(out: dict, p: dict, q: dict) -> dict:
+    """out += p * q on kernel dicts, unreduced (no mod, no division); returns out.
+
+    Division is linear, so a sum of such products needs one ``_divide``.
+    """
+    get = out.get
+    b = q.items()
+    for (as_, at), ca in p.items():
+        for (bs, bt), cb in b:
+            m = (as_ + bs, at + bt)
+            out[m] = get(m, 0) + ca * cb
+    return out
 
 
 def _scale(f: dict, c, mod: int) -> dict:
@@ -415,15 +431,8 @@ class GroebnerBasis:
         The product is formed on their kernel numbers and divided once; it
         is never built as a polynomial.
         """
-        b = q.terms.items()
-        prod = {}
-        get = prod.get
-        for (as_, at), ca in p.terms.items():
-            for (bs, bt), cb in b:
-                m = (as_ + bs, at + bt)
-                prod[m] = get(m, 0) + ca * cb
         # _divide reduces mod p and skips cancelled (zero) terms
-        return self._element(prod)
+        return self._element(_mul_into({}, p.terms, q.terms))
 
     def of(self, x) -> QuotientElem:
         """x in L: an element of this ring, a BiPoly or a scalar."""

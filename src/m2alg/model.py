@@ -17,10 +17,20 @@ a = s^m*f(u), b = s^(m+1)*f(u-1) otherwise: each one normal form of
 ``groebner._s_power_f`` (s-exponents folded by s^(i-j) = (-1)^(i-j); m < 0
 only for i != j, where s is a unit), with a*t and a*s the only products.
 
-The verification computes X^lo and X^hi = X^lo * X^(hi-lo) by ``mat_pow``
-(X^lo = C makes that last product cheap) and compares both entry by entry
-with the expected matrices; with C^u = f(u)*C + s*f(u-1)*I, an identity in
-A[s,t], that makes x_power(L, e) = X^e for every e >= 0.
+The verification runs in the commutative algebra L[C] = L*C + L*I, where
+C^2 = t*C + s*I, so a*C + b*I = [[a*t + b, a*s], [a, b]] is held as its
+pair (a, b), and (1, 0) is C, (1, -t) is [[0, s], [1, -t]].  It checks
+that X is a*C + b*I with a = X_21, b = X_22, raises the pair to lo and to
+hi - lo by square-and-multiply (``_pair_pow``), takes X^hi = C*X^(hi-lo),
+and compares both pairs with the expected ones.  With Y = E12, whose
+square is 0, X^i Y + Y X^j = 1 reads (X^i)_21 = (X^j)_21 = 1 and
+(X^i)_11 + (X^j)_22 = 0, checked on the pairs in both orientations: with
+both 21-entries 1 that is t + b_lo + b_hi = 0.  The ladder uses only
+products in L and division by the certified basis, never ``x_power``'s
+closed form, and it divides once per new coordinate: the products that
+make it up are summed unreduced (``groebner._mul_into``), since the
+remainder is linear.  With C^u = f(u)*C + s*f(u-1)*I, an identity in
+A[s,t], this makes x_power(L, e) = X^e for every e >= 0.
 """
 
 from __future__ import annotations
@@ -29,8 +39,15 @@ from dataclasses import dataclass
 
 from .errors import Inconsistency
 from .fields import QQ
-from .groebner import GroebnerBasis, _oriented, _s_power_f, structure_basis
-from .mat2 import Mat2, mat_pow
+from .groebner import (
+    GroebnerBasis,
+    _divide,
+    _mul_into,
+    _oriented,
+    _s_power_f,
+    structure_basis,
+)
+from .mat2 import Mat2
 
 
 @dataclass(frozen=True)
@@ -49,7 +66,9 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
 
     Accepts either orientation of (i, j); the matrices satisfy the relation
     in both orientations (the two presentations coincide).  A given gb must
-    be the structure basis of the same pair over the same field.
+    be the structure basis of the same pair over the same field.  X is
+    verified through its pair in L[C] (module doc): X = a*C + b*I,
+    X^lo = C and X^hi = s*C^(-1), and X^i Y + Y X^j = 1 both ways round.
     """
     hi, lo = _oriented(i, j)
     ring = structure_basis(hi, lo, field) if gb is None else gb
@@ -58,21 +77,52 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
             f"basis for {ring.params} over {ring.field.name} does not present"
             f" ({hi}, {lo}) over {field.name}"
         )
-    companion = Mat2(ring, ring.t(), ring.s(), ring.one, ring.zero)
     X = x_power(ring, 1)
-    Y = Mat2.e12(ring)
-    power = {lo: mat_pow(X, lo)}
-    power[hi] = power[lo] * mat_pow(X, hi - lo)
+    a, b = X.c, X.d
+    t, one = ring.t(), ring.one
+    x = (a.terms, b.terms)
+    lo_pair = _pair_pow(ring, x, lo)
+    # X^hi = C * X^(hi-lo), once X^lo = C
+    hi_pair = _pair_mul(ring, (one.terms, {}), _pair_pow(ring, x, hi - lo))
+    (a_lo, b_lo), (a_hi, b_hi) = ([ring.zero._new(v) for v in p] for p in (lo_pair, hi_pair))
     checks = [
-        (Y * Y).is_zero(),
-        power[i] * Y + Y * power[j] == Mat2.identity(ring),
-        power[j] * Y + Y * power[i] == Mat2.identity(ring),
-        power[lo] == companion,
-        power[hi] == Mat2(ring, ring.zero, ring.s(), ring.one, -ring.t()),
+        X == Mat2(ring, a * t + b, a * ring.s(), a, b),
+        (a_lo, b_lo, a_hi, b_hi) == (one, ring.zero, one, -t),
+        # X^i Y + Y X^j = 1, either way round, with Y = E12
+        a_lo == a_hi == one and not t + b_lo + b_hi,
     ]
     if not all(checks):
         raise Inconsistency(f"witness construction failed for (i, j) = ({i}, {j})")
-    return WitnessPair(X=X, Y=Y, i=i, j=j, ring=ring)
+    return WitnessPair(X=X, Y=Mat2.e12(ring), i=i, j=j, ring=ring)
+
+
+def _pair_mul(ring: GroebnerBasis, x: tuple, y: tuple) -> tuple:
+    """The pair of (a1*C + b1*I)(a2*C + b2*I) in L[C], on kernel dicts.
+
+    That is (a1*a2*t + a1*b2 + b1*a2, a1*a2*s + b1*b2), since
+    C^2 = t*C + s*I; each coordinate is summed unreduced and divided once.
+    """
+    (a1, b1), (a2, b2) = x, y
+    aa = _mul_into({}, a1, a2)
+    alpha = {(es, et + 1): c for (es, et), c in aa.items()}
+    beta = {(es + 1, et): c for (es, et), c in aa.items()}
+    if x is y:
+        _mul_into(alpha, {m: 2 * c for m, c in a1.items()}, b1)
+    else:
+        _mul_into(_mul_into(alpha, a1, b2), b1, a2)
+    _mul_into(beta, b1, b2)
+    divisors, mod = ring._divisors, ring._mod
+    return _divide(alpha, divisors, mod), _divide(beta, divisors, mod)
+
+
+def _pair_pow(ring: GroebnerBasis, x: tuple, e: int) -> tuple:
+    """The pair of (a*C + b*I)^e for x = (a, b) and e >= 0, by square-and-multiply."""
+    y = x if e else ({}, ring.one.terms)
+    for bit in bin(e)[3:]:
+        y = _pair_mul(ring, y, y)
+        if bit == "1":
+            y = _pair_mul(ring, y, x)
+    return y
 
 
 def x_power(ring: GroebnerBasis, e: int) -> Mat2:

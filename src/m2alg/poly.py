@@ -341,6 +341,11 @@ class BiPolyRing:
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z]|\^|\*|\+|-)")
 
+# the longest number a parsed literal may hold: the interpreter's default
+# limit on int(str), checked here so that parsing stays bounded whatever
+# limit the caller has set
+MAX_LITERAL_DIGITS = 4300
+
 
 def _tokenize(text: str) -> list[str]:
     tokens, pos = [], 0
@@ -350,7 +355,10 @@ def _tokenize(text: str) -> list[str]:
             if text[pos:].strip():
                 raise ValueError(f"cannot parse near {text[pos:]!r}")
             break
-        tokens.append(m.group(1))
+        tok = m.group(1)
+        if tok[0].isdigit() and max(map(len, tok.split("/"))) > MAX_LITERAL_DIGITS:
+            raise ValueError(f"a number with more than {MAX_LITERAL_DIGITS} digits")
+        tokens.append(tok)
         pos = m.end()
     return tokens
 

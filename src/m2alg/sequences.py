@@ -8,10 +8,12 @@
   the family with z^n + z^-n = f_n(z + z^-1); its coefficient on x^(n-2k)
   is (-1)^k * n/(n-k) * C(n-k, k).
 
-Each is built term by term from ``math.comb`` as ints and converted into
-the field once, so no polynomial arithmetic runs and nothing is cached;
-coefficients that vanish in the field are dropped.  The recurrences are
-checked against these sums by the test suite, not used to build them.
+Each is built term by term on ints (the binomials of ``f_coeffs`` by
+their ratio along a row, those of ``trace_poly`` from ``math.comb``) and
+converted into the field once, so no polynomial arithmetic runs and
+nothing is cached; coefficients that vanish in the field are dropped.
+The recurrences are checked against these sums by the test suite, not
+used to build them.
 
 ``trace_value(n, c)`` is the int f_n(c) for an int c, read off the
 recurrence on ints in n steps; it builds no polynomial and keeps no memo,
@@ -31,10 +33,21 @@ from .poly import BiPoly, BiPolyRing, UniPoly
 
 
 def f_coeffs(n: int) -> list[int]:
-    """C(n-1-k, k) for k = 0..(n-1)//2: the coefficient of s^k t^(n-1-2k) in f(n)."""
+    """C(n-1-k, k) for k = 0..(n-1)//2: the coefficient of s^k t^(n-1-2k) in f(n).
+
+    With m = n-1, each is read off the one before it:
+    C(m-k-1, k+1) = C(m-k, k) * (m-2k)(m-2k-1) / ((k+1)(m-k)), exactly.
+    """
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return [comb(n - 1 - k, k) for k in range((n + 1) // 2)]
+    if n == 0:
+        return []
+    m, c = n - 1, 1
+    row = [c]
+    for k in range(m // 2):  # m - k > 0 here
+        c = c * (m - 2 * k) * (m - 2 * k - 1) // ((k + 1) * (m - k))
+        row.append(c)
+    return row
 
 
 def f_st(n: int, field=QQ) -> BiPoly:

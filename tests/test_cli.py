@@ -400,6 +400,29 @@ def test_reduce_huge_x_runs_print_without_expanding(capsys, expr, i, j, normal_f
     assert record["result"]["normal_form"] == normal_form
 
 
+def test_reduce_prints_a_coefficient_past_the_str_digit_limit(capsys):
+    # the product has about 6000 digits; the interpreter's str() refuses
+    # ints over 4300 digits, which once ended the run in exit 1
+    sevens = "7" * 3000
+    code, record, err = run_json(["reduce", "2", "1", f"{sevens}*{sevens}*x*y"], capsys)
+    assert code == 0
+    assert err == ""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(int(sevens) ** 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert record["result"]["normal_form"] == f"{want}*x*y"
+
+
+def test_reduce_refuses_a_literal_past_the_digit_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "2", "1", "7" * 5000 + "*x*y"])
+    assert exc.value.code == 2
+    assert "more than 4300 digits" in capsys.readouterr().err
+
+
 def test_decide_large_prime_answers_fast(capsys):
     # a 19-digit prime, decided by Miller-Rabin rather than trial division
     start = time.perf_counter()

@@ -1,0 +1,89 @@
+"""The witness check's ladder in L[C] = L*C + L*I, against Mat2 powers."""
+
+import importlib.util
+import random
+from pathlib import Path
+
+import pytest
+
+from m2alg import mat2, model
+from m2alg.errors import Inconsistency
+from m2alg.fields import GF, QQ
+from m2alg.groebner import QuotientElem, structure_basis
+from m2alg.mat2 import Mat2, mat_pow
+from m2alg.model import _pair_pow, witness_XY, x_power
+
+FIELDS = [QQ, GF(2), GF(3)]
+LADDER_PAIRS = [(5, 4), (13, 8), (12, 7)]
+
+
+def _in_L_of_C(ring, a, b):
+    """a*C + b*I as a matrix, C = [[t, s], [1, 0]]."""
+    return Mat2(ring, a * ring.t() + b, a * ring.s(), a, b)
+
+
+def _random_element(ring, rng):
+    # small int coefficients, so that powers over Q stay cheap
+    terms = {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3) for _ in range(4)}
+    return QuotientElem(terms, ring)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("i,j", LADDER_PAIRS)
+def test_pair_power_matches_mat_pow(i, j, field):
+    ring = structure_basis(i, j, field)
+    rng = random.Random(i * 100 + j)
+    a, b = _random_element(ring, rng), _random_element(ring, rng)
+    m = _in_L_of_C(ring, a, b)
+    for e in range(41):
+        alpha, beta = (ring.zero._new(c) for c in _pair_pow(ring, (a.terms, b.terms), e))
+        assert _in_L_of_C(ring, alpha, beta) == mat_pow(m, e), e
+
+
+def _negated_b(ring, e):
+    X = x_power(ring, e)
+    return _in_L_of_C(ring, X.c, -X.d)
+
+
+def _squared(ring, e):
+    return x_power(ring, 2 * e)
+
+
+def _off_L_of_C(ring, e):
+    X = x_power(ring, e)
+    return Mat2(ring, X.a + ring.one, X.b, X.c, X.d)
+
+
+@pytest.mark.parametrize(
+    "wrong,fields",
+    [(_negated_b, [QQ, GF(3)]), (_squared, FIELDS), (_off_L_of_C, FIELDS)],
+    ids=["b-negated", "X-squared", "not-in-L[C]"],
+)
+@pytest.mark.parametrize("i,j", LADDER_PAIRS)
+def test_witness_refuses_a_wrong_X(i, j, wrong, fields, monkeypatch):
+    # -b = b over GF(2), so the negation is no mutation there
+    monkeypatch.setattr(model, "x_power", wrong)
+    for field in fields:
+        with pytest.raises(Inconsistency):
+            witness_XY(i, j, field)
+
+
+def _benchmark_structure_pairs():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.STRUCTURE_PAIRS
+
+
+def test_witness_runs_no_matrix_product(monkeypatch):
+    # the check works on coefficient pairs, never on Mat2 products or powers
+    def refuse(*args):
+        raise AssertionError("Mat2 product or power in witness_XY")
+
+    monkeypatch.setattr(Mat2, "__mul__", refuse)
+    monkeypatch.setattr(mat2, "mat_pow", refuse)
+    assert not hasattr(model, "mat_pow")
+    for field in (QQ, GF(3)):
+        for i, j in _benchmark_structure_pairs():
+            witness_XY(i, j, field)

@@ -94,7 +94,7 @@ def test_star_import_and_unknown_names():
 
 
 def _loaded_after(code):
-    """The m2alg modules a fresh interpreter holds after running `code`."""
+    """The m2alg and concurrent modules a fresh interpreter holds after running `code`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
@@ -102,7 +102,8 @@ def _loaded_after(code):
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in code.splitlines())
-        + "print(json.dumps(sorted(m for m in sys.modules if m.startswith('m2alg'))))\n"
+        + "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.startswith(('m2alg', 'concurrent')))))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
@@ -126,6 +127,7 @@ def _loaded_after(code):
             {"freealg", "groebner", "model"},
         ),
         ("import m2alg\nm2alg.freealg.reduce", {"freealg"}, set()),
+        ("import m2alg.cli", {"cli"}, {"freealg", "concurrent.futures"}),
         (
             "from m2alg import cli\nassert cli.main(['structure', '5', '4']) == 0",
             {"cli", "groebner"},
@@ -142,6 +144,7 @@ def _loaded_after(code):
         "groebner-model",
         "membership-oracle",
         "freealg-attribute",
+        "cli-import",
         "cli-structure",
         "cli-reduce",
     ],

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from m2alg.poly import BiPoly, UniPoly, parse_bipoly, parse_unipoly
 from m2alg.sequences import (
     companion_matrix_st,
     companion_power,
+    f_coeffs,
     f_st,
     fbar,
     trace_poly,
@@ -20,6 +23,22 @@ def test_f_st_goldens():
     assert f_st(7) == parse_bipoly("t^6 + 5*s*t^4 + 6*s^2*t^2 + s^3", QQ)
     assert f_st(6) == parse_bipoly("t^5 + 4*s*t^3 + 3*s^2*t", QQ)
     assert f_st(3) == parse_bipoly("t^2 + s", QQ)
+
+
+def test_f_coeffs_equal_the_binomials():
+    # the rows are built by ratios along the row; n = 0, 1, 2 are the edges.
+    # math.comb is the referee at every n <= 120 and every 80th n up to
+    # 2000 (all of them would take about 18 s); in between, each row obeys
+    # f(n) = t*f(n-1) + s*f(n-2), which fixes every row from the first two
+    assert f_coeffs(0) == []
+    assert f_coeffs(1) == f_coeffs(2) == [1]
+    rows = [f_coeffs(n) for n in range(2001)]
+    for n in [*range(121), *range(160, 2001, 80)]:
+        assert rows[n] == [comb(n - 1 - k, k) for k in range((n + 1) // 2)], n
+    for n in range(2, 2001):
+        assert rows[n] == [a + b for a, b in zip(rows[n - 1] + [0], [0, *rows[n - 2]])], n
+    with pytest.raises(ValueError):
+        f_coeffs(-1)
 
 
 def _recurrence_ints(n_max, first, second, step):
