@@ -3,8 +3,10 @@
 
 For each cell the verdict comes from the congruence/valuation procedures,
 and (optionally) every finite-field verdict is re-checked against the
-brute-force enumeration oracle.  Output is a compact text atlas plus a
-summary of member densities, handy for eyeballing the periodic structure.
+brute-force enumeration oracle.  The grids are the rows ``m2alg table``
+prints, so a disagreement is a false in its ``--oracle`` column "agrees".
+Output is a compact text atlas plus a summary of member densities, handy
+for eyeballing the periodic structure.
 
     python scripts/membership_atlas.py --max 24 --primes 3 5 7 --oracle
 """
@@ -12,19 +14,19 @@ summary of member densities, handy for eyeballing the periodic structure.
 import argparse
 import sys
 
-from m2alg import decide_Q, decide_Z2, decide_Zp, enum_sweep_fp
+from m2alg.cli import _table_chunk
 
 
-def atlas(title, verdict, max_ij, checked=None):
+def grid(kind, p, max_ij, oracle):
+    """`table --oracle` rows over 1 <= i, j <= max_ij, i ascending, then j."""
+    return _table_chunk((kind, p, 1, max_ij + 1, max_ij, oracle))
+
+
+def atlas(title, rows, max_ij, checked=None):
     print(f"\n== {title} ==")
-    members = 0
-    for i in range(1, max_ij + 1):
-        row = []
-        for j in range(1, max_ij + 1):
-            v = verdict(i, j)
-            members += v
-            row.append("#" if v else ".")
-        print("".join(row))
+    members = sum(row["verdict"] for row in rows)
+    for k in range(0, len(rows), max_ij):
+        print("".join("#" if row["verdict"] else "." for row in rows[k : k + max_ij]))
     density = members / (max_ij * max_ij)
     extra = "" if checked is None else f", oracle agreement {checked}"
     print(f"members: {members}/{max_ij * max_ij} ({density:.1%}){extra}")
@@ -37,29 +39,17 @@ def main(argv=None):
     ap.add_argument("--oracle", action="store_true", help="cross-check finite fields")
     args = ap.parse_args(argv)
 
-    atlas("Q", lambda i, j: decide_Q(i, j).verdict, args.max)
-    pairs = [
-        (i, j) for i in range(1, args.max + 1) for j in range(1, args.max + 1)
-    ]
+    atlas("Q", grid("q", None, args.max, False), args.max)
     for p in [2] + args.primes:
-        decide_fn = (
-            (lambda i, j: decide_Z2(i, j).verdict)
-            if p == 2
-            else (lambda i, j: decide_Zp(p, i, j).verdict)
-        )
+        rows = grid("fp", p, args.max, args.oracle)
         agreement = None
         if args.oracle:
-            found = enum_sweep_fp(p, pairs)
-            bad = [
-                (i, j)
-                for (i, j) in pairs
-                if decide_fn(i, j) != (found[(i, j)] is not None)
-            ]
+            bad = [(row["i"], row["j"]) for row in rows if not row["agrees"]]
             agreement = "100%" if not bad else f"DISAGREES at {bad[:5]}"
             if bad:
                 print(f"!! disagreement over Z_{p}: {bad[:10]}", file=sys.stderr)
                 return 1
-        atlas(f"Z_{p}", decide_fn, args.max, checked=agreement)
+        atlas(f"Z_{p}", rows, args.max, checked=agreement)
     return 0
 
 

@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .errors import Inconsistency, UnsupportedParameters
-from .fields import GF, QQ, is_prime
+from .fields import GF, QQ
 from .groebner import INFINITE, build_ideal_I, buchberger, structure_basis
 from .mat2 import pi_identity_check
 from .membership import decide, decide_Q_semantic, decide_corollaries
@@ -82,25 +82,18 @@ def _verbose(args, text: str):
 
 
 def _field_of(parser, args):
-    tag = args.field
-    if tag == "q":
+    """The field --field names; GF refuses a --p that is not prime."""
+    if args.field == "q":
         return QQ
-    if tag == "f2":
+    if args.field == "f2":
         return GF(2)
-    if tag == "fp":
-        if args.p is None:
-            parser.error("--p is required with --field fp")
-        _check_prime(parser, args.p)
-        return GF(args.p)
-    parser.error(f"unknown field {tag}")
-
-
-def _check_prime(parser, p):
-    if not is_prime(p):
-        parser.error(f"--p {p} is not prime")
+    if args.p is None:
+        parser.error("--p is required with --field fp")
+    return GF(args.p)
 
 
 def cmd_decide(parser, args) -> int:
+    _field_of(parser, args)  # refuses a missing or composite --p first
     trace = decide(args.field, args.i, args.j, p=args.p)
     params = {"field": args.field, "i": args.i, "j": args.j}
     if args.p is not None:
@@ -149,7 +142,6 @@ def _quotient_basis_names(gb):
 
 
 def cmd_oracle(parser, args) -> int:
-    _check_prime(parser, args.p)
     report = oracle_enum_fp(args.p, args.i, args.j, full=args.full)
     params = {"p": args.p, "i": args.i, "j": args.j, "full": args.full}
     _emit(_record("oracle", params, report.to_dict()))
@@ -221,14 +213,8 @@ def cmd_table(parser, args) -> int:
         parser.error("--max must be >= 1")
     if args.threads < 0:
         parser.error("--threads must be >= 0")
-    if args.field in ("fp", "f2"):
-        p = 2 if args.field == "f2" else args.p
-        if p is None:
-            parser.error("--p is required with --field fp")
-        _check_prime(parser, p)
-        kind = "fp"
-    else:
-        kind, p = "q", None
+    field = _field_of(parser, args)
+    kind, p = ("q", None) if field is QQ else ("fp", field.p)
     cpus = os.cpu_count() or 1
     threads = min(args.threads or cpus, cpus, args.max)
     # one contiguous, nonempty i-chunk per worker (threads <= --max); the
@@ -456,9 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("i", "j"):
-        if hasattr(args, name) and getattr(args, name) < 1:
-            parser.error(f"{name} must be >= 1")
     if getattr(args, "field", "fp") != "fp" and args.p is not None:
         parser.error(f"--p is used only with --field fp, not --field {args.field}")
     # exact output has no length limit, so lift the interpreter's limit on

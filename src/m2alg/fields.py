@@ -10,9 +10,11 @@ denominator, which is exactly the canonical form we need); the field objects
 (``zero``, ``one``, ``of``, ``random_element``, ...) for generic code.
 
 Also home to the small number-theoretic predicates used by the membership
-classification (the 2-adic valuation and the odd-multiple test), and to
-``power``, the one square-and-multiply loop behind ``**`` on F_{p^2},
-polynomials and quotient-ring elements.
+classification (the 2-adic valuation and the odd-multiple test), to the
+parameter guards the library's entry points call before any work
+(``require_exponents`` and ``require_prime``), and to ``power``, the one
+square-and-multiply loop behind ``**`` on F_{p^2}, polynomials and
+quotient-ring elements.
 """
 
 from __future__ import annotations
@@ -88,6 +90,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_exponents(i: int, j: int):
+    """Refuse exponents below 1: the algebra is defined for i, j >= 1."""
+    if i < 1 or j < 1:
+        raise UnsupportedParameters("exponents must be >= 1")
+
+
+def require_prime(p: int, odd: bool = False):
+    """Refuse a p that is not prime, and p = 2 when ``odd`` asks for an odd prime."""
+    if not is_prime(p):
+        raise UnsupportedParameters(f"{p} is not prime")
+    if odd and p == 2:
+        raise UnsupportedParameters("2 is not an odd prime")
 
 
 def factorize(n: int) -> list[int]:
@@ -239,8 +255,7 @@ class PrimeField:
     """The field Z_p for a prime p; use the interned constructor GF(p)."""
 
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        require_prime(p)
         self.p = p
         self.char = p
         self.name = f"F{p}"
@@ -404,8 +419,7 @@ class QuadExtField:
     """F_{p^2} = F_p(w) with w^2 = u, u the smallest nonresidue mod p (p odd)."""
 
     def __init__(self, p: int):
-        if p == 2:
-            raise ValueError("p must be odd")
+        require_prime(p, odd=True)
         self.base = GF(p)
         self.p = p
         self.char = p

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Inconsistency, UnsupportedParameters
-from .fields import QQ, FpElem, PrimeField, RationalField
+from .fields import QQ, FpElem, PrimeField, RationalField, require_exponents
 from .poly import BiPoly, SparsePoly, mono_divides, order_key
 from .sequences import f_coeffs, f_st
 
@@ -87,8 +87,7 @@ class Ideal:
 
 def _oriented(i: int, j: int) -> tuple[int, int]:
     """(max, min) of a coprime pair of positive exponents."""
-    if i < 1 or j < 1:
-        raise UnsupportedParameters("exponents must be >= 1")
+    require_exponents(i, j)
     if math.gcd(i, j) != 1:
         raise UnsupportedParameters(
             f"gcd({i}, {j}) != 1: no quotient description is available"

@@ -11,6 +11,11 @@ analysis of the trace polynomials, whose values at the candidate integer
 roots it computes as exact ints by their recurrence.  They share no code,
 so their agreement (enforced by the test suite) is genuine evidence.  Over
 finite fields the referee is the brute-force oracle module.
+
+Every procedure starts with the shared guards of ``fields``: exponents
+below 1 are refused by ``require_exponents``, and a p that is not prime, or
+p = 2 where the procedure needs an odd prime, by ``require_prime``; each
+raises ``UnsupportedParameters`` before any work.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import UnsupportedParameters
-from .fields import INF, is_odd_multiple, is_prime, nu2
+from .fields import INF, is_odd_multiple, nu2, require_exponents, require_prime
 from .sequences import trace_value
 
 RULE_NONE = "NONE"
@@ -74,18 +79,13 @@ class DecisionTrace:
         return out
 
 
-def _require_ij(i: int, j: int):
-    if i < 1 or j < 1:
-        raise UnsupportedParameters("exponents must be >= 1")
-
-
 def decide_Q(i: int, j: int) -> DecisionTrace:
     """Membership over the rationals, by the congruence classification.
 
     Members are exactly: i = j not divisible by 4; or i, j both odd; or
     (i, j) congruent to (1,2), (2,1), (4,5) or (5,4) mod 6.
     """
-    _require_ij(i, j)
+    require_exponents(i, j)
     mk = lambda v, rule: DecisionTrace(v, rule, "Q", i, j)
     if i % 2 == 1 and j % 2 == 1:
         return mk(True, RULE_ODD_ODD)
@@ -116,7 +116,7 @@ def decide_Q_semantic(i: int, j: int) -> DecisionTrace:
     (r^3 = -1); the side condition is that neither exponent is divisible
     by 3.  The order is recorded in aux for auditability.
     """
-    _require_ij(i, j)
+    require_exponents(i, j)
     mk = lambda v, rule, **aux: DecisionTrace(v, rule, "Q", i, j, aux=aux)
     both_odd = i % 2 == 1 and j % 2 == 1
     if both_odd:
@@ -152,7 +152,7 @@ def decide_Q_semantic(i: int, j: int) -> DecisionTrace:
 
 def decide_Z2(i: int, j: int) -> DecisionTrace:
     """Membership over the two-element field: both odd, or (1,2)/(2,1) mod 3."""
-    _require_ij(i, j)
+    require_exponents(i, j)
     mk = lambda v, rule: DecisionTrace(v, rule, "F2", i, j, p=2)
     if i % 2 == 1 and j % 2 == 1:
         return mk(True, RULE_ODD_ODD)
@@ -181,11 +181,8 @@ def decide_Zp(p: int, i: int, j: int) -> DecisionTrace:
     make cases (II)-(IV) vacuous and reduce (I) and (V) to the diagonal
     valuation criteria.
     """
-    _require_ij(i, j)
-    if p == 2 or not is_prime(p):
-        raise UnsupportedParameters(
-            "p must be an odd prime (the two-element field has its own procedure)"
-        )
+    require_exponents(i, j)
+    require_prime(p, odd=True)
     vd = nu2(j - i)
     vp1 = nu2(p - 1)
     vs = nu2(i + j)
@@ -219,9 +216,8 @@ def decide_ii_Zp(p: int, i: int) -> DecisionTrace:
     nu2(p+1) >= nu2(i)+1 (an instance of case (V)); the fired rule records
     which half holds.
     """
-    _require_ij(i, i)
-    if p == 2 or not is_prime(p):
-        raise UnsupportedParameters("p must be an odd prime")
+    require_exponents(i, i)
+    require_prime(p, odd=True)
     vi = nu2(i)
     aux = {"nu2_i": vi, "nu2_p2_minus_1": nu2(p * p - 1)}
     mk = lambda v, rule: DecisionTrace(v, rule, "Fp", i, i, p=p, aux=dict(aux))
@@ -238,7 +234,7 @@ def decide_p3_congruences(i: int, j: int) -> DecisionTrace:
     Members: both odd; (1,2), (2,1), (4,5), (5,4) mod 6; or (2,2), (6,6)
     mod 8.
     """
-    _require_ij(i, j)
+    require_exponents(i, j)
     mk = lambda v, rule: DecisionTrace(v, rule, "Fp", i, j, p=3)
     if i % 2 == 1 and j % 2 == 1:
         return mk(True, RULE_ODD_ODD)
@@ -267,9 +263,8 @@ def decide_neg1_mod4(p: int, i: int, j: int) -> DecisionTrace:
     bounded by a together with the odd-multiple exclusion, checked in both
     orientations.
     """
-    _require_ij(i, j)
-    if not is_prime(p):
-        raise UnsupportedParameters(f"{p} is not prime")
+    require_exponents(i, j)
+    require_prime(p)
     a = _neg1_mod4_exponent(p)
     mk = lambda v, rule: DecisionTrace(v, rule, "Fp", i, j, p=p, aux={"a": a})
     if i % 2 == 1 and j % 2 == 1:
@@ -312,7 +307,7 @@ def decide(field_tag: str, i: int, j: int, p: int | None = None) -> DecisionTrac
         return decide_Z2(i, j)
     if tag == "fp":
         if p is None:
-            raise UnsupportedParameters("--p is required for fp")
+            raise UnsupportedParameters("the field fp needs a prime p")
         if p == 2:
             return decide_Z2(i, j)
         return decide_Zp(p, i, j)

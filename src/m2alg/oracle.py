@@ -26,6 +26,11 @@ x^i E12 + E12 x^j = c*I, and the witness is (x, E12/c).  Only then are x
 and y built as ``Mat2`` over GF(p) or Q, once, for the ``WitnessReport``;
 ``Mat2`` is the report form, not the arithmetic.  ``verify_pair`` is the
 independent ``Mat2`` check of a reported pair.
+
+Parameters are refused before any scan or table is built: exponents below
+1 by ``fields.require_exponents``, a p that is not prime (or p = 2 for the
+roots scan, which needs an odd prime) by ``fields.require_prime``, and a p
+whose search space reaches ``ENUM_SPACE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import Inconsistency, UnsupportedParameters
-from .fields import GF, QQ, is_prime, smallest_nonresidue
+from .fields import GF, QQ, require_exponents, require_prime, smallest_nonresidue
 from .mat2 import Mat2
-from .membership import _require_ij, decide_Q, decide_Q_semantic
+from .membership import decide_Q, decide_Q_semantic
 
 ENUM_FP = "ENUM_FP"
 ROOT_FP2 = "ROOT_FP2"
@@ -45,9 +50,11 @@ CONSTRUCT_Q = "CONSTRUCT_Q"
 
 # the enumeration scans p^4 matrices, so this many and more (p >= 256) are
 # refused: for a huge p merely setting up the scan exhausts memory.  The
-# bound admits p = 251, whose full scan is about 4*10^9 matrices, at roughly
-# 1.5 us each about 100 minutes.  The roots scan covers p^2 quadratics and
-# is held to the same limit.
+# bound admits p = 251, whose full scan is about 4*10^9 matrices: `oracle
+# 4 3` scans at about 2.5 us a matrix (2.3-2.8 us over three runs each at
+# p = 31 and p = 53, Python 3.11, 2-core x86-64 host), so about 2.8 hours,
+# and larger exponents cost more per matrix.  The roots scan covers p^2
+# quadratics and is held to the same limit.
 ENUM_SPACE_LIMIT = 2**32
 
 
@@ -180,13 +187,12 @@ def enum_sweep_fp(p: int, pairs) -> dict:
     its witness again with exact exponents before reporting it.
     A p with p^4 >= ENUM_SPACE_LIMIT is refused before anything is built.
     """
-    if not is_prime(p):
-        raise UnsupportedParameters(f"{p} is not prime")
+    require_prime(p)
     if p**4 >= ENUM_SPACE_LIMIT:
         raise UnsupportedParameters(f"p = {p} is too large to enumerate: p^4 >= 2^32")
     pairs = list(pairs)
     for i, j in pairs:
-        _require_ij(i, j)
+        require_exponents(i, j)
     emax = max((max(i, j) for (i, j) in pairs), default=0)
     result = {pair: None for pair in pairs}
     undecided = set(pairs)
@@ -238,7 +244,7 @@ def oracle_enum_fp(p: int, i: int, j: int, full: bool = False) -> WitnessReport:
     square-zero y and confirms that fixing y = E12 loses nothing.
     """
     if full and p > 3:
-        raise UnsupportedParameters("--full is supported for p <= 3 only")
+        raise UnsupportedParameters("the full scan is supported for p <= 3 only")
     hit = enum_sweep_fp(p, [(i, j)])[(i, j)]  # checks p, i and j
     details = {}
     if full:
@@ -325,11 +331,10 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     exponents, and built as ``Mat2`` over GF(p) only for the report.  A p
     with p^2 >= ENUM_SPACE_LIMIT is refused before anything is built.
     """
-    if not is_prime(p) or p == 2:
-        raise UnsupportedParameters("p must be an odd prime")
+    require_prime(p, odd=True)
     if p * p >= ENUM_SPACE_LIMIT:
         raise UnsupportedParameters(f"p = {p} is too large for the roots scan: p^2 >= 2^32")
-    _require_ij(i, j)
+    require_exponents(i, j)
     u = smallest_nonresidue(p)
     u_inv = pow(u, -1, p)
     inv2 = pow(2, -1, p)
@@ -393,8 +398,7 @@ def construct_witness_Q(i: int, j: int) -> WitnessReport:
     Failure to build one when membership is asserted raises Inconsistency -
     the oracle is the referee, never silent.
     """
-    _require_ij(i, j)
-    if not decide_Q(i, j).verdict:
+    if not decide_Q(i, j).verdict:  # refuses exponents below 1
         return _report(CONSTRUCT_Q, i, j)
     if i % 2 == 1 and j % 2 == 1:
         x, branch = (0, 1, 1, 0), "odd-odd"

@@ -6,11 +6,12 @@ import re
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 
-from m2alg import cli, freealg
+from m2alg import cli, freealg, groebner, model, oracle
 from m2alg.cli import main
 from m2alg.errors import Inconsistency
 
@@ -333,6 +334,77 @@ def test_user_errors_exit_2(capsys, tmp_path, config_text, args, message):
         cfg.write_text(config_text)
     with pytest.raises(SystemExit) as exc:
         main([a.format(cfg=cfg) for a in args])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+# every bad parameter of every command, with the guard's message: exponents
+# below 1, a pair that is not coprime where the quotient is built, a --p that
+# is not prime (or too large to test) and a missing --p
+BAD_EXPONENTS = {"i-zero": ["0", "1"], "j-zero": ["2", "0"]}
+NOT_COPRIME = {"4-2": ["4", "2"], "6-9": ["6", "9"]}
+BAD_P = {
+    "p1": ("1", "1 is not prime"),
+    "p4": ("4", "4 is not prime"),
+    "p9": ("9", "9 is not prime"),
+    "m89": (M89, f"{M89} is too large"),
+}
+QUOTIENT_COMMANDS = ("structure", "witness", "verify", "reduce")
+
+
+def _refusals():
+    fields = {
+        "decide": {
+            "q": ["--field", "q"],
+            "f2": ["--field", "f2"],
+            "fp3": ["--field", "fp", "--p", "3"],
+        },
+        "oracle": {"p3": ["--p", "3"]},
+    }
+    cases = {}
+    for command in ("decide", "oracle", *QUOTIENT_COMMANDS):
+        tail = ["x"] if command == "reduce" else []
+        for name, ij in BAD_EXPONENTS.items():
+            for tag, field in fields.get(command, {"": []}).items():
+                key = "-".join(filter(None, (command, name, tag)))
+                cases[key] = ([command, *ij, *tail, *field], "exponents must be >= 1")
+        if command in QUOTIENT_COMMANDS:
+            for name, (i, j) in NOT_COPRIME.items():
+                cases[f"{command}-{name}"] = ([command, i, j, *tail], f"gcd({i}, {j}) != 1")
+    for command in ("decide", "structure", "witness", "oracle", "table"):
+        head = ["table", "--max", "3"] if command == "table" else [command, "3", "2"]
+        field = [] if command == "oracle" else ["--field", "fp"]
+        for name, (p, message) in BAD_P.items():
+            cases[f"{command}-{name}"] = ([*head, *field, "--p", p], message)
+        missing = "required: --p" if command == "oracle" else "--p is required with --field fp"
+        cases[f"{command}-no-p"] = ([*head, *field], missing)
+    return cases
+
+
+REFUSALS = _refusals()
+
+
+@pytest.mark.parametrize("args,message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals_exit_2_before_any_work(capsys, monkeypatch, args, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the parameters were checked")
+
+    # witness_XY and enum_sweep_fp hold guards of their own, so what they
+    # start is refused: a structure basis, a power of X and the p^4 scan
+    for module in (cli, groebner, model, freealg):
+        monkeypatch.setattr(module, "structure_basis", refuse)
+    for module in (model, freealg):
+        monkeypatch.setattr(module, "x_power", refuse)
+    monkeypatch.setattr(oracle, "itertools", types.SimpleNamespace(product=refuse))
+    monkeypatch.setattr(oracle, "oracle_roots_fp2", refuse)
+    monkeypatch.setattr(cli, "enum_sweep_fp", refuse)
+    monkeypatch.setattr(cli, "_table_chunk", refuse)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(args)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m2alg.errors import UnsupportedParameters
+from m2alg.membership import decide_ii_Zp, decide_Zp
+from m2alg.oracle import oracle_roots_fp2
 from m2alg.fields import (
     GF,
     GF2,
@@ -79,6 +81,22 @@ def test_is_prime_refuses_beyond_its_proven_bound():
 def test_prime_field_requires_prime():
     with pytest.raises(ValueError):
         GF.__wrapped__(6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: decide_Zp(2, 3, 2),
+        lambda: decide_ii_Zp(2, 2),
+        lambda: oracle_roots_fp2(2, 3, 2),
+        lambda: GF2(2),
+    ],
+    ids=["decide_Zp", "decide_ii_Zp", "oracle_roots_fp2", "GF2"],
+)
+def test_odd_prime_guard_refuses_two(call):
+    # the procedures that need an odd prime all refuse p = 2 through one guard
+    with pytest.raises(UnsupportedParameters, match="^2 is not an odd prime$"):
+        call()
 
 
 def test_fp_arithmetic():

@@ -68,6 +68,30 @@ def test_witness_refuses_a_wrong_X(i, j, wrong, fields, monkeypatch):
             witness_XY(i, j, field)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize("i,j", [(5, 3), (13, 8), (7, 4)])
+def test_witness_refuses_wrong_powers_that_keep_the_relation(i, j, field, monkeypatch):
+    # X^lo = C + s*I and X^hi = C - (t + s)*I: the relation check still
+    # holds (t + s - t - s = 0), so only the pair check can refuse them
+    lo = min(i, j)
+    pair_pow, pair_mul = model._pair_pow, model._pair_mul
+
+    def wrong_pow(ring, x, e):
+        if e == lo:
+            return dict(ring.one.terms), dict(ring.s().terms)
+        return pair_pow(ring, x, e)
+
+    def wrong_mul(ring, x, y):
+        if x == (ring.one.terms, {}):  # the product C * X^(hi - lo)
+            return dict(ring.one.terms), (-ring.t() - ring.s()).terms
+        return pair_mul(ring, x, y)
+
+    monkeypatch.setattr(model, "_pair_pow", wrong_pow)
+    monkeypatch.setattr(model, "_pair_mul", wrong_mul)
+    with pytest.raises(Inconsistency):
+        witness_XY(i, j, field)
+
+
 def _benchmark_structure_pairs():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)

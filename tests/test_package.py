@@ -1,5 +1,6 @@
 """The package namespace: what `m2alg` exports, and what each import loads."""
 
+import ast
 import importlib
 import json
 import os
@@ -153,3 +154,30 @@ def test_imports_load_only_what_they_use(code, loaded, absent):
     modules = _loaded_after(code)
     assert loaded <= modules
     assert not absent & modules
+
+
+def _refusal_messages(path):
+    """(line, text) of each string in a raised UnsupportedParameters or ValueError."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Name):
+            continue
+        if call.func.id not in ("UnsupportedParameters", "ValueError"):
+            continue
+        for part in ast.walk(call):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                yield node.lineno, part.value
+
+
+def test_library_messages_name_no_cli_flag():
+    # the library speaks of parameters, not of the options that carry them:
+    # only cli.py knows that p arrives as --p
+    src = Path(m2alg.__file__).resolve().parent
+    flagged = [
+        f"{path.name}:{line}: {text!r}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "cli.py"
+        for line, text in _refusal_messages(path)
+        if "--" in text
+    ]
+    assert not flagged
