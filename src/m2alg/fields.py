@@ -152,8 +152,10 @@ class RationalField:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     def coeff_text(self, c) -> tuple[bool, str]:
-        """(is_negative, magnitude text) for polynomial display."""
-        return (c < 0, str(abs(c)))
+        """(is_negative, magnitude text) for polynomial display: "n" or "n/d"."""
+        n, d = c.numerator, c.denominator
+        mag = str(-n if n < 0 else n)
+        return (n < 0, mag if d == 1 else f"{mag}/{d}")
 
     def parse_coeff(self, text: str) -> Fraction:
         return Fraction(text)

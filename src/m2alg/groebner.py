@@ -467,35 +467,40 @@ class GroebnerBasis:
         """True iff 1 is in the ideal, i.e. the basis is {1}."""
         return len(self.polys) == 1 and self.polys[0] == BiPoly.const(1, self.field)
 
-    def quotient_basis(self):
-        """Standard monomials of the quotient, ascending, or INFINITE.
+    def _columns(self):
+        """Heights of the staircase's columns, or None for an infinite quotient.
 
         The quotient is finite-dimensional over the field exactly when some
         leading monomial is a pure power of s and some is a pure power of t.
+        Column e_s, for e_s below the least pure power of s, holds the t^e_t
+        with e_t below the least t-exponent of a leading monomial whose
+        s-exponent is at most e_s.
         """
-        if self.is_trivial():
-            return []
-        s_bound = None
-        t_bound = None
+        low = {}  # s-exponent -> least t-exponent of a leading monomial
         for es, et in self._lms:
-            if et == 0:
-                s_bound = es if s_bound is None else min(s_bound, es)
-            if es == 0:
-                t_bound = et if t_bound is None else min(t_bound, et)
-        if s_bound is None or t_bound is None:
+            low[es] = min(et, low.get(es, et))
+        s_bound = min((es for es, et in low.items() if not et), default=None)
+        if s_bound is None or 0 not in low:
+            return None
+        heights, h = [], low[0]
+        for es in range(s_bound):
+            h = min(h, low.get(es, h))
+            heights.append(h)
+        return heights
+
+    def quotient_basis(self):
+        """Standard monomials of the quotient, ascending, or INFINITE."""
+        heights = self._columns()
+        if heights is None:
             return INFINITE
-        monos = [
-            (es, et)
-            for es in range(s_bound)
-            for et in range(t_bound)
-            if not any(mono_divides(lm, (es, et)) for lm in self._lms)
-        ]
-        monos.sort(key=order_key)
-        return monos
+        return sorted(
+            ((es, et) for es, h in enumerate(heights) for et in range(h)), key=order_key
+        )
 
     def dimension(self):
-        qb = self.quotient_basis()
-        return INFINITE if qb is INFINITE else len(qb)
+        """The quotient's dimension over the field, or INFINITE, from the column heights."""
+        heights = self._columns()
+        return INFINITE if heights is None else sum(heights)
 
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):

@@ -13,24 +13,38 @@ a ``GroebnerBasis``.
 Every power of X has one closed form, ``x_power``: lo is a unit mod n, so
 e = u*lo + m*n with u = e*lo^(-1) mod n, X^e = s^m * C^u, and
 C^u = f(u)*C + s*f(u-1)*I.  So X^e = s^m*I for u = 0, and a*C + b*I with
-a = s^m*f(u), b = s^(m+1)*f(u-1) otherwise: each one normal form of
-``groebner._s_power_f`` (s-exponents folded by s^(i-j) = (-1)^(i-j); m < 0
-only for i != j, where s is a unit), with a*t and a*s the only products.
+a = s^m*f(u), b = s^(m+1)*f(u-1) otherwise.  For u > n/2 it reads C^u from
+the nearer side: the generators f(n) and f(n-1) - s^(lo-1) give
+C^n = s^lo*I in L, so with k = n - u, C^u = s^lo*C^(-k), and since
+C^(-k) = (-s)^(-k)*(-f(k)*C + f(k+1)*I),
+
+    a = -(-1)^k * s^(m+lo-k) * f(k),   b = (-1)^k * s^(m+lo-k) * f(k+1).
+
+Each of a, b is one normal form of ``groebner._s_power_f`` (s-exponents
+folded by s^(i-j) = (-1)^(i-j); negative ones only for i != j, where s is
+a unit) of t-degree at most n/2, the height of the basis's own leading
+monomials, where f(u) for u near n has t-degree up to n - 1 and its
+division runs through about n/2 levels; a*t and a*s are the only
+products.  At (1, 1), where s is no unit, u <= 1 = k and the nearer side
+is never taken.
 
 The verification runs in the commutative algebra L[C] = L*C + L*I, where
 C^2 = t*C + s*I, so a*C + b*I = [[a*t + b, a*s], [a, b]] is held as its
 pair (a, b), and (1, 0) is C, (1, -t) is [[0, s], [1, -t]].  It checks
-that X is a*C + b*I with a = X_21, b = X_22, raises the pair to lo and to
-hi - lo by square-and-multiply (``_pair_pow``), takes X^hi = C*X^(hi-lo),
-and compares both pairs with the expected ones.  With Y = E12, whose
-square is 0, X^i Y + Y X^j = 1 reads (X^i)_21 = (X^j)_21 = 1 and
-(X^i)_11 + (X^j)_22 = 0, checked on the pairs in both orientations: with
-both 21-entries 1 that is t + b_lo + b_hi = 0.  The ladder uses only
-products in L and division by the certified basis, never ``x_power``'s
-closed form, and it divides once per new coordinate: the products that
-make it up are summed unreduced (``groebner._mul_into``), since the
-remainder is linear.  With C^u = f(u)*C + s*f(u-1)*I, an identity in
-A[s,t], this makes x_power(L, e) = X^e for every e >= 0.
+that X is a*C + b*I with a = X_21, b = X_22, raises the pair to lo by
+square-and-multiply (``_pair_pow``) and compares it with C's.  Then, with
+hi = q*lo + r, X^hi = C^q * X^r: it raises C's pair to q and X's to
+r < lo, multiplies the two (skipped for r = 0) and compares the product
+with (1, -t).  With Y = E12, whose square is 0, X^i Y + Y X^j = 1 reads
+(X^i)_21 = (X^j)_21 = 1 and (X^i)_11 + (X^j)_22 = 0, in both
+orientations t + b_lo + b_hi = 0 on the pairs; the pairs (1, 0) and
+(1, -t) satisfy it, so the two comparisons check the relation as well.
+The ladder uses only products in L and division by the certified basis,
+never f or ``x_power``'s exponent arithmetic, and it divides once per new
+coordinate: the products that make it up are summed unreduced
+(``groebner._mul_into``), since the remainder is linear.  With
+C^u = f(u)*C + s*f(u-1)*I, an identity in A[s,t], and C^n = s^lo*I in L,
+this makes x_power(L, e) = X^e for every e >= 0.
 """
 
 from __future__ import annotations
@@ -45,6 +59,7 @@ from .groebner import (
     _mul_into,
     _oriented,
     _s_power_f,
+    _scale,
     structure_basis,
 )
 from .mat2 import Mat2
@@ -68,7 +83,8 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
     in both orientations (the two presentations coincide).  A given gb must
     be the structure basis of the same pair over the same field.  X is
     verified through its pair in L[C] (module doc): X = a*C + b*I,
-    X^lo = C and X^hi = s*C^(-1), and X^i Y + Y X^j = 1 both ways round.
+    X^lo = C and X^hi = s*C^(-1), which give X^i Y + Y X^j = 1 both ways
+    round.
     """
     hi, lo = _oriented(i, j)
     ring = structure_basis(hi, lo, field) if gb is None else gb
@@ -82,14 +98,16 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
     t, one = ring.t(), ring.one
     x = (a.terms, b.terms)
     lo_pair = _pair_pow(ring, x, lo)
-    # X^hi = C * X^(hi-lo), once X^lo = C
-    hi_pair = _pair_mul(ring, (one.terms, {}), _pair_pow(ring, x, hi - lo))
+    # X^hi = C^q * X^r with hi = q*lo + r, once X^lo = C
+    q, r = divmod(hi, lo)
+    hi_pair = _pair_pow(ring, (one.terms, {}), q)
+    if r:
+        hi_pair = _pair_mul(ring, hi_pair, _pair_pow(ring, x, r))
     (a_lo, b_lo), (a_hi, b_hi) = ([ring.zero._new(v) for v in p] for p in (lo_pair, hi_pair))
     checks = [
         X == Mat2(ring, a * t + b, a * ring.s(), a, b),
-        (a_lo, b_lo, a_hi, b_hi) == (one, ring.zero, one, -t),
-        # X^i Y + Y X^j = 1, either way round, with Y = E12
-        a_lo == a_hi == one and not t + b_lo + b_hi,
+        (a_lo, b_lo) == (one, ring.zero),
+        (a_hi, b_hi) == (one, -t),
     ]
     if not all(checks):
         raise Inconsistency(f"witness construction failed for (i, j) = ({i}, {j})")
@@ -133,6 +151,18 @@ def x_power(ring: GroebnerBasis, e: int) -> Mat2:
     m = (e - u * lo) // n
     if not u:
         return Mat2.scalar(ring, ring._element(_s_power_f(m, 1, d, mod)))
-    a = ring._element(_s_power_f(m, u, d, mod))
-    b = ring._element(_s_power_f(m + 1, u - 1, d, mod))
+    k = n - u
+    if k < u:
+        # the nearer side: C^u = s^lo * C^(-k); never at (1, 1), where u <= 1 = k
+        # and s is no unit
+        es = m + lo - k
+        a, b = _s_power_f(es, k, d, mod), _s_power_f(es, k + 1, d, mod)
+        if k % 2:
+            b = _scale(b, -1, mod)
+        else:
+            a = _scale(a, -1, mod)
+    else:
+        a = _s_power_f(m, u, d, mod)
+        b = _s_power_f(m + 1, u - 1, d, mod)
+    a, b = ring._element(a), ring._element(b)
     return Mat2(ring, a * ring.t() + b, a * ring.s(), a, b)

@@ -243,9 +243,11 @@ def oracle_enum_fp(p: int, i: int, j: int, full: bool = False) -> WitnessReport:
     With ``full=True`` (supported for p <= 3) additionally enumerates every
     square-zero y and confirms that fixing y = E12 loses nothing.
     """
+    require_prime(p)
+    require_exponents(i, j)
     if full and p > 3:
         raise UnsupportedParameters("the full scan is supported for p <= 3 only")
-    hit = enum_sweep_fp(p, [(i, j)])[(i, j)]  # checks p, i and j
+    hit = enum_sweep_fp(p, [(i, j)])[(i, j)]
     details = {}
     if full:
         unrestricted = _full_enum(p, i, j)

@@ -106,6 +106,25 @@ def test_output_bytes_golden(capsys, args, golden):
     assert out == (GOLDENS / golden).read_text()
 
 
+def test_reduce_big_pair_golden(capsys):
+    # n = 401: the model's powers of X come from both sides of C^n = s^200 I
+    code, out, err = run_cli(["reduce", "201", "200", "y*x*y*x^5*y"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDENS / "reduce_201_200.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "p,message", [("4", "4 is not prime"), ("5", "the full scan is supported for p <= 3 only")]
+)
+def test_oracle_full_checks_the_prime_first(capsys, p, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "1", "1", "--p", p, "--full"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_verify_big_pair_all_ok(capsys):
     # i^2 - j^2 = 39991: the model evaluates x-powers near 40,000
     code, record, err = run_json(["verify", "200", "3"], capsys)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -250,3 +251,17 @@ def test_fp_of_fraction_inverts_denominator():
     assert f5.of(Fraction(1, 2)) == f5.of(3)  # 2 * 3 = 6 = 1 mod 5
     assert f5.parse_coeff("1/2") == f5.of(3)
     assert f5.of(Fraction(7, 1)) == f5.of(2)
+
+
+def test_rational_coeff_text_matches_sign_and_magnitude():
+    huge = 7 * 10**4999 + 3  # 5000 digits, past the default int-string limit
+    values = [0, 1, -1, 12, -12, huge, -huge]
+    values += [Fraction(v) for v in values]
+    values += [Fraction(n, d) for n in (1, -1, 7, -22, huge, -huge) for d in (3, 10**4999 + 9)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for c in values:
+            assert QQ.coeff_text(c) == (c < 0, str(abs(c))), c
+    finally:
+        sys.set_int_max_str_digits(limit)

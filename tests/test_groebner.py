@@ -810,3 +810,43 @@ def test_quotient_elem_constructor_reduces():
     assert QuotientElem({(5, 0): FpElem(1, 3), (0, 0): 1}, L) == L.zero
     LQ = structure_basis(4, 3, QQ)
     assert QuotientElem({(5, 0): 2, (0, 1): Fraction(1, 2)}, LQ) == LQ.of(-2) + LQ.t() * Fraction(1, 2)
+
+
+def _standard_monomials(gb):
+    """The staircase by the monomial test, inside the pure-power bounds."""
+    s_bound = min(es for es, et in gb._lms if et == 0)
+    t_bound = min(et for es, et in gb._lms if es == 0)
+    return sorted(
+        (
+            (es, et)
+            for es in range(s_bound)
+            for et in range(t_bound)
+            if not any(lm[0] <= es and lm[1] <= et for lm in gb._lms)
+        ),
+        key=order_key,
+    )
+
+
+def _staircase_bases():
+    for field in (QQ, GF(2), GF(3)):
+        for i, j in INTEGRALITY_PAIRS:
+            yield f"{field.name} {i},{j}", structure_basis(i, j, field)
+    # a basis of Buchberger's with several columns of different heights
+    gens = ["s^5", "s^3*t - s^4", "s*t^3 + s^2", "t^4 + s^3"]  # {s^3, s^2*t, s*t^3 + s^2, t^4}
+    gens = [parse_bipoly(g, QQ) for g in gens]
+    yield "buchberger", buchberger(gens, QQ)
+    yield "trivial", buchberger([BiPoly.const(1, QQ)], QQ)
+
+
+def test_dimension_counts_the_staircase():
+    seen = set()
+    for name, gb in _staircase_bases():
+        qb = gb.quotient_basis()
+        assert gb.dimension() == len(qb), name
+        assert qb == _standard_monomials(gb), name
+        seen.add(len(set(gb._columns())))
+    assert 0 in seen  # the trivial basis has no column
+    assert max(seen) >= 3  # some staircase has three column heights
+    for gb in (structure_basis(1, 1), buchberger([parse_bipoly("s*t - 1", QQ)], QQ)):
+        assert gb.quotient_basis() is INFINITE
+        assert gb.dimension() is INFINITE

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from m2alg import mat2, model
+from m2alg import groebner, mat2, model
 from m2alg.errors import Inconsistency
 from m2alg.fields import GF, QQ
 from m2alg.groebner import QuotientElem, structure_basis
@@ -111,3 +111,60 @@ def test_witness_runs_no_matrix_product(monkeypatch):
     for field in (QQ, GF(3)):
         for i, j in _benchmark_structure_pairs():
             witness_XY(i, j, field)
+
+
+NEAR_SIDE_PAIRS = [(5, 4), (7, 2), (9, 2), (12, 7), (13, 8)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("i,j", NEAR_SIDE_PAIRS)
+def test_x_power_from_either_side_matches_mat_pow(i, j, field):
+    ring = structure_basis(i, j, field)
+    n, lo = i + j, min(i, j)
+    X = x_power(ring, 1)
+    sides = set()
+    for e in range(3 * n):
+        u = e * pow(lo, -1, n) % n
+        if u:
+            sides.add(n - u < u)  # True: read from C^n = s^lo * I
+        assert x_power(ring, e) == mat_pow(X, e), e
+    assert sides == {False, True}
+
+
+def test_x_power_divides_nothing_deep(monkeypatch):
+    # every f divided has t-degree at most n/2; the products a*t add one
+    ring = structure_basis(401, 400)
+    n = 801
+    divide = groebner._divide
+    degrees = []
+
+    def recording(p, divisors, mod):
+        degrees.append(max((et for _, et in p), default=-1))
+        return divide(p, divisors, mod)
+
+    monkeypatch.setattr(groebner, "_divide", recording)
+    for e in range(n):
+        x_power(ring, e)
+    assert degrees and max(degrees) <= n // 2 + 1, max(degrees)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize("i,j", [(7, 2), (11, 3), (13, 4)])
+def test_witness_refuses_a_wrong_power_of_C_in_X_hi(i, j, field, monkeypatch):
+    # hi = q*lo + r with q = 3: X^lo = C holds, and C^q is patched to
+    # C^(q+1), so the pair of X^hi is X^(hi+lo)'s
+    lo = min(i, j)
+    q = max(i, j) // lo
+    pair_pow = model._pair_pow
+    patched = []
+
+    def wrong_pow(ring, x, e):
+        if x == (ring.one.terms, {}) and e == q:
+            patched.append(e)
+            e += 1
+        return pair_pow(ring, x, e)
+
+    monkeypatch.setattr(model, "_pair_pow", wrong_pow)
+    with pytest.raises(Inconsistency):
+        witness_XY(i, j, field)
+    assert patched == [q]
