@@ -22,12 +22,11 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("errors", "Inconsistency UnsupportedParameters"),
-        ("fields", "GF GF2 INF QQ fp2_frobenius is_odd_multiple nu2"),
+        ("fields", "GF GF2 INF QQ is_odd_multiple nu2"),
         (
             "freealg",
             "NCPoly RewriteSystem Word build_rewrite_system certify_normal_forms"
-            " check_identities matrix_model parse_word_expr reduce validate_system"
-            " word_image",
+            " check_identities matrix_model parse_word_expr reduce validate_system",
         ),
         (
             "groebner",

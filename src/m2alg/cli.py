@@ -125,14 +125,17 @@ def cmd_structure(parser, args) -> int:
 def cmd_witness(parser, args) -> int:
     field = _field_of(parser, args)
     pair = witness_XY(args.i, args.j, field)
+    monomials = _quotient_basis_names(pair.ring)
     result = {
         "X": [[str(v) for v in row] for row in pair.X.rows()],
         "Y": [[str(v) for v in row] for row in pair.Y.rows()],
         "relations_verified": True,
-        "quotient_basis": _quotient_basis_names(pair.ring),
+        "quotient_basis": monomials,
     }
     params = {"i": args.i, "j": args.j, "field": args.field, "p": args.p}
     _emit(_record("witness", params, result))
+    dimension = monomials if monomials == "infinite" else len(monomials)
+    _verbose(args, f"quotient dimension {dimension}")
     return 0
 
 
@@ -178,6 +181,7 @@ def cmd_reduce(parser, args) -> int:
         return 1
     result = {"input": expr.text(), "normal_form": nf.text(), "model_checked": True}
     _emit(_record("reduce", {"i": args.i, "j": args.j, "expr": args.expr}, result))
+    _verbose(args, f"normal form: {len(nf.terms)} terms")
     return 0
 
 
@@ -367,6 +371,7 @@ def cmd_selftest(parser, args) -> int:
             {"checks": results, "ok": ok_all},
         )
     )
+    _verbose(args, f"{len(results)} checks, ok={ok_all}")
     return 0 if ok_all else 1
 
 

@@ -146,6 +146,8 @@ class RationalField:
         self.char = 0
 
     def of(self, n) -> Fraction:
+        if isinstance(n, float):
+            raise TypeError(f"{n!r} is a float: rationals are made exactly")
         return Fraction(n)
 
     def random_element(self, rng) -> Fraction:
@@ -272,6 +274,8 @@ class PrimeField:
         if isinstance(n, Fraction):
             num = FpElem(n.numerator, self.p)
             return num if n.denominator == 1 else num / FpElem(n.denominator, self.p)
+        if isinstance(n, float):
+            raise TypeError(f"{n!r} is a float: F_{self.p} elements are made exactly")
         return FpElem(int(n), self.p)
 
     def elements(self):
@@ -366,6 +370,12 @@ class Fp2Elem:
         return Fp2Elem(-self.a, -self.b, self.field)
 
     def conjugate(self) -> "Fp2Elem":
+        """a - b*w, which is also z^p, the p-power (Frobenius) map.
+
+        Since w^2 = u is a nonresidue, w^(p-1) = u^((p-1)/2) = -1, so
+        w^p = -w and (a + b*w)^p = a^p + b^p*w^p = a - b*w.  It fixes
+        exactly the base-field elements.
+        """
         return Fp2Elem(self.a, -self.b, self.field)
 
     def norm(self) -> FpElem:
@@ -429,16 +439,13 @@ class QuadExtField:
         self.name = f"F{p * p}"
         self.zero = Fp2Elem(self.base.zero, self.base.zero, self)
         self.one = Fp2Elem(self.base.one, self.base.zero, self)
-        self.omega = Fp2Elem(self.base.zero, self.base.one, self)
 
     def of(self, n) -> Fp2Elem:
         if isinstance(n, Fp2Elem):
             if n.field.p != self.p:
                 raise ValueError("modulus mismatch")
             return n
-        if isinstance(n, FpElem):
-            return Fp2Elem(self.base.of(n), self.base.zero, self)
-        return Fp2Elem(self.base.of(int(n)), self.base.zero, self)
+        return Fp2Elem(self.base.of(n), self.base.zero, self)
 
     def make(self, a, b) -> Fp2Elem:
         return Fp2Elem(self.base.of(a), self.base.of(b), self)
@@ -482,20 +489,3 @@ class QuadExtField:
 def GF2(p: int) -> QuadExtField:
     return QuadExtField(p)
 
-
-def fp2_frobenius(z: Fp2Elem) -> Fp2Elem:
-    """The p-power map on F_{p^2}.
-
-    Since w^2 is a nonresidue, w^p = -w, so z -> z^p is plain conjugation
-    a + b*w -> a - b*w.  Fixes exactly the base-field elements.
-    """
-    return z.conjugate()
-
-
-def element_order(z, group_order: int) -> int:
-    """Multiplicative order of a unit z, given a multiple of it."""
-    order = group_order
-    for q in factorize(group_order):
-        while order % q == 0 and z ** (order // q) == z ** 0:
-            order //= q
-    return order

@@ -27,13 +27,13 @@ set, and serve every field.  The heap-driven rewriting engine
 ``reduce``.
 
 Equality in the presented ring is *decided* through the faithful matrix
-model over A[s,t]/I (``word_image``), never through the rewrite system
-alone; the model shares no code with the walk.  ``certify_normal_forms``
-proves that normal forms are unique, so every reduction order ends at the
-same one: for i > j by a rank check in the model, at (1, 1) by Bergman's
-diamond lemma, whose one overlap y y x must resolve.  ``validate_system``
-audits soundness on a word corpus as a second, empirical route, and
-compares ``reduce`` with ``_rewrite``.
+model over A[s,t]/I (``matrix_model(i, j, field).image``), never through
+the rewrite system alone; the model shares no code with the walk.
+``certify_normal_forms`` proves that normal forms are unique, so every
+reduction order ends at the same one: for i > j by a rank check in the
+model, at (1, 1) by Bergman's diamond lemma, whose one overlap y y x must
+resolve.  ``validate_system`` audits soundness on a word corpus as a
+second, empirical route, and compares ``reduce`` with ``_rewrite``.
 """
 
 from __future__ import annotations
@@ -225,11 +225,6 @@ class RewriteSystem:
     xpow: tuple | None  # (N, NCPoly replacement for x^N), None at i = j = 1
     basis: tuple | None = dc_field(default=None, compare=False, repr=False)
     walk: tuple | None = dc_field(default=None, compare=False, repr=False)
-
-    @property
-    def span_bound(self):
-        """Exponent bound of the x-runs in normal forms (None when unbounded)."""
-        return self.xpow[0] if self.xpow else None
 
 
 def build_rewrite_system(i: int, j: int, field=QQ) -> RewriteSystem:
@@ -576,11 +571,6 @@ def matrix_model(i: int, j: int, field=QQ) -> MatrixModel:
     return _MODELS[key]
 
 
-def word_image(p: NCPoly, i: int, j: int, field=QQ) -> Mat2:
-    """Image of p under x -> X, y -> Y in M_2(A[s,t]/I); decides equality."""
-    return matrix_model(i, j, field).image(p)
-
-
 def certify_normal_forms(rs: RewriteSystem) -> bool:
     """Exact proof that normal forms are unique.
 
@@ -662,7 +652,7 @@ def _in_spanning_set(w: Word, rs: RewriteSystem) -> bool:
     runs = w.runs
     if not runs:
         return True
-    N = rs.span_bound
+    N = rs.xpow[0] if rs.xpow else None  # the x-run bound, None at (1, 1)
     if len(runs) == 1:
         letter, e = runs[0]
         if letter == "x":
@@ -728,7 +718,7 @@ def validate_system(
 
 @dataclass
 class IdentityReport:
-    """Pass/fail per named ring identity, all decided via word_image."""
+    """Pass/fail per named ring identity, all decided in the matrix model."""
 
     i: int
     j: int

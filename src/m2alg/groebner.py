@@ -41,9 +41,10 @@ A ``GroebnerBasis`` is also the ring L = A[s,t]/I it presents, and a
 in it, held on kernel numbers as well: its sums, negations, scalings and
 products never leave them.  Coefficients are converted to and from field
 elements only at the ``BiPoly`` boundary: ``buchberger`` and
-``structure_basis`` (the basis polynomials), ``GroebnerBasis.normal_form``,
-``GroebnerBasis.of`` of a ``BiPoly``, and ``QuotientElem.bipoly``, which
-``text`` prints.
+``structure_basis`` (the basis polynomials), ``GroebnerBasis.of`` of a
+``BiPoly``, and ``QuotientElem.bipoly``, which ``text`` prints; a normal
+form (``GroebnerBasis.normal_form``) goes in through the one and out
+through the other.
 """
 
 from __future__ import annotations
@@ -65,15 +66,8 @@ class _Infinite:
     def __repr__(self):
         return "INFINITE"
 
-    def __reduce__(self):
-        return (_infinite_instance, ())
-
 
 INFINITE = _Infinite()
-
-
-def _infinite_instance():
-    return INFINITE
 
 
 @dataclass(frozen=True)
@@ -406,8 +400,7 @@ class GroebnerBasis:
 
     def normal_form(self, p: BiPoly) -> BiPoly:
         """The unique remainder of p modulo the basis; zero iff p is in the ideal."""
-        mod = self._mod
-        return _poly(_divide(_numbers(p, mod), self._divisors, mod), self.field, mod)
+        return self.of(p).bipoly()
 
     def _element(self, nums: dict) -> QuotientElem:
         """The element of L represented by the kernel dict nums."""
@@ -514,18 +507,11 @@ class GroebnerBasis:
         return "{" + ", ".join(g.text() for g in self.polys) + "}"
 
 
-def buchberger(ideal_or_gens, field=None, params=None) -> GroebnerBasis:
-    """Reduced Groebner basis of an Ideal or an iterable of polynomials."""
+def buchberger(ideal_or_gens, field=None) -> GroebnerBasis:
+    """Reduced Groebner basis of an Ideal, or of an iterable of polynomials over field."""
+    gens, params = ideal_or_gens, None
     if isinstance(ideal_or_gens, Ideal):
-        gens = ideal_or_gens.generators
-        field = ideal_or_gens.field
-        params = ideal_or_gens.params
-    else:
-        gens = list(ideal_or_gens)
-        if field is None:
-            if not gens:
-                raise ValueError("field required for an empty generator list")
-            field = gens[0].field
+        gens, field, params = gens.generators, gens.field, gens.params
     mod = _modulus(field)
     nums = _buchberger([_numbers(g, mod) for g in gens], mod)
     return GroebnerBasis([_poly(g, field, mod) for g in nums], field, params, nums)
@@ -535,14 +521,21 @@ def _s_power_f(e: int, n: int, d: int, mod: int) -> dict:
     """Kernel form of s^e * f(n) modulo s^d - (-1)^d, for d >= 0.
 
     For d >= 1 every s-exponent is folded into [0, d) by s^d = (-1)^d, so e
-    may be negative: s is a unit modulo s^d - (-1)^d.  For d = 0 nothing is
-    folded and e must be >= 0.
+    and n may be negative: s is a unit modulo s^d - (-1)^d, and f extends
+    to negative indices by f(-k) = -(-s)^(-k) * f(k), which keeps
+    f(n) = t*f(n-1) + s*f(n-2), so s^e * f(-k) = -(-1)^k * s^(e-k) * f(k).
+    For d = 0 nothing is folded, and the s-exponent e + n when n < 0, or e
+    otherwise, must be >= 0.
     """
+    flip = 0  # 1 when the sign -(-1)^k of f(-k) is -1
+    if n < 0:
+        e, n = e + n, -n
+        flip = 1 - n % 2
     out = {}
     for k, c in enumerate(f_coeffs(n)):
         q, r = divmod(e + k, d) if d else (0, e + k)
         # distinct k have distinct t-exponents, so no two terms meet
-        c = -c if d * q % 2 else c
+        c = -c if (d * q + flip) % 2 else c
         if mod:
             c %= mod
         if c:

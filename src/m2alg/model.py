@@ -11,22 +11,20 @@ returning a bad pair.  The pair's ``ring`` is L itself: the reduced basis,
 a ``GroebnerBasis``.
 
 Every power of X has one closed form, ``x_power``: lo is a unit mod n, so
-e = u*lo + m*n with u = e*lo^(-1) mod n, X^e = s^m * C^u, and
-C^u = f(u)*C + s*f(u-1)*I.  So X^e = s^m*I for u = 0, and a*C + b*I with
-a = s^m*f(u), b = s^(m+1)*f(u-1) otherwise.  For u > n/2 it reads C^u from
-the nearer side: the generators f(n) and f(n-1) - s^(lo-1) give
-C^n = s^lo*I in L, so with k = n - u, C^u = s^lo*C^(-k), and since
-C^(-k) = (-s)^(-k)*(-f(k)*C + f(k+1)*I),
+e = u*lo + m*n with u = e*lo^(-1) mod n, taken balanced in (-n/2, n/2],
+and X^e = s^m * C^u with C^u = f(u)*C + s*f(u-1)*I.  For i != j, s is a
+unit in L, so f extends to negative indices by f(-k) = -(-s)^(-k)*f(k),
+and the formula for C^u holds for every integer u: C^(-k) =
+(-s)^(-k)*(-f(k)*C + f(k+1)*I) is the inverse of C^k, since det C = -s.
+So X^e = a*C + b*I with
 
-    a = -(-1)^k * s^(m+lo-k) * f(k),   b = (-1)^k * s^(m+lo-k) * f(k+1).
+    a = s^m * f(u),   b = s^(m+1) * f(u-1).
 
 Each of a, b is one normal form of ``groebner._s_power_f`` (s-exponents
-folded by s^(i-j) = (-1)^(i-j); negative ones only for i != j, where s is
-a unit) of t-degree at most n/2, the height of the basis's own leading
-monomials, where f(u) for u near n has t-degree up to n - 1 and its
-division runs through about n/2 levels; a*t and a*s are the only
-products.  At (1, 1), where s is no unit, u <= 1 = k and the nearer side
-is never taken.
+folded by s^(i-j) = (-1)^(i-j)) of t-degree at most n/2, the height of
+the basis's own leading monomials; a*t and a*s are the only products.  At
+(1, 1), where s is no unit, n = 2 and u is 0 or 1: the only negative
+index is u - 1 = -1, and s*f(-1) = 1 keeps every s-exponent >= 0.
 
 The verification runs in the commutative algebra L[C] = L*C + L*I, where
 C^2 = t*C + s*I, so a*C + b*I = [[a*t + b, a*s], [a, b]] is held as its
@@ -43,8 +41,9 @@ The ladder uses only products in L and division by the certified basis,
 never f or ``x_power``'s exponent arithmetic, and it divides once per new
 coordinate: the products that make it up are summed unreduced
 (``groebner._mul_into``), since the remainder is linear.  With
-C^u = f(u)*C + s*f(u-1)*I, an identity in A[s,t], and C^n = s^lo*I in L,
-this makes x_power(L, e) = X^e for every e >= 0.
+C^u = f(u)*C + s*f(u-1)*I, an identity in A[s,t] for u >= 1 and in L for
+every u, and C^n = s^lo*I in L (the generators f(n) and f(n-1) - s^(lo-1)
+say so), this makes x_power(L, e) = X^e for every e >= 0.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .groebner import (
     _mul_into,
     _oriented,
     _s_power_f,
-    _scale,
     structure_basis,
 )
 from .mat2 import Mat2
@@ -148,21 +146,9 @@ def x_power(ring: GroebnerBasis, e: int) -> Mat2:
     hi, lo = ring.params
     n, d, mod = hi + lo, hi - lo, ring._mod
     u = e * pow(lo, -1, n) % n
+    if 2 * u > n:
+        u -= n  # the balanced residue; never at (1, 1), where n = 2
     m = (e - u * lo) // n
-    if not u:
-        return Mat2.scalar(ring, ring._element(_s_power_f(m, 1, d, mod)))
-    k = n - u
-    if k < u:
-        # the nearer side: C^u = s^lo * C^(-k); never at (1, 1), where u <= 1 = k
-        # and s is no unit
-        es = m + lo - k
-        a, b = _s_power_f(es, k, d, mod), _s_power_f(es, k + 1, d, mod)
-        if k % 2:
-            b = _scale(b, -1, mod)
-        else:
-            a = _scale(a, -1, mod)
-    else:
-        a = _s_power_f(m, u, d, mod)
-        b = _s_power_f(m + 1, u - 1, d, mod)
-    a, b = ring._element(a), ring._element(b)
+    a = ring._element(_s_power_f(m, u, d, mod))
+    b = ring._element(_s_power_f(m + 1, u - 1, d, mod))
     return Mat2(ring, a * ring.t() + b, a * ring.s(), a, b)

@@ -228,16 +228,6 @@ class UniPoly(SparsePoly):
     def __getitem__(self, k):
         return self.terms.get(k, self.field.zero)
 
-    def leading_coeff(self):
-        return self[self.degree]
-
-    def constant_term(self):
-        return self[0]
-
-    def shift(self, k: int):
-        """Multiply by var^k."""
-        return self._new({e + k: c for e, c in self.terms.items()})
-
     def evaluate(self, v):
         """Horner evaluation at a field element."""
         acc = self.field.zero
@@ -302,13 +292,6 @@ class BiPoly(SparsePoly):
             w = c * v**es
             out[et] = out[et] + w if et in out else w
         return UniPoly(out, self.field)
-
-    def evaluate(self, sv, tv):
-        """Full evaluation at field elements (s, t)."""
-        acc = self.field.zero
-        for (es, et), c in self.terms.items():
-            acc = acc + c * sv**es * tv**et
-        return acc
 
     def text(self) -> str:
         monos = sorted(self.terms, key=order_key, reverse=True)

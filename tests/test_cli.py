@@ -679,3 +679,29 @@ def test_selftest_failure_exits_nonzero(capsys, monkeypatch):
 
 def _boom():
     raise RuntimeError("synthetic failure")
+
+
+# one small run of every subcommand
+VERBOSE_RUNS = {
+    "decide": ["decide", "4", "3"],
+    "structure": ["structure", "4", "3"],
+    "witness": ["witness", "4", "3"],
+    "oracle": ["oracle", "2", "1", "--p", "2"],
+    "verify": ["verify", "2", "1", "--nmax", "2"],
+    "reduce": ["reduce", "2", "1", "x^2*y + y*x"],
+    "table": ["table", "--max", "3", "--threads", "1"],
+    "selftest": ["selftest"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(VERBOSE_RUNS))
+def test_verbose_adds_one_stderr_line(capsys, command):
+    subparsers = cli.build_parser()._subparsers._group_actions[0]
+    assert set(subparsers.choices) == set(VERBOSE_RUNS)
+    args = VERBOSE_RUNS[command]
+    code, out, err = run_cli(args, capsys)
+    code_v, out_v, err_v = run_cli(args + ["--verbose"], capsys)
+    assert code == code_v == 0
+    assert out_v == out
+    assert err_v.splitlines()[: len(err.splitlines())] == err.splitlines()
+    assert len(err_v.splitlines()) == len(err.splitlines()) + 1

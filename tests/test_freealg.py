@@ -23,7 +23,6 @@ from m2alg.freealg import (
     parse_word_expr,
     reduce,
     validate_system,
-    word_image,
 )
 from m2alg.mat2 import Mat2, mat_pow
 from m2alg.model import x_power
@@ -187,14 +186,14 @@ def test_word_image_examples():
 
 
 def test_word_image_function_form():
-    img = word_image(parse_word_expr("x*y + y*x", QQ), 1, 1)
     model = matrix_model(1, 1)
+    img = model.image(parse_word_expr("x*y + y*x", QQ))
     assert img == Mat2.identity(model.ring)
 
 
 def test_word_image_rejects_non_coprime():
     with pytest.raises(UnsupportedParameters):
-        word_image(NCPoly.x(QQ), 4, 2)
+        matrix_model(4, 2).image(NCPoly.x(QQ))
 
 
 def test_model_injectivity_on_spanning_set():
@@ -314,7 +313,8 @@ def test_tables_need_no_rewriting(i, j, monkeypatch):
     monkeypatch.setattr(freealg, "_rewrite", refuse)
     rs = build_rewrite_system(i, j)
     p = parse_word_expr("y*x^5*y*x^2*y + x^4*y*x - 3*y*x^7", QQ)
-    assert word_image(reduce(p, rs), i, j) == word_image(p, i, j)
+    model = matrix_model(i, j)
+    assert model.image(reduce(p, rs)) == model.image(p)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)

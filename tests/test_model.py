@@ -12,6 +12,7 @@ from m2alg.fields import GF, QQ
 from m2alg.groebner import QuotientElem, structure_basis
 from m2alg.mat2 import Mat2, mat_pow
 from m2alg.model import _pair_pow, witness_XY, x_power
+from m2alg.sequences import f_st
 
 FIELDS = [QQ, GF(2), GF(3)]
 LADDER_PAIRS = [(5, 4), (13, 8), (12, 7)]
@@ -146,6 +147,28 @@ def test_x_power_divides_nothing_deep(monkeypatch):
     for e in range(n):
         x_power(ring, e)
     assert degrees and max(degrees) <= n // 2 + 1, max(degrees)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("i,j", [(2, 1), (3, 2), (5, 2), (7, 3)])
+def test_f_at_negative_index(i, j, field):
+    # s is a unit in L, and f(-k) = -(-s)^(-k) * f(k) continues the recursion
+    ring = structure_basis(i, j, field)
+    d, mod = i - j, ring._mod
+    s, t = ring.s(), ring.t()
+    s_inv = ring.s(d - 1) * (-1) ** d  # from s^d = (-1)^d
+    assert s * s_inv == ring.one
+
+    def f(n, e=0):
+        return ring._element(groebner._s_power_f(e, n, d, mod))
+
+    for n in range(-12, 13):
+        assert f(n) == t * f(n - 1) + s * f(n - 2), n
+    for k in range(13):
+        f_k = ring.of(f_st(k, field))
+        for e in (-2, 0, 3):
+            s_e = s**e if e >= 0 else s_inv**-e
+            assert f(-k, e) == -(s_e * (-s_inv) ** k * f_k), (k, e)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.name)

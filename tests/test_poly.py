@@ -127,11 +127,6 @@ def test_round_trip_over_fp():
     assert parse_bipoly(p.text(), f3) == p
 
 
-def test_evaluate_full():
-    p = bp("s*t^2 - 2*s + 1")
-    assert p.evaluate(QQ.of(2), QQ.of(3)) == QQ.of(2 * 9 - 4 + 1)
-
-
 # monomial k in {0, 1} of each polynomial type, so equal pairs are common
 _MONOS = {
     "uni-t": lambda k: k,

@@ -142,7 +142,7 @@ def laurent_identity_holds(n, field=QQ):
     acc = UniPoly.zero(field, var="z")
     for k, c in enumerate(fn.coeffs):
         if c:
-            acc = acc + (z2p1**k).scale(c).shift(n - k)
+            acc = acc + (z2p1**k).scale(c) * UniPoly.gen(field, var="z") ** (n - k)
     want = UniPoly.of_ints([1] + [0] * (2 * n - 1) + [1], field, var="z")
     return acc == want
 
