@@ -267,16 +267,25 @@ class PrimeField:
         self.one = FpElem(1, p)
 
     def of(self, n) -> FpElem:
+        """n in F_p: an int, an element of this field, or any exact number.
+
+        Other numbers go through ``Fraction(n)``, as in ``QQ.of``, so a
+        ``Decimal('2.7')`` is 27 * 10^(-1); a denominator that vanishes
+        mod p raises ValueError, and a float raises TypeError.
+        """
+        p = self.p
+        if type(n) is int:
+            return FpElem(n, p)
         if isinstance(n, FpElem):
-            if n.p != self.p:
+            if n.p != p:
                 raise ValueError("modulus mismatch")
             return n
-        if isinstance(n, Fraction):
-            num = FpElem(n.numerator, self.p)
-            return num if n.denominator == 1 else num / FpElem(n.denominator, self.p)
         if isinstance(n, float):
-            raise TypeError(f"{n!r} is a float: F_{self.p} elements are made exactly")
-        return FpElem(int(n), self.p)
+            raise TypeError(f"{n!r} is a float: F_{p} elements are made exactly")
+        q = Fraction(n)
+        if q.denominator % p == 0:
+            raise ValueError(f"{n!r} has a denominator divisible by {p}: no value in F_{p}")
+        return FpElem(q.numerator * pow(q.denominator, -1, p), p)
 
     def elements(self):
         for v in range(self.p):

@@ -29,12 +29,18 @@ their bases are integral and monic and their division never leaves Z.
 normal forms and every product in L.  It needs no heap: it sweeps the
 pending terms t-level by t-level from the top, and within a level by
 s-exponent from the top, which is descending lex order, because every
-term a division step adds is lex-smaller than the term it removes.  A
-reduced basis lists its divisors ascending by leading monomial, so in a
-structure ring s^d - sigma comes first and folding s^d = sigma is a
-one-term step.  ``_mul_into`` is the one product loop; it leaves its sums
-unreduced, so a sum of products needs one division, since the remainder
-is linear (Cox, Little and O'Shea, ch. 2 section 6).
+term a division step adds is lex-smaller than the term it removes.  It
+steps down one level, or one s-exponent, at a time, and jumps a gap with
+``max`` only after as many misses as there are pending entries, so an f,
+which fills every other t-level, costs no scan.  A divisor is a triple
+(s-exponent, t-exponent, rest) of its monic leading monomial and the
+rest, split once: ``_certify`` splits the structure basis and hands the
+triples to the ``GroebnerBasis``, which holds them for every division in
+its ring.  A reduced basis lists its divisors ascending by leading
+monomial, so in a structure ring s^d - sigma comes first and folding
+s^d = sigma is a one-term step.  ``_mul_into`` is the one product loop;
+it leaves its sums unreduced, so a sum of products needs one division,
+since the remainder is linear (Cox, Little and O'Shea, ch. 2 section 6).
 
 A ``GroebnerBasis`` is also the ring L = A[s,t]/I it presents, and a
 ``QuotientElem`` (a ``SparsePoly`` that knows its basis) is a normal form
@@ -168,14 +174,18 @@ def _scale(f: dict, c, mod: int) -> dict:
 
 
 def _divisor(g: dict) -> tuple:
-    """The nonzero kernel dict g as a divisor: (leading monomial, the rest)."""
-    lm = max(g, key=order_key)
-    return lm, {m: c for m, c in g.items() if m != lm}
+    """The nonzero kernel dict g as a divisor: (s-exponent, t-exponent, rest).
+
+    The exponents are those of g's leading monomial, and the rest is g
+    without its leading term, a dict.
+    """
+    gs, gt = lm = max(g, key=order_key)
+    return gs, gt, {m: c for m, c in g.items() if m != lm}
 
 
 def _spoly(a: tuple, b: tuple, mod: int) -> dict:
     """The S-polynomial of the monic divisors a and b; their leading terms cancel."""
-    ((as_, at), tail_a), ((bs, bt), tail_b) = a, b
+    (as_, at, tail_a), (bs, bt, tail_b) = a, b
     ls, lt = max(as_, bs), max(at, bt)
     spoly = {}
     _sub_shifted(spoly, tail_a, -1, ls - as_, lt - at, mod)
@@ -187,17 +197,24 @@ def _divide(p: dict, divisors, mod: int) -> dict:
     """Remainder of the kernel dict p on division by monic divisors.
 
     Over GF(p) the coefficients of p are reduced mod p here; zero
-    coefficients are skipped.  divisors[k] is (leading monomial, the rest
-    of the polynomial), both in kernel form.
+    coefficients are skipped.  Each divisor is a ``_divisor`` triple
+    (s-exponent, t-exponent, rest) in kernel form, split once when it was
+    made.
 
     The pending terms are swept in descending lex order (t > s): t-level
     by t-level from the top, and within a level by s-exponent from the
     top.  Each term is divided by the first divisor in list order whose
     leading monomial divides it.  Every term a step adds is lex-smaller
     than the one it removes, on a lower t-level or on the same level with
-    a lower s-exponent, so the sweep never has to look back.
+    a lower s-exponent, so the sweep never has to look back.  It steps
+    down one level, or one s-exponent, at a time, from the highest level
+    and from a bound on every pending s-exponent; after as many misses in
+    a row as there are pending levels, or terms in the level, it jumps to
+    the highest pending one with ``max``, so a gap in a sparse input costs
+    at most twice the scan that jump makes.
     """
     rows = {}  # t-exponent -> {s-exponent: coefficient} of the pending terms
+    lt = top = -1  # the highest level, and a bound on every pending s-exponent
     for (es, et), c in p.items():
         if mod:
             c %= mod
@@ -205,24 +222,36 @@ def _divide(p: dict, divisors, mod: int) -> dict:
             row = rows.get(et)
             if row is None:
                 rows[et] = {es: c}
+                if et > lt:
+                    lt = et
             else:
                 row[es] = c
-    divs = [(gs, gt, tail) for (gs, gt), tail in divisors]
+            if es > top:
+                top = es
     remainder = {}
-    lt = -1
+    missed = 0
     while rows:
-        # the next level down, or, when it is empty, the highest pending one
         row = rows.pop(lt, None)
         if row is None:
-            lt = max(rows)
-            row = rows.pop(lt)
-        ls = -1
+            missed += 1
+            if missed > len(rows):
+                lt, missed = max(rows), 0
+            else:
+                lt -= 1
+            continue
+        missed = 0
+        ls = top
         while row:
             lc = row.pop(ls, 0)
             if not lc:
-                ls = max(row)
-                lc = row.pop(ls)
-            for gs, gt, tail in divs:
+                missed += 1
+                if missed > len(row):
+                    ls, missed = max(row), 0
+                else:
+                    ls -= 1
+                continue
+            missed = 0
+            for gs, gt, tail in divisors:
                 if gs <= ls and gt <= lt:
                     ds, dt = ls - gs, lt - gt
                     # the monic leading term cancels lc exactly
@@ -235,10 +264,14 @@ def _divide(p: dict, divisors, mod: int) -> dict:
                             level = rows.get(et)
                             if level is None:
                                 rows[et] = {es: -lc * c % mod if mod else -lc * c}
+                                if es > top:
+                                    top = es
                                 continue
                         v = level.get(es)
                         if v is None:
                             level[es] = -lc * c % mod if mod else -lc * c
+                            if es > top:
+                                top = es
                             continue
                         v -= lc * c
                         if mod:
@@ -289,14 +322,14 @@ def _buchberger(gens, mod: int) -> list:
         # nor (c, h) has that same lcm
         for (a, c), (ls, lt) in list(live.items()):
             if hs <= ls and ht <= lt:
-                (as_, at), _ = divisors[a]
-                (cs, ct), _ = divisors[c]
+                as_, at, _ = divisors[a]
+                cs, ct, _ = divisors[c]
                 if (max(as_, hs), max(at, ht)) != (ls, lt) != (max(cs, hs), max(ct, ht)):
                     del live[a, c]
         # the new pairs by lcm; a class with a coprime pair reduces to zero
         classes = {}
         for a in active:
-            gs, gt = divisors[a][0]
+            gs, gt, _ = divisors[a]
             lcm = (max(gs, hs), max(gt, ht))
             coprime = lcm == (gs + hs, gt + ht)
             if lcm in classes:
@@ -311,7 +344,7 @@ def _buchberger(gens, mod: int) -> list:
                 continue
             heapq.heappush(pairs, (lcm[1], lcm[0], a, b))
             live[a, b] = lcm
-        active[:] = [a for a in active if not mono_divides(lm, divisors[a][0])]
+        active[:] = [a for a in active if not mono_divides(lm, divisors[a][:2])]
         active.append(b)
         basis.append(f)
         divisors.append(_divisor(f))
@@ -331,27 +364,28 @@ def _buchberger(gens, mod: int) -> list:
     keep = [
         k
         for k in active
-        if not any(mono_divides(divisors[m][0], divisors[k][0]) for m in active if m != k)
+        if not any(mono_divides(divisors[m][:2], divisors[k][:2]) for m in active if m != k)
     ]
-    keep.sort(key=lambda k: order_key(divisors[k][0]))
+    keep.sort(key=lambda k: order_key(divisors[k][:2]))
     # fully reduce each survivor against the others; its monic leading term
     # is divisible by no other LM, so it survives and stays leading
     return [_divide(basis[k], [divisors[m] for m in keep if m != k], mod) for k in keep]
 
 
-def _certify(basis, gens, mod: int) -> None:
+def _certify(basis, gens, mod: int) -> list:
     """Raise Inconsistency unless basis is a reduced Groebner basis holding gens.
 
     basis and gens are kernel dicts, basis ascending by leading monomial.
     Checked: each element is monic and the leading monomials ascend; no
     monomial but an element's own leading one is divisible by a leading
     monomial; Buchberger's criterion on each pair whose leading monomials
-    are not coprime; each of gens reduces to 0.
+    are not coprime; each of gens reduces to 0.  The divisors it divides
+    by are returned, so that the ring need not split basis again.
     """
     divisors = [_divisor(g) for g in basis]
-    lms = [lm for lm, _ in divisors]
+    lms = [(gs, gt) for gs, gt, _ in divisors]
     pairs = [(a, b) for k, a in enumerate(divisors) for b in divisors[k + 1:]
-             if min(a[0][0], b[0][0]) or min(a[0][1], b[0][1])]
+             if min(a[0], b[0]) or min(a[1], b[1])]
     if (
         any(g[lm] != 1 for g, lm in zip(basis, lms))
         or any(order_key(a) >= order_key(b) for a, b in zip(lms, lms[1:]))
@@ -361,6 +395,7 @@ def _certify(basis, gens, mod: int) -> None:
         or any(_divide(g, divisors, mod) for g in gens)
     ):
         raise Inconsistency("the basis fails its certificate")
+    return divisors
 
 
 class GroebnerBasis:
@@ -369,9 +404,10 @@ class GroebnerBasis:
     ``polys`` are the basis polynomials, ascending by leading monomial
     when ``structure_basis`` wrote them down in closed form or the
     ``buchberger`` referee computed them.  ``_divisors`` holds each one in
-    kernel form, split into its leading monomial and the rest, in the
-    same order; it is what ``normal_form`` and every product in L divide
-    by.
+    kernel form as a ``_divisor`` triple (the exponents of its leading
+    monomial and the rest), in the same order; it is what ``normal_form``
+    and every product in L divide by, and it is split once, when the
+    basis is made.
 
     The basis is also the ring L = A[s,t]/I: ``zero``, ``one``, ``of``,
     ``s``, ``t``, ``name`` and ``random_element`` are the protocol ``Mat2``
@@ -383,18 +419,19 @@ class GroebnerBasis:
 
     __slots__ = ("polys", "field", "params", "zero", "one", "_mod", "_lms", "_divisors")
 
-    def __init__(self, polys, field, params=None, numbers=None):
-        """numbers, when given, is the kernel form of polys, in the same order."""
+    def __init__(self, polys, field, params=None, divisors=None):
+        """divisors, when given, are the monic polys as ``_divisor`` triples, in order."""
         self.polys = tuple(polys)
         self.field = field
         self.params = params
         self._mod = mod = _modulus(field)
-        if numbers is None:
+        if divisors is None:
             numbers = [_numbers(g, mod) for g in self.polys]
-        self._divisors = tuple(_divisor(g) for g in numbers)
-        self._lms = tuple(lm for lm, _ in self._divisors)
-        if any(g[lm] != 1 for g, lm in zip(numbers, self._lms)):
-            raise ValueError("basis polynomials must be monic")
+            divisors = [_divisor(g) for g in numbers]
+            if any(g[gs, gt] != 1 for g, (gs, gt, _) in zip(numbers, divisors)):
+                raise ValueError("basis polynomials must be monic")
+        self._divisors = tuple(divisors)
+        self._lms = tuple((gs, gt) for gs, gt, _ in self._divisors)
         self.zero = QuotientElem({}, self, _clean=False)
         self.one = self.of(1)
 
@@ -514,7 +551,9 @@ def buchberger(ideal_or_gens, field=None) -> GroebnerBasis:
         gens, field, params = gens.generators, gens.field, gens.params
     mod = _modulus(field)
     nums = _buchberger([_numbers(g, mod) for g in gens], mod)
-    return GroebnerBasis([_poly(g, field, mod) for g in nums], field, params, nums)
+    return GroebnerBasis(
+        [_poly(g, field, mod) for g in nums], field, params, [_divisor(g) for g in nums]
+    )
 
 
 def _s_power_f(e: int, n: int, d: int, mod: int) -> dict:
@@ -588,8 +627,8 @@ def structure_basis(i: int, j: int, field=QQ) -> GroebnerBasis:
         # g1's leading term t^(n/2) is divisible by neither divisor, so the
         # remainder keeps it and is monic
         nums, rest = [unit, g2, _divide(g1, [_divisor(unit), _divisor(g2)], mod)], g1
-    _certify(nums, [rest], mod)
-    return GroebnerBasis([_poly(g, field, mod) for g in nums], field, (i, j), nums)
+    divisors = _certify(nums, [rest], mod)
+    return GroebnerBasis([_poly(g, field, mod) for g in nums], field, (i, j), divisors)
 
 
 class QuotientElem(SparsePoly):

@@ -113,6 +113,13 @@ def test_reduce_big_pair_golden(capsys):
     assert out == (GOLDENS / "reduce_201_200.json").read_text()
 
 
+def test_witness_big_pair_golden(capsys):
+    # lo = 600: the witness check's chain of squarings runs to X^512
+    code, out, err = run_cli(["witness", "601", "600"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDENS / "witness_601_600.json").read_text()
+
+
 @pytest.mark.parametrize(
     "p,message", [("4", "4 is not prime"), ("5", "the full scan is supported for p <= 3 only")]
 )

@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,23 @@ def test_fields_refuse_floats(field):
     for x in (2.7, 0.1, 2.0):
         with pytest.raises(TypeError):
             field.of(x)
+
+
+@pytest.mark.parametrize("field", [GF(11), GF2(11)], ids=repr)
+def test_prime_fields_take_exact_numbers_exactly(field):
+    # 2.7 = 27 * 10^(-1) = 5 * 10 = 6 in F_11, not int(2.7) = 2
+    assert field.of(Decimal("2.7")) == field.of(6) == field.of(Fraction(27, 10))
+    assert field.of(Decimal("-0.5")) == field.of(5) == -field.of(1) / 2
+    assert field.of(Decimal("12")) == field.of(True) == field.one
+    assert field.of(Fraction(22, 3)) == field.zero
+
+
+@pytest.mark.parametrize("field", [GF(5), GF2(5)], ids=repr)
+def test_prime_fields_refuse_a_denominator_divisible_by_p(field):
+    for x in (Decimal("2.7"), Fraction(1, 5), Fraction(-3, 25)):
+        with pytest.raises(ValueError, match="divisible by 5"):
+            field.of(x)
+    assert field.of(Fraction(10, 5)) == field.of(2)  # in lowest terms, no 5 below
 
 
 def test_rational_coeff_text_matches_sign_and_magnitude():

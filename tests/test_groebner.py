@@ -21,7 +21,7 @@ from m2alg.groebner import (
     structure_basis,
 )
 from m2alg.mat2 import Mat2, mat_pow
-from m2alg.model import witness_XY
+from m2alg.model import witness_XY, x_power
 from m2alg.poly import BiPoly, SparsePoly, UniPoly, order_key, parse_bipoly
 from m2alg.sequences import f_st, fbar
 
@@ -219,7 +219,7 @@ def _dense_operands(i, j, field):
     for c in (Fraction(1, 2), Fraction(-2, 3)):
         try:
             c = field.of(c)
-        except ZeroDivisionError:  # 2 or 3 is not invertible mod p
+        except ValueError:  # 2 or 3 is not invertible mod p
             continue
         groups.append([e * c for e in entries])
     return pair.ring, groups
@@ -283,7 +283,7 @@ def _heap_divide(p, divisors, mod):
         lc = work.pop(lm, 0)
         if not lc:
             continue  # cancelled after it was queued
-        for (gs, gt), tail in divisors:
+        for gs, gt, tail in divisors:
             if gs <= ls and gt <= lt:
                 ds, dt = ls - gs, lt - gt
                 for (es, et), c in tail.items():
@@ -352,10 +352,43 @@ def test_divide_matches_heap_referee_on_random_divisors(mod):
         for _ in range(rng.randint(1, 4)):
             lm = (rng.randint(0, 3), rng.randint(0, 3))
             rest = kernel_dict(rng.randint(0, 5), 4)
-            divisors.append((lm, {m: c for m, c in rest.items() if order_key(m) < order_key(lm)}))
+            divisors.append((*lm, {m: c for m, c in rest.items() if order_key(m) < order_key(lm)}))
         p = kernel_dict(rng.randint(0, 9), 7)
         want = _heap_divide(p, divisors, mod)
         assert groebner._divide(p, divisors, mod) == want, (p, divisors)
+
+
+def test_divide_steps_down_and_rarely_calls_max(monkeypatch):
+    """The sweep steps to the next lower level and s-exponent, and calls max
+    only after as many misses as there are pending entries.  At (401, 400)
+    the f's fill every other t-level, which once took a max per level; a
+    division now takes O(1) of them, and sparse inputs still jump their gaps."""
+    ring = structure_basis(401, 400)
+    n, lo = 801, 400
+    # balanced residues u near n/2: entries of t-degree up to 400
+    xs = [x_power(ring, u * lo % n) for u in (400, 300, 201)]
+    products = [
+        _kernel_product(xs[0].c, xs[1].d, 0),
+        _kernel_product(xs[1].a, xs[2].b, 0),
+        _kernel_product(xs[0].d, xs[0].c, 0),
+    ]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "max", counting, raising=False)
+    for p in products:
+        calls.clear()
+        remainder = groebner._divide(p, ring._divisors, 0)
+        assert len(calls) <= 2, len(calls)
+        assert remainder == _heap_divide(p, ring._divisors, 0)
+        assert max(et for _, et in p) > 400  # past the staircase, n//2
+    sparse = {(0, 10**9): 1, (10**9, 0): 2, (0, 0): 3}
+    calls.clear()
+    assert groebner._divide(sparse, [], 0) == sparse
+    assert len(calls) <= 4, len(calls)
 
 
 # Ring axioms for the arithmetic on kernel numbers, at pairs where i + j
@@ -595,14 +628,14 @@ def test_certificate_rejects_broken_bases(field, i, j):
     gb = structure_basis(i, j, field)
     mod = gb._mod
     gens = [groebner._numbers(g, mod) for g in build_ideal_I(i, j, field).generators]
-    basis = [{lm: 1, **tail} for lm, tail in gb._divisors]
+    basis = [{(gs, gt): 1, **tail} for gs, gt, tail in gb._divisors]
     groebner._certify(basis, gens, mod)
 
     def replaced(k, g):
         return basis[:k] + [g] + basis[k + 1:]
 
     broken = []
-    for k, (_, tail) in enumerate(gb._divisors):
+    for k, (_, _, tail) in enumerate(gb._divisors):
         broken += [replaced(k, _bent(basis[k], m, mod)) for m in tail]
         broken.append(replaced(k, groebner._scale(basis[k], 2, mod)))
         if k:
@@ -693,18 +726,18 @@ INTEGRALITY_PAIRS = coprime_pairs(21, include_diag=False)
 
 
 def _kernel_form(gb):
-    return [(lm, dict(tail)) for lm, tail in gb._divisors]
+    return [(gs, gt, dict(tail)) for gs, gt, tail in gb._divisors]
 
 
 def test_structure_basis_is_integral_and_reduces_mod_p():
     for i, j in INTEGRALITY_PAIRS:
         gb = structure_basis(i, j, QQ)
-        for _lm, tail in gb._divisors:
+        for _gs, _gt, tail in gb._divisors:
             assert all(type(c) is int for c in tail.values()), (i, j)
         for p in (2, 3, 5, 7):
             mod_p = [
-                (lm, {m: c % p for m, c in tail.items() if c % p})
-                for lm, tail in gb._divisors
+                (gs, gt, {m: c % p for m, c in tail.items() if c % p})
+                for gs, gt, tail in gb._divisors
             ]
             assert mod_p == _kernel_form(structure_basis(i, j, GF(p))), (i, j, p)
 

@@ -11,7 +11,7 @@ from m2alg.errors import Inconsistency
 from m2alg.fields import GF, QQ
 from m2alg.groebner import QuotientElem, structure_basis
 from m2alg.mat2 import Mat2, mat_pow
-from m2alg.model import _pair_pow, witness_XY, x_power
+from m2alg.model import _pair_powers, witness_XY, x_power
 from m2alg.sequences import f_st
 
 FIELDS = [QQ, GF(2), GF(3)]
@@ -36,61 +36,117 @@ def test_pair_power_matches_mat_pow(i, j, field):
     rng = random.Random(i * 100 + j)
     a, b = _random_element(ring, rng), _random_element(ring, rng)
     m = _in_L_of_C(ring, a, b)
+    x = (a.terms, b.terms)
     for e in range(41):
-        alpha, beta = (ring.zero._new(c) for c in _pair_pow(ring, (a.terms, b.terms), e))
-        assert _in_L_of_C(ring, alpha, beta) == mat_pow(m, e), e
+        # one chain for e and a smaller exponent, as the witness check runs it
+        for power, k in zip(_pair_powers(ring, x, e, e // 3), (e, e // 3)):
+            alpha, beta = (ring.zero._new(c) for c in power)
+            assert _in_L_of_C(ring, alpha, beta) == mat_pow(m, k), (e, k)
 
 
-def _negated_b(ring, e):
-    X = x_power(ring, e)
-    return _in_L_of_C(ring, X.c, -X.d)
+def _negated_b(pair_of, ring, e):
+    a, b = pair_of(ring, e)
+    return a, (-ring.zero._new(b)).terms
 
 
-def _squared(ring, e):
-    return x_power(ring, 2 * e)
-
-
-def _off_L_of_C(ring, e):
-    X = x_power(ring, e)
-    return Mat2(ring, X.a + ring.one, X.b, X.c, X.d)
+def _squared(pair_of, ring, e):
+    return pair_of(ring, 2 * e)
 
 
 @pytest.mark.parametrize(
     "wrong,fields",
-    [(_negated_b, [QQ, GF(3)]), (_squared, FIELDS), (_off_L_of_C, FIELDS)],
-    ids=["b-negated", "X-squared", "not-in-L[C]"],
+    [(_negated_b, [QQ, GF(3)]), (_squared, FIELDS)],
+    ids=["b-negated", "X-squared"],
 )
 @pytest.mark.parametrize("i,j", LADDER_PAIRS)
 def test_witness_refuses_a_wrong_X(i, j, wrong, fields, monkeypatch):
     # -b = b over GF(2), so the negation is no mutation there
-    monkeypatch.setattr(model, "x_power", wrong)
+    pair_of = model._x_pair
+    monkeypatch.setattr(model, "_x_pair", lambda ring, e: wrong(pair_of, ring, e))
     for field in fields:
         with pytest.raises(Inconsistency):
             witness_XY(i, j, field)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("i,j", LADDER_PAIRS)
+def test_x_power_is_a_C_plus_b_I(i, j, field):
+    # X is built from its verified pair, so the shifts that form a*t + b
+    # and a*s are checked here, against ring multiplies
+    ring = structure_basis(i, j, field)
+    for e in range(3 * (i + j)):
+        X = x_power(ring, e)
+        assert X == _in_L_of_C(ring, X.c, X.d), e
+
+
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.name)
 @pytest.mark.parametrize("i,j", [(5, 3), (13, 8), (7, 4)])
 def test_witness_refuses_wrong_powers_that_keep_the_relation(i, j, field, monkeypatch):
-    # X^lo = C + s*I and X^hi = C - (t + s)*I: the relation check still
-    # holds (t + s - t - s = 0), so only the pair check can refuse them
-    lo = min(i, j)
-    pair_pow, pair_mul = model._pair_pow, model._pair_mul
+    # X^lo = C + s*I and X^hi = C*X^r = C - (t + s)*I: the relation
+    # t + b_lo + b_hi = 0 still holds, so only the pair check can refuse them.
+    # Here hi < 2*lo, and X^r = C^(-1)*(C - (t + s)*I), with
+    # C^(-1) = s^(-1)*(C - t*I)
+    lo, d = min(i, j), abs(i - j)
+    chain = model._pair_powers
 
-    def wrong_pow(ring, x, e):
-        if e == lo:
-            return dict(ring.one.terms), dict(ring.s().terms)
-        return pair_pow(ring, x, e)
+    def wrong_chain(ring, x, *exps):
+        if exps[0] != lo:
+            return chain(ring, x, *exps)
+        s, t, one = ring.s(), ring.t(), ring.one
+        s_inv = ring.s(d - 1) * (-1) ** d  # from s^d = (-1)^d
+        x_r = (-(t + s) * s_inv, one + t * (t + s) * s_inv)
+        return (one.terms, s.terms), tuple(c.terms for c in x_r)
 
-    def wrong_mul(ring, x, y):
-        if x == (ring.one.terms, {}):  # the product C * X^(hi - lo)
-            return dict(ring.one.terms), (-ring.t() - ring.s()).terms
-        return pair_mul(ring, x, y)
-
-    monkeypatch.setattr(model, "_pair_pow", wrong_pow)
-    monkeypatch.setattr(model, "_pair_mul", wrong_mul)
+    monkeypatch.setattr(model, "_pair_powers", wrong_chain)
     with pytest.raises(Inconsistency):
         witness_XY(i, j, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize("i,j", [(13, 8), (7, 2), (13, 1)])
+def test_witness_refuses_a_wrong_X_lo_alone(i, j, field, monkeypatch):
+    # X^lo = C + s*I while X^r, and so X^hi, is left as it is
+    lo = min(i, j)
+    chain = model._pair_powers
+
+    def wrong_chain(ring, x, *exps):
+        powers = chain(ring, x, *exps)
+        if exps[0] != lo:
+            return powers
+        return ((ring.one.terms, ring.s().terms), *powers[1:])
+
+    monkeypatch.setattr(model, "_pair_powers", wrong_chain)
+    with pytest.raises(Inconsistency):
+        witness_XY(i, j, field)
+
+
+def _chain_products(*exps):
+    """Pair products of one chain of squarings for exps: the squarings up to
+    the largest exponent's top digit, and a product per further digit."""
+    top = max(exps).bit_length()
+    return max(top - 1, 0) + sum(max(bin(e).count("1") - 1, 0) for e in exps)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize("i,j", [(13, 8), (21, 20), (13, 1), (7, 2)])
+def test_witness_makes_the_chains_pair_products(i, j, field, monkeypatch):
+    # one chain gives X^lo and X^r; for q = 1, C * X^r is a shift, no
+    # product; for q >= 2, C^q has its own chain and one product with X^r
+    q, r = divmod(i, j)
+    want = _chain_products(j, r)
+    if q > 1:
+        want += _chain_products(q) + (r > 0)
+    ring = structure_basis(i, j, field)
+    products = []
+    pair_mul = model._pair_mul
+
+    def counting(*args):
+        products.append(1)
+        return pair_mul(*args)
+
+    monkeypatch.setattr(model, "_pair_mul", counting)
+    witness_XY(i, j, field, gb=ring)
+    assert len(products) == want, (len(products), want)
 
 
 def _benchmark_structure_pairs():
@@ -133,7 +189,7 @@ def test_x_power_from_either_side_matches_mat_pow(i, j, field):
 
 
 def test_x_power_divides_nothing_deep(monkeypatch):
-    # every f divided has t-degree at most n/2; the products a*t add one
+    # every f divided has t-degree at most n/2; the shifts a*t add one
     ring = structure_basis(401, 400)
     n = 801
     divide = groebner._divide
@@ -143,7 +199,7 @@ def test_x_power_divides_nothing_deep(monkeypatch):
         degrees.append(max((et for _, et in p), default=-1))
         return divide(p, divisors, mod)
 
-    monkeypatch.setattr(groebner, "_divide", recording)
+    monkeypatch.setattr(model, "_divide", recording)
     for e in range(n):
         x_power(ring, e)
     assert degrees and max(degrees) <= n // 2 + 1, max(degrees)
@@ -178,16 +234,16 @@ def test_witness_refuses_a_wrong_power_of_C_in_X_hi(i, j, field, monkeypatch):
     # C^(q+1), so the pair of X^hi is X^(hi+lo)'s
     lo = min(i, j)
     q = max(i, j) // lo
-    pair_pow = model._pair_pow
+    chain = model._pair_powers
     patched = []
 
-    def wrong_pow(ring, x, e):
-        if x == (ring.one.terms, {}) and e == q:
-            patched.append(e)
-            e += 1
-        return pair_pow(ring, x, e)
+    def wrong_chain(ring, x, *exps):
+        if x == (ring.one.terms, {}) and exps == (q,):
+            patched.append(q)
+            exps = (q + 1,)
+        return chain(ring, x, *exps)
 
-    monkeypatch.setattr(model, "_pair_pow", wrong_pow)
+    monkeypatch.setattr(model, "_pair_powers", wrong_chain)
     with pytest.raises(Inconsistency):
         witness_XY(i, j, field)
     assert patched == [q]
