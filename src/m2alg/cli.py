@@ -28,16 +28,7 @@ from .sequences import f_st
 
 # m2alg.freealg, the costliest module to import, is imported only where words
 # are rewritten: by `verify`, `reduce` and selftest's rewriting check; and
-# concurrent.futures only by `table` with more than one worker, which reads
-# the module attribute ProcessPoolExecutor (tests patch it)
-
-
-def __getattr__(name):
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# concurrent.futures only by `table` with more than one worker
 
 
 SCHEMA_VERSION = 1
@@ -226,7 +217,9 @@ def cmd_table(parser, args) -> int:
     bounds = [1 + (args.max * k) // threads for k in range(threads + 1)]
     tasks = [(kind, p, lo, hi, args.max, args.oracle) for lo, hi in zip(bounds, bounds[1:])]
     if threads > 1:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=threads) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(_table_chunk, tasks))
     else:
         chunks = map(_table_chunk, tasks)

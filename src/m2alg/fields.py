@@ -92,14 +92,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_int(n):
+    if type(n) is not int:  # a bool or a float is refused too
+        raise TypeError(f"{n!r} is not an int")
+
+
 def require_exponents(i: int, j: int):
-    """Refuse exponents below 1: the algebra is defined for i, j >= 1."""
+    """Refuse exponents that are not ints >= 1: the algebra needs i, j >= 1."""
+    _require_int(i)
+    _require_int(j)
     if i < 1 or j < 1:
         raise UnsupportedParameters("exponents must be >= 1")
 
 
 def require_prime(p: int, odd: bool = False):
-    """Refuse a p that is not prime, and p = 2 when ``odd`` asks for an odd prime."""
+    """Refuse a p that is not a prime int, and 2 when ``odd`` asks for an odd prime."""
+    _require_int(p)
     if not is_prime(p):
         raise UnsupportedParameters(f"{p} is not prime")
     if odd and p == 2:
@@ -310,7 +318,7 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # so GF(7.0) meets the guard
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
@@ -494,7 +502,7 @@ class QuadExtField:
         return f"GF2({self.p})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # so GF2(7.0) meets the guard
 def GF2(p: int) -> QuadExtField:
     return QuadExtField(p)
 

@@ -30,10 +30,11 @@ Equality in the presented ring is *decided* through the faithful matrix
 model over A[s,t]/I (``matrix_model(i, j, field).image``), never through
 the rewrite system alone; the model shares no code with the walk.
 ``certify_normal_forms`` proves that normal forms are unique, so every
-reduction order ends at the same one: for i > j by a rank check in the
-model, at (1, 1) by Bergman's diamond lemma, whose one overlap y y x must
-resolve.  ``validate_system`` audits soundness on a word corpus as a
-second, empirical route, and compares ``reduce`` with ``_rewrite``.
+reduction order ends at the same one: for i > j by the matrix units and
+a dimension count in the model, at (1, 1) by Bergman's diamond lemma,
+whose one overlap y y x must resolve.  ``validate_system`` audits
+soundness on a word corpus as a second, empirical route, and compares
+``reduce`` with ``_rewrite``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import Inconsistency
 from .fields import QQ
 from .groebner import _oriented, structure_basis
-from .mat2 import Mat2, _rref
+from .mat2 import Mat2
 from .model import witness_XY, x_power
 from .poly import SparsePoly, _join_terms, _parse_terms, _term_text
 
@@ -68,12 +69,14 @@ class Word:
     def __init__(self, runs=()):
         merged: list[tuple[str, int]] = []
         for letter, e in runs:
+            if letter not in ("x", "y"):
+                raise ValueError(f"unknown letter {letter!r}")
+            if type(e) is not int:
+                raise TypeError(f"exponent {e!r} is not an int")
             if e < 0:
                 raise ValueError("negative exponent in word")
             if e == 0:
                 continue
-            if letter not in ("x", "y"):
-                raise ValueError(f"unknown letter {letter!r}")
             if merged and merged[-1][0] == letter:
                 merged[-1] = (letter, merged[-1][1] + e)
             else:
@@ -246,9 +249,7 @@ def build_rewrite_system(i: int, j: int, field=QQ) -> RewriteSystem:
         rhs = NCPoly.one(field) - NCPoly.x(field) * NCPoly.y(field)
         rs = RewriteSystem(1, 1, field, rhs, None, walk=walk)
     else:
-        basis = tuple(Word.gen("x", a) for a in range(N)) + tuple(
-            Word((("x", a), ("y", 1))) for a in range(N)
-        )
+        basis = _spanning_words(N)
         xs, ys = _walk(((Word.from_letters("yx"), 1),), walk)
         yx = {basis[a]: c for a, c in xs.items()}
         yx.update((basis[N + a], c) for a, c in ys.items())
@@ -257,6 +258,18 @@ def build_rewrite_system(i: int, j: int, field=QQ) -> RewriteSystem:
         rs = RewriteSystem(i, j, field, yx_rhs, xpow, basis, walk)
     _build_sanity_check(rs)
     return rs
+
+
+def _spanning_words(N: int) -> tuple:
+    """x^0..x^(N-1), then x^0 y..x^(N-1) y: for i > j, the words no rule rewrites."""
+    return tuple(Word((("x", a), ("y", h))) for h in (0, 1) for a in range(N))
+
+
+def _unit_words(hi: int, lo: int) -> dict:
+    """y x^lo, y, x^hi y x^lo and x^hi y, keyed by the units e11..e22 they map to."""
+    y, xh, xl = ("y", 1), ("x", hi), ("x", lo)
+    words = ((y, xl), (y,), (xh, y, xl), (xh, y))
+    return dict(zip(itertools.product((1, 2), repeat=2), map(Word, words)))
 
 
 def _build_sanity_check(rs: RewriteSystem):
@@ -574,16 +587,26 @@ def matrix_model(i: int, j: int, field=QQ) -> MatrixModel:
 def certify_normal_forms(rs: RewriteSystem) -> bool:
     """Exact proof that normal forms are unique.
 
-    For i > j, two checks in the matrix model over A[s,t]/I.  Each of the
-    three rules holds in the model, so the ideal the rules generate lies in
-    the model's kernel.  The images of the 2N spanning words, flattened
-    onto 4 * dim L coordinates (matrix entry times standard monomial), have
-    rank 2N: no nonzero combination of spanning words maps to zero.
-    Together they make the spanning words independent modulo the rules, so
-    every terminating reduction order ends at the same normal form; this is
-    the linear-algebra route around Bergman's diamond lemma.  It costs
-    about 0.4 s at (10, 7) over Q, so neither ``reduce`` nor
-    ``build_rewrite_system`` runs it.
+    For i > j, by the matrix units of the model phi: x -> X, y -> Y over
+    L = A[s,t]/I (``matrix_model``), with no linear algebra.  It checks
+    that ``rs.basis`` is the 2N spanning words x^a, x^a y (a < N), which
+    no rule rewrites, and that both rules' right sides are combinations
+    of them; that 4 dim L = 2N, with dim L from the certified basis of L;
+    that the three rules hold under phi; and that phi maps y x^lo, y,
+    x^hi y x^lo, x^hi y to the units e11, e12, e21, e22, x^(i+j) to s*I
+    and x^lo - x^hi to t*I.  The proof: the right sides are combinations
+    of spanning words, so each rewrite in ``_step``'s order lowers
+    ``Word.rewrite_measure``; every word equals a combination of spanning
+    words modulo the ideal J of the rules.  J lies in the kernel of phi,
+    so the images of the 2N spanning words span the image of phi.  It is
+    a subalgebra holding each e_kl, s*I and t*I, hence all of M_2(L), of
+    dimension 4 dim L = 2N.  So these images are independent, and no
+    nonzero combination of spanning words lies in J: every terminating
+    reduction order ends at the same normal form.  This is the paper's
+    criterion (2x2 matrix units make a 2x2 matrix ring) in place of
+    Bergman's diamond lemma.  It costs milliseconds, the model included
+    (about 4 ms at (13, 8) over Q); selftest runs it on its rewriting
+    pairs, and ``build_rewrite_system`` does not run it.
 
     At (1, 1), Bergman's diamond lemma itself (Bergman 1978).  Deglex with
     x < y is a semigroup order with the descending chain condition; it is
@@ -600,21 +623,23 @@ def certify_normal_forms(rs: RewriteSystem) -> bool:
         if any(w.key() >= yx for w in rs.yx_rhs.terms):
             return False
         return _rewrite(NCPoly.y(field) * rs.yx_rhs, rs).is_zero()
-    model = matrix_model(rs.i, rs.j, field)
     N, xrhs = rs.xpow
-    x, y = NCPoly.x(field), NCPoly.y(field)
-    rules = ((y * y, NCPoly.zero(field)), (y * x, rs.yx_rhs), (NCPoly.x(field, N), xrhs))
-    if any(model.image(lhs) != model.image(rhs) for lhs, rhs in rules):
+    spanning = _spanning_words(N)
+    if rs.basis != spanning or not {*rs.yx_rhs.terms, *xrhs.terms} <= set(spanning):
         return False
-    # entries as BiPolys: field elements for _rref, not the ring's kernel numbers
-    images = [[e.bipoly() for e in model.word_matrix(w).entries()] for w in rs.basis]
-    monos = model.ring.quotient_basis()
-    # one equation per coordinate, one unknown per spanning word
-    rows = [[m[k].coeff(mono) for m in images] for k in range(4) for mono in monos]
-    if len(rows) < len(images):
-        return False
-    _, nullspace = _rref(rows, [field.zero] * len(rows), field)
-    return not nullspace
+    model = matrix_model(rs.i, rs.j, field)
+    ring, img = model.ring, model.image
+    x, y = (lambda e: NCPoly.x(field, e)), NCPoly.y(field)
+    rules = ((y * y, NCPoly.zero(field)), (y * x(1), rs.yx_rhs), (x(N), xrhs))
+    units = _unit_words(rs.i, rs.j)  # keyed e11, e12, e21, e22: Mat2's entry order
+    unit = lambda k: Mat2(ring, *[ring.one if u == k else ring.zero for u in units])
+    return (
+        4 * ring.dimension() == 2 * N
+        and all(img(lhs) == img(rhs) for lhs, rhs in rules)
+        and all(img(w) == unit(k) for k, w in units.items())
+        and img(x(rs.i + rs.j)) == Mat2.scalar(ring, ring.s())
+        and img(x(rs.j) - x(rs.i)) == Mat2.scalar(ring, ring.t())
+    )
 
 
 @dataclass
@@ -648,27 +673,6 @@ class ValidationReport:
         }
 
 
-def _in_spanning_set(w: Word, rs: RewriteSystem) -> bool:
-    runs = w.runs
-    if not runs:
-        return True
-    N = rs.xpow[0] if rs.xpow else None  # the x-run bound, None at (1, 1)
-    if len(runs) == 1:
-        letter, e = runs[0]
-        if letter == "x":
-            return N is None or e < N
-        return e == 1
-    if len(runs) == 2:
-        (l1, e1), (l2, e2) = runs
-        return (
-            l1 == "x"
-            and l2 == "y"
-            and e2 == 1
-            and (N is None or e1 < N)
-        )
-    return False
-
-
 def _word_corpus(rng, n_random: int, max_len: int, exhaustive_len):
     if exhaustive_len is not None:
         for length in range(1, exhaustive_len + 1):
@@ -694,7 +698,7 @@ def validate_system(
 ) -> ValidationReport:
     """Audit the rules against the matrix model on a word corpus.
 
-    For every corpus word: its normal form lies in the spanning set, and
+    For every corpus word: no rule rewrites a word of its normal form, and
     the image of the word equals the image of its normal form (soundness).
     The heap engine ``_rewrite`` must reach the same normal form as
     ``reduce``'s walk; the two routes share only the rules, and a mismatch
@@ -707,7 +711,7 @@ def validate_system(
         report.words_checked += 1
         p = NCPoly.of_word(w, rs.field)
         nf = reduce(p, rs)
-        if not all(_in_spanning_set(u, rs) for u in nf.terms):
+        if any(_step(u, rs) is not None for u in nf.terms):
             report.normal_form_escapes.append(w.text())
         if model.image(p) != model.image(nf):
             report.soundness_failures.append(w.text())
@@ -801,12 +805,7 @@ def check_identities(i: int, j: int, n_max: int = 6, field=QQ) -> IdentityReport
         rep.record(f"[{name}, x] = 0", img(z * x() - x() * z) == img(NCPoly.zero(f)))
         rep.record(f"[{name}, y] = 0", img(z * y - y * z) == img(NCPoly.zero(f)))
 
-    e = {
-        (1, 1): y * x(lo),
-        (1, 2): y,
-        (2, 1): x(hi) * y * x(lo),
-        (2, 2): x(hi) * y,
-    }
+    e = {k: NCPoly.of_word(w, f) for k, w in _unit_words(hi, lo).items()}
     rep.record("e11 + e22 = 1", img(e[(1, 1)] + e[(2, 2)]) == img(one))
     for h in (1, 2):
         for k in (1, 2):

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -428,7 +429,7 @@ def test_refusals_exit_2_before_any_work(capsys, monkeypatch, args, message):
     monkeypatch.setattr(oracle, "oracle_roots_fp2", refuse)
     monkeypatch.setattr(cli, "enum_sweep_fp", refuse)
     monkeypatch.setattr(cli, "_table_chunk", refuse)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
@@ -456,7 +457,7 @@ def test_table_threads_capped_by_cpu_count(capsys, monkeypatch):
 
     args = ["table", "--field", "fp", "--p", "3", "--max", "6", "--oracle"]
     _, serial, _ = run_cli(args + ["--threads", "1"], capsys)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code, out, _ = run_cli(args + ["--threads", "1000"], capsys)
     assert code == 0

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m2alg.errors import UnsupportedParameters
-from m2alg.membership import decide_ii_Zp, decide_Zp
+from m2alg.groebner import structure_basis
+from m2alg.membership import decide_ii_Zp, decide_Q, decide_Zp
 from m2alg.oracle import oracle_roots_fp2
 from m2alg.fields import (
     GF,
@@ -96,6 +97,34 @@ def test_prime_field_requires_prime():
 def test_odd_prime_guard_refuses_two(call):
     # the procedures that need an odd prime all refuse p = 2 through one guard
     with pytest.raises(UnsupportedParameters, match="^2 is not an odd prime$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: decide_Q(2.0, 1),
+        lambda: decide_Q(3, True),
+        lambda: decide_Zp(7.0, 2, 1),
+        lambda: decide_Zp(7, Fraction(2), 1),
+        lambda: structure_basis(3, 2.0),
+        lambda: GF(7.0),
+        lambda: GF2(7.0),
+    ],
+    ids=[
+        "decide_Q",
+        "decide_Q_bool",
+        "decide_Zp",
+        "decide_Zp_fraction",
+        "structure_basis",
+        "GF",
+        "GF2",
+    ],
+)
+def test_parameter_guards_refuse_non_ints(call):
+    # a float equal to an int is refused too, even once GF(7) and GF2(7) are cached
+    GF(7), GF2(7)
+    with pytest.raises(TypeError, match="is not an int$"):
         call()
 
 

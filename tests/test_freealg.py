@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m2alg import freealg, groebner
+from m2alg import freealg, groebner, mat2
 from m2alg.errors import Inconsistency, UnsupportedParameters
 from m2alg.fields import GF, QQ, FpElem
 from m2alg.freealg import (
@@ -62,6 +62,15 @@ def test_word_rejects_bad_input():
         Word((("z", 1),))
     with pytest.raises(ValueError):
         Word((("x", -1),))
+
+
+def test_word_checks_each_run_before_dropping_an_empty_one():
+    with pytest.raises(ValueError, match="unknown letter"):
+        Word((("z", 0),))
+    for e in (2.5, 2.0, True):
+        with pytest.raises(TypeError, match="is not an int$"):
+            Word((("x", e),))
+    assert Word((("y", 0), ("x", 2))).runs == (("x", 2),)
 
 
 def test_ncpoly_arithmetic():
@@ -281,11 +290,22 @@ def test_table_route_agrees_with_heap(i, j, field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_certify_normal_forms(field):
-    for i in range(2, 8):
-        for j in range(1, i):
-            if math.gcd(i, j) == 1:
-                rs = build_rewrite_system(i, j, field)
-                assert certify_normal_forms(rs), (i, j, field.name)
+    pairs = [(i, j) for i in range(2, 14) for j in range(1, i) if math.gcd(i, j) == 1]
+    if field is QQ:
+        pairs += [(21, 20), (61, 60)]
+    for i, j in pairs:
+        rs = build_rewrite_system(i, j, field)
+        assert certify_normal_forms(rs), (i, j, field.name)
+
+
+def test_certify_normal_forms_needs_no_linear_algebra(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Gauss-Jordan or BiPoly conversion")
+
+    monkeypatch.setattr(mat2, "_rref", refuse)
+    monkeypatch.setattr(groebner.QuotientElem, "bipoly", refuse)
+    assert not hasattr(freealg, "_rref")
+    assert certify_normal_forms(build_rewrite_system(13, 8))
 
 
 def test_certify_normal_forms_at_1_1():
@@ -303,6 +323,31 @@ def test_certify_normal_forms_detects_failures():
     rs = build_rewrite_system(1, 1)
     broken = dataclasses.replace(rs, yx_rhs=parse_word_expr("1 + x*y", QQ))
     assert not certify_normal_forms(broken)
+
+
+def test_certify_normal_forms_detects_mutations(monkeypatch):
+    rs = build_rewrite_system(5, 3)
+    assert certify_normal_forms(rs)
+    assert not certify_normal_forms(dataclasses.replace(rs, basis=rs.basis[::-1]))
+    # y*x -> yx_rhs + y*x^2 - reduce(y*x^2) holds in the model, but y*x^2 is
+    # no spanning word, and the rules no longer terminate
+    yxx = parse_word_expr("y*x^2", QQ)
+    off = dataclasses.replace(rs, yx_rhs=rs.yx_rhs + yxx - reduce(yxx, rs))
+    assert not certify_normal_forms(off)
+    model = matrix_model(5, 3)
+    real_image, e21 = model.image, Word.from_letters("xxxxxyxxx")
+
+    def image(p):  # -e21 for the unit word x^5*y*x^3; the rules still hold
+        return real_image(p).scale(-1) if p == e21 else real_image(p)
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "image", image)
+        assert not certify_normal_forms(rs)
+    real_dimension = groebner.GroebnerBasis.dimension
+    monkeypatch.setattr(
+        groebner.GroebnerBasis, "dimension", lambda ring: real_dimension(ring) + 1
+    )
+    assert not certify_normal_forms(rs)
 
 
 @pytest.mark.parametrize("i,j", [(1, 1), (5, 4), (7, 3)])
@@ -534,17 +579,3 @@ def test_word_matrix_multiply_count(monkeypatch, k):
     assert len(calls) <= k + 4
     monkeypatch.undo()
     assert image == _plain_product(model.pair, word)
-
-
-def test_certify_normal_forms_rank_matrix_holds_field_elements(monkeypatch):
-    seen = []
-    real = freealg._rref
-
-    def spy(rows, rhs, field):
-        seen.append(rows)
-        return real(rows, rhs, field)
-
-    monkeypatch.setattr(freealg, "_rref", spy)
-    assert certify_normal_forms(build_rewrite_system(4, 3, GF(3)))
-    (rows,) = seen
-    assert rows and all(type(v) is FpElem and v.p == 3 for row in rows for v in row)
