@@ -62,12 +62,20 @@ _RUNS = {(letter, e): (letter, e) for letter in "xy" for e in range(1, 65)}
 
 
 class Word:
-    """A word in x and y, stored as alternating run-length pairs."""
+    """A word in x and y, stored as alternating run-length pairs.
 
-    __slots__ = ("runs",)
+    ``has_yy`` records, while the runs are merged, whether some y-run has
+    exponent >= 2.  Such a word is zero in the algebra (y^2 = 0), and
+    ``_step``, ``_walk``, ``MatrixModel.word_matrix`` and
+    ``MatrixModel.image`` read this flag instead of scanning the runs.  It
+    is derived from the runs, so ``==``, ``hash`` and ``text`` ignore it.
+    """
+
+    __slots__ = ("runs", "has_yy")
 
     def __init__(self, runs=()):
         merged: list[tuple[str, int]] = []
+        has_yy = False
         for letter, e in runs:
             if letter not in ("x", "y"):
                 raise ValueError(f"unknown letter {letter!r}")
@@ -78,10 +86,14 @@ class Word:
             if e == 0:
                 continue
             if merged and merged[-1][0] == letter:
-                merged[-1] = (letter, merged[-1][1] + e)
+                e += merged[-1][1]
+                merged[-1] = (letter, e)
             else:
                 merged.append((letter, e))
+            if e >= 2 and letter == "y":
+                has_yy = True
         self.runs = tuple([_RUNS.get(run, run) for run in merged])
+        self.has_yy = has_yy
 
     @classmethod
     def one(cls):
@@ -146,7 +158,7 @@ class Word:
         if not self.runs:
             return "1"
         return "*".join(
-            letter if e == 1 else f"{letter}^{e}" for letter, e in self.runs
+            [letter if e == 1 else f"{letter}^{e}" for letter, e in self.runs]
         )
 
     def __repr__(self):
@@ -192,10 +204,12 @@ class NCPoly(SparsePoly):
         return self._new({u * w: c for u, c in self.terms.items()})
 
     def text(self) -> str:
+        terms = self.terms
+        words = sorted(terms, key=Word.key, reverse=True) if len(terms) > 1 else terms
         pieces = []
-        for w in sorted(self.terms, key=Word.key, reverse=True):
+        for w in words:
             mono = "" if w.is_one() else w.text()
-            pieces.append(_term_text(self.field, self.terms[w], mono))
+            pieces.append(_term_text(self.field, terms[w], mono))
         return _join_terms(pieces)
 
 
@@ -303,9 +317,9 @@ def _step(word: Word, rs: RewriteSystem) -> NCPoly | None:
     The order: a y^2 anywhere (the word is zero), else the leftmost y-x
     adjacency, else the leftmost x-run with exponent >= N.
     """
-    runs = word.runs
-    if any(letter == "y" and e >= 2 for letter, e in runs):
+    if word.has_yy:
         return NCPoly.zero(rs.field)
+    runs = word.runs
     for idx, (letter, _) in enumerate(runs[:-1]):
         if letter == "y":  # runs alternate, so an x-run follows
             left = Word(runs[:idx])
@@ -326,10 +340,10 @@ def reduce(p: NCPoly, rs: RewriteSystem) -> NCPoly:
 
     Each word is walked over the spanning words x^a and x^a y, run by run,
     starting from the empty word (``_walk``); a term whose word contains
-    y^2 is dropped first.  An x-run costs at most (i+j)/2 + 1 shifts of
-    the current vector, whatever its length.  Normal forms are unique
-    (``certify_normal_forms``), so this equals what any terminating
-    reduction order gives, ``_rewrite``'s included.
+    y^2 (``Word.has_yy``) is dropped first.  An x-run costs at most
+    (i+j)/2 + 1 shifts of the current vector, whatever its length.
+    Normal forms are unique (``certify_normal_forms``), so this equals
+    what any terminating reduction order gives, ``_rewrite``'s included.
     """
     xs, ys = _walk(p.terms.items(), rs.walk)
     basis, N = rs.basis, rs.walk[5]
@@ -364,11 +378,10 @@ def _walk(terms, walk) -> tuple:
     xs_total: dict = {}
     ys_total: dict = {}
     for w, c in terms:
-        runs = w.runs
-        if any(letter == "y" and e > 1 for letter, e in runs):
+        if w.has_yy:
             continue
         xs, ys = {0: c}, {}
-        for letter, e in runs:
+        for letter, e in w.runs:
             if letter == "y":
                 xs, ys = {}, xs
                 continue
@@ -499,9 +512,11 @@ class MatrixModel:
     single y's therefore maps to c * col_1(X^a0) (x) row_2(X^ak), with
     c = (X^a1)_21 ... (X^a(k-1))_21 and a missing first or last x-run read
     as X^0 = I: at most k + 4 products in L instead of a matrix product
-    per run.  A word containing y^2 maps to zero.  The model uses only X,
-    Y and their powers X^e = s^m * C^u (``model.x_power``, no matrix
-    product), never the rewrite rules.
+    per run.  A word containing y^2 maps to zero: ``word_matrix`` reads
+    ``Word.has_yy`` and returns ``zero_mat`` without looking at the runs,
+    and ``image`` skips such terms, so a sum of them is ``zero_mat`` itself.
+    The model uses only X, Y and their powers X^e = s^m * C^u
+    (``model.x_power``, no matrix product), never the rewrite rules.
     """
 
     def __init__(self, i: int, j: int, field=QQ):
@@ -533,13 +548,13 @@ class MatrixModel:
         return power
 
     def word_matrix(self, w: Word) -> Mat2:
-        # the x-exponents around the y's, a missing run counting as 0
+        if w.has_yy:
+            return self.zero_mat
+        # the x-exponents around the single y's, a missing run counting as 0
         xs = [0]
         for letter, e in w.runs:
             if letter == "x":
                 xs[-1] = e
-            elif e >= 2:
-                return self.zero_mat
             else:
                 xs.append(0)
         if len(xs) == 1:
@@ -566,6 +581,8 @@ class MatrixModel:
         one = self.field.one
         total = None
         for w, c in p.terms.items():
+            if w.has_yy:
+                continue
             m = self.word_matrix(w)
             if c != one:
                 m = m.scale(c)

@@ -47,9 +47,6 @@ class Mat2:
     def e12(cls, ring):
         return cls(ring, ring.zero, ring.one, ring.zero, ring.zero)
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))
 
@@ -98,6 +95,8 @@ class Mat2:
         return mat_pow(self, e)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Mat2):
             return NotImplemented
         return (

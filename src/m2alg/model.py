@@ -25,7 +25,8 @@ folded by s^(i-j) = (-1)^(i-j)) of t-degree at most n/2, the height of
 the basis's own leading monomials (``_x_pair``).  The matrix is
 a*C + b*I = [[a*t + b, a*s], [a, b]], and its top row comes from shifting
 a by t and by s, one division per entry, with no product in L
-(``_times_C``: the same row is the pair of C*(a*C + b*I)).  At (1, 1),
+(``_times_C``: the same row is the pair of C*(a*C + b*I)); at i - j = 1,
+where s = -1 in L, a*s is -a and needs no division.  At (1, 1),
 where s is no unit, n = 2 and u is 0 or 1: the only negative index is
 u - 1 = -1, and s*f(-1) = 1 keeps every s-exponent >= 0.
 
@@ -37,10 +38,10 @@ construction.  With hi = q*lo + r and r < lo, one chain of squarings
 X, X^2, X^4, ... gives both X^lo and X^r (``_pair_powers``; each power
 multiplies in the squares its binary digits select), and X^lo is compared
 with C's pair.  Then X^hi = C^q * X^r: for q = 1 that is the C-step
-(a, b) -> (a*t + b, a*s) on X^r's pair, two divisions and no product;
-for q >= 2, C's pair has its own chain, and C^q * X^r is one product
-(none for r = 0).  X^hi is compared with (1, -t).  With Y = E12, whose
-square is 0, X^i Y + Y X^j = 1 reads (X^i)_21 = (X^j)_21 = 1 and
+(a, b) -> (a*t + b, a*s) on X^r's pair, at most two divisions and no
+product; for q >= 2, C's pair has its own chain, and C^q * X^r is one
+product (none for r = 0).  X^hi is compared with (1, -t).  With Y = E12,
+whose square is 0, X^i Y + Y X^j = 1 reads (X^i)_21 = (X^j)_21 = 1 and
 (X^i)_11 + (X^j)_22 = 0, in both orientations t + b_lo + b_hi = 0 on the
 pairs; the pairs (1, 0) and (1, -t) satisfy it, so the two comparisons
 check the relation as well.  The chains use only products in L and
@@ -155,16 +156,22 @@ def _pair_powers(ring: GroebnerBasis, x: tuple, *exps: int) -> tuple:
 def _times_C(ring: GroebnerBasis, x: tuple) -> tuple:
     """The pair of C*(a*C + b*I) = (a*t + b)*C + a*s*I, for x = (a, b).
 
-    It is also the top row of a*C + b*I.  a is shifted by t and by s, and
-    each coordinate is divided once: no product in L.
+    It is also the top row of a*C + b*I.  a, a normal form, is shifted by
+    t and by s, and each coordinate is divided once: no product in L.  At
+    i - j = 1, s = -1 in L, so a*s is -a, built on a's own monomial keys
+    with no shift and no division.
     """
     a, b = x
     alpha = {(es, et + 1): c for (es, et), c in a.items()}
     for m, c in b.items():
         alpha[m] = alpha.get(m, 0) + c
-    beta = {(es + 1, et): c for (es, et), c in a.items()}
     divisors, mod = ring._divisors, ring._mod
-    return _divide(alpha, divisors, mod), _divide(beta, divisors, mod)
+    hi, lo = ring.params
+    if hi - lo == 1:
+        beta = {m: mod - c if mod else -c for m, c in a.items()}
+    else:
+        beta = _divide({(es + 1, et): c for (es, et), c in a.items()}, divisors, mod)
+    return _divide(alpha, divisors, mod), beta
 
 
 def _matrix(ring: GroebnerBasis, x: tuple) -> Mat2:

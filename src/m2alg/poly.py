@@ -281,9 +281,6 @@ class BiPoly(SparsePoly):
     def deg_t(self):
         return max((m[1] for m in self.terms), default=NEG_INF)
 
-    def coeff(self, mono):
-        return self.terms.get(mono, self.field.zero)
-
     def evaluate_s(self, v) -> UniPoly:
         """Ring-homomorphic image under s -> v, landing in polynomials in t."""
         v = self.field.of(v) if isinstance(v, int) else v

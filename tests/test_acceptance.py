@@ -230,7 +230,7 @@ def test_criterion_7_identity_suites(capsys):
         for n in range(1, 201):
             p = f_st(n)
             assert p.deg_t() == n - 1
-            assert p.coeff((0, n - 1)) == QQ.one
+            assert p.terms.get((0, n - 1)) == QQ.one
             const = {m: c for m, c in p.terms.items() if m[1] == 0}
             if n % 2 == 0:
                 assert const == {}, n

@@ -98,6 +98,12 @@ P19 = "1000000000000000003"  # a prime whose p^4 matrices are far too many to sc
         # i^2 - j^2 = 3311: the model's x-powers far outside the words grid
         (["reduce", "60", "17", "y*x^7*y*x^100*y"], "reduce_60_17.json"),
         (["verify", "60", "17"], "verify_60_17.json"),
+        # words with y^2 are zero: mixed with nonzero words, and alone
+        (
+            ["reduce", "9", "8", "x^2*y^2*x + y*x*y^2 - 3*x*y*x + y*x^4*y"],
+            "reduce_9_8_mixed.json",
+        ),
+        (["reduce", "9", "8", "y^2*x + x*y^3*x^5"], "reduce_9_8_zero.json"),
     ],
 )
 def test_output_bytes_golden(capsys, args, golden):

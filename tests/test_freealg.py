@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from m2alg.freealg import (
 )
 from m2alg.mat2 import Mat2, mat_pow
 from m2alg.model import x_power
+from m2alg.poly import _join_terms, _term_text
 
 
 def w(letters):
@@ -42,8 +44,12 @@ def test_word_normalization():
     assert Word.gen("x", 3).text() == "x^3"
 
 
+def _words_up_to(n):
+    return [w("".join(v)) for k in range(n + 1) for v in itertools.product("xy", repeat=k)]
+
+
 def test_word_key_is_deglex_on_the_letter_string():
-    words = [w("".join(v)) for n in range(11) for v in itertools.product("xy", repeat=n)]
+    words = _words_up_to(10)
     assert len(words) == 2047
     by_runs = sorted(words, key=Word.key)
     by_letters = sorted(words, key=lambda v: (v.degree, "".join(l * e for l, e in v.runs)))
@@ -90,6 +96,43 @@ def test_ncpoly_text_ordering():
     y = NCPoly.y(QQ)
     p = NCPoly.one(QQ) + y - x * y
     assert p.text() == "-x*y + y + 1"
+
+
+def test_has_yy_is_the_runs_scan_and_invisible_to_equality():
+    for word in _words_up_to(10):
+        assert word.has_yy == any(l == "y" and e >= 2 for l, e in word.runs), word
+        copy = pickle.loads(pickle.dumps(word))
+        assert (copy.runs, copy.has_yy, copy.text()) == (word.runs, word.has_yy, word.text())
+        assert copy == word and hash(copy) == hash(word)
+        copy.has_yy = not word.has_yy
+        assert copy == word and hash(copy) == hash(word) and copy.text() == word.text()
+    # runs that merge into a y^2, and y^2 split by an empty x-run
+    assert Word((("y", 1), ("y", 1))).has_yy
+    assert Word((("y", 1), ("x", 0), ("y", 1))).has_yy
+    assert not (w("xy") * w("xy")).has_yy
+    assert (w("xy") * w("yx")).has_yy
+
+
+def _sorted_text(p):
+    """NCPoly.text's rendering with the terms always sorted."""
+    words = sorted(p.terms, key=Word.key, reverse=True)
+    return _join_terms(
+        [_term_text(p.field, p.terms[u], "" if u.is_one() else u.text()) for u in words]
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+def test_ncpoly_text_is_the_sorted_rendering(field):
+    polys = [NCPoly.zero(field), NCPoly.one(field), NCPoly.of_word(w("yxxy"), field, -2)]
+    polys.append(parse_word_expr("x^2*y^2*x + y*x*y^2 - 3*x*y*x + y*x^4*y + 1/2", field))
+    rng = random.Random(5)
+    words = _words_up_to(5)
+    for _ in range(20):
+        terms = {u: field.of(rng.randint(-3, 3)) for u in rng.sample(words, rng.randint(2, 8))}
+        polys.append(NCPoly(terms, field))
+    assert {len(p.terms) for p in polys} >= {0, 1, 2, 5}
+    for p in polys:
+        assert p.text() == _sorted_text(p)
 
 
 def test_parse_word_expr():
@@ -579,3 +622,30 @@ def test_word_matrix_multiply_count(monkeypatch, k):
     assert len(calls) <= k + 4
     monkeypatch.undo()
     assert image == _plain_product(model.pair, word)
+
+
+@pytest.mark.parametrize("i,j", [(1, 1), (5, 4), (10, 7)])
+def test_y_squared_words_are_zero_without_arithmetic(monkeypatch, i, j):
+    """A word with y^2 is zero in every layer before any division or product."""
+    rs = build_rewrite_system(i, j, QQ)
+    model = matrix_model(i, j, QQ)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("arithmetic on a zero word")
+
+    monkeypatch.setattr(groebner, "_divide", refuse)
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(groebner.QuotientElem, name, refuse)
+    monkeypatch.setattr(Mat2, "__mul__", refuse)
+    words = [w("yy"), w("xyyx"), w("yxyyyx"), Word((("x", 10**6), ("y", 2), ("x", 3), ("y", 1)))]
+    zero = NCPoly.zero(QQ)
+    for word in words:
+        p = NCPoly.of_word(word, QQ, -3)
+        assert reduce(p, rs) == zero and _rewrite(p, rs) == zero
+        assert model.word_matrix(word) is model.zero_mat
+        assert model.image(word) is model.zero_mat
+        assert model.image(p) is model.zero_mat
+    total = NCPoly({word: QQ.of(k + 2) for k, word in enumerate(words)}, QQ)
+    assert reduce(total, rs) == zero and _rewrite(total, rs) == zero
+    assert model.image(total) is model.zero_mat
+    assert model.image(zero) is model.zero_mat

@@ -79,6 +79,16 @@ def test_x_power_is_a_C_plus_b_I(i, j, field):
         assert X == _in_L_of_C(ring, X.c, X.d), e
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_x_power_at_i_minus_j_1_keeps_a_s_on_the_keys_of_a(field):
+    # s = -1 in L, so the entry a*s is -a, stored on a's own key tuples
+    ring = structure_basis(21, 20, field)
+    for e in range(3 * 41):
+        X = x_power(ring, e)
+        assert X.b == -X.c, e
+        assert all(k is m for k, m in zip(X.b.terms, X.c.terms)), e
+
+
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=lambda f: f.name)
 @pytest.mark.parametrize("i,j", [(5, 3), (13, 8), (7, 4)])
 def test_witness_refuses_wrong_powers_that_keep_the_relation(i, j, field, monkeypatch):

@@ -509,7 +509,8 @@ def _witness_cases():
     )
     q = construct_witness_Q(1, 2)
     for rep, mod in ((sep, 7), (dbl, 5), (q, 0)):
-        x = tuple(int(str(v)) for v in rep.x.entries())
+        m = rep.x
+        x = tuple(int(str(v)) for v in (m.a, m.b, m.c, m.d))
         yield x, mod, rep.i, rep.j, GF(mod) if mod else QQ
 
 
