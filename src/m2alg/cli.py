@@ -62,7 +62,9 @@ def _record(command: str, params: dict, result) -> dict:
 
 def _emit(record: dict, pretty=True):
     if pretty:
-        print(json.dumps(record, indent=2, sort_keys=True))
+        # written piece by piece: a large record is never one string
+        json.dump(record, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     else:
         print(json.dumps(record, sort_keys=True, separators=(",", ":")))
 

@@ -48,7 +48,7 @@ from .errors import Inconsistency
 from .fields import QQ
 from .groebner import _oriented, structure_basis
 from .mat2 import Mat2
-from .model import _x_pair, witness_XY
+from .model import witness_XY, x_coordinate
 from .poly import SparsePoly, _join_terms, _parse_terms, _term_text
 
 
@@ -198,10 +198,10 @@ class NCPoly(SparsePoly):
         return NCPoly.of_word(Word.one(), self.field, self.field.of(other))
 
     def lmul_word(self, w: Word):
-        return self._new({w * u: c for u, c in self.terms.items()})
+        return NCPoly({w * u: c for u, c in self.terms.items()}, self.field, _clean=False)
 
     def rmul_word(self, w: Word):
-        return self._new({u * w: c for u, c in self.terms.items()})
+        return NCPoly({u * w: c for u, c in self.terms.items()}, self.field, _clean=False)
 
     def text(self) -> str:
         terms = self.terms
@@ -515,12 +515,14 @@ class MatrixModel:
     per run.  A word containing y^2 maps to zero: ``word_matrix`` reads
     ``Word.has_yy`` and returns ``zero_mat`` without looking at the runs,
     and ``image`` skips such terms, so a sum of them is ``zero_mat`` itself.
-    The model caches no matrix, only the pairs (a(e), b(e)) of X^e =
-    a(e)*C + b(e)*I (``model._x_pair``), under e mod 2(i^2 - j^2), and
-    none at (1, 1), where X has infinite order.  As X^lo = C,
-    X^e = [[a(e+lo), b(e+lo)], [a(e), b(e)]] (module doc of ``model``):
-    col_1(X^a0) is (a(a0+lo), a(a0)), row_2(X^ak) is (a(ak), b(ak)), and
-    a middle run reads a(al).  No matrix product, no rewrite rule.
+    The model caches no matrix, only the coordinates a(e) and b(e) of
+    X^e = a(e)*C + b(e)*I (``model.x_coordinate``), each built the first
+    time it is read, under e mod 2(i^2 - j^2), and none at (1, 1), where X
+    has infinite order.  As X^lo = C, X^e = [[a(e+lo), b(e+lo)], [a(e),
+    b(e)]] (module doc of ``model``): col_1(X^a0) is (a(a0+lo), a(a0)),
+    row_2(X^ak) is (a(ak), b(ak)), and a middle run reads a(al), so the
+    first and middle runs of a word never build a b.  No matrix product,
+    no rewrite rule.
     """
 
     def __init__(self, i: int, j: int, field=QQ):
@@ -540,22 +542,22 @@ class MatrixModel:
             raise Inconsistency(f"s^{d} is not {(-1) ** d} in L for (i, j) = ({i}, {j})")
         self._lo = self.ring.params[1]
         self._cycle = 2 * d * (i + j) or None
-        self._pairs: dict = {}
+        self._coords = ({}, {})  # the a's and the b's, by e mod the cycle
 
-    def _pair(self, e: int) -> tuple:
-        """(a, b) with X^e = a*C + b*I, as elements of L."""
-        if self._cycle is not None:
-            e %= self._cycle
-            pair = self._pairs.get(e)
-            if pair is not None:
-                return pair
-        pair = tuple(map(self.ring.zero._new, _x_pair(self.ring, e)))
-        if self._cycle is not None:
-            self._pairs[e] = pair
-        return pair
+    def _coord(self, e: int, k: int):
+        """Coordinate k of X^e = a*C + b*I, an element of L: a for k = 0, b for k = 1."""
+        if self._cycle is None:
+            return x_coordinate(self.ring, e, k)
+        e %= self._cycle
+        coords = self._coords[k]
+        c = coords.get(e)
+        if c is None:
+            c = coords[e] = x_coordinate(self.ring, e, k)
+        return c
 
     def xpow(self, e: int) -> Mat2:
-        return Mat2(self.ring, *self._pair(e + self._lo), *self._pair(e))
+        coord, top = self._coord, e + self._lo
+        return Mat2(self.ring, coord(top, 0), coord(top, 1), coord(e, 0), coord(e, 1))
 
     def word_matrix(self, w: Word) -> Mat2:
         if w.has_yy:
@@ -569,17 +571,17 @@ class MatrixModel:
                 xs.append(0)
         if len(xs) == 1:
             return self.xpow(xs[0])
-        pair = self._pair
+        coord = self._coord
         c = None
         for e in xs[1:-1]:
-            entry = pair(e)[0]
+            entry = coord(e, 0)
             c = entry if c is None else c * entry
             if not c:
                 return self.zero_mat
-        top, bottom = pair(xs[0] + self._lo)[0], pair(xs[0])[0]
+        top, bottom = coord(xs[0] + self._lo, 0), coord(xs[0], 0)
         if c is not None:
             top, bottom = c * top, c * bottom
-        last_a, last_b = pair(xs[-1])
+        last_a, last_b = coord(xs[-1], 0), coord(xs[-1], 1)
         return Mat2(
             self.ring, top * last_a, top * last_b, bottom * last_a, bottom * last_b
         )

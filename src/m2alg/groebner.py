@@ -51,6 +51,15 @@ elements only at the ``BiPoly`` boundary: ``buchberger`` and
 ``BiPoly``, and ``QuotientElem.bipoly``, which ``text`` prints; a normal
 form (``GroebnerBasis.normal_form``) goes in through the one and out
 through the other.
+
+The ring also owns the arithmetic of L[C] = L*C + L*I, C = [[t, s],
+[1, 0]], on pairs (a, b) of elements standing for a*C + b*I, which
+``model`` builds and checks the witness with and ``freealg``'s matrix model
+reads powers of X from: ``s_power_f`` (s^e * f(n), folded by s^d = (-1)^d),
+``pair_mul`` (a product of pairs, as C^2 = t*C + s*I) and ``times_C`` (the
+C-step).  Each forms a coordinate on kernel numbers, summed unreduced, and
+divides it once, so how an element of L is stored is this module's
+decision alone.
 """
 
 from __future__ import annotations
@@ -235,7 +244,7 @@ def _divide(p: dict, divisors, mod: int) -> dict:
         if row is None:
             missed += 1
             if missed > len(rows):
-                lt, missed = max(rows), 0
+                lt = max(rows)  # a pending level: its pop resets missed
             else:
                 lt -= 1
             continue
@@ -246,7 +255,7 @@ def _divide(p: dict, divisors, mod: int) -> dict:
             if not lc:
                 missed += 1
                 if missed > len(row):
-                    ls, missed = max(row), 0
+                    ls = max(row)  # a pending term: its pop resets missed
                 else:
                     ls -= 1
                 continue
@@ -319,7 +328,8 @@ def _buchberger(gens, mod: int) -> list:
             f = _scale(f, inv, mod)
         hs, ht = lm
         # criterion B: LM(h) divides the lcm of (a, c), and neither (a, h)
-        # nor (c, h) has that same lcm
+        # nor (c, h) has that same lcm; in two variables that needs LM(h)
+        # strictly below the lcm in both exponents, so < would test alike
         for (a, c), (ls, lt) in list(live.items()):
             if hs <= ls and ht <= lt:
                 as_, at, _ = divisors[a]
@@ -344,7 +354,7 @@ def _buchberger(gens, mod: int) -> list:
                 continue
             heapq.heappush(pairs, (lcm[1], lcm[0], a, b))
             live[a, b] = lcm
-        active[:] = [a for a in active if not mono_divides(lm, divisors[a][:2])]
+        active[:] = [a for a in active if not mono_divides(lm, divisors[a])]
         active.append(b)
         basis.append(f)
         divisors.append(_divisor(f))
@@ -364,9 +374,9 @@ def _buchberger(gens, mod: int) -> list:
     keep = [
         k
         for k in active
-        if not any(mono_divides(divisors[m][:2], divisors[k][:2]) for m in active if m != k)
+        if not any(mono_divides(divisors[m], divisors[k]) for m in active if m != k)
     ]
-    keep.sort(key=lambda k: order_key(divisors[k][:2]))
+    keep.sort(key=lambda k: order_key(divisors[k]))
     # fully reduce each survivor against the others; its monic leading term
     # is divisible by no other LM, so it survives and stays leading
     return [_divide(basis[k], [divisors[m] for m in keep if m != k], mod) for k in keep]
@@ -414,7 +424,9 @@ class GroebnerBasis:
     reads, and its elements are ``QuotientElem``s, the normal forms on
     kernel numbers.  ``_mod`` (p over GF(p), 0 over Q) and ``_number``
     (a scalar as a kernel number) are the two hooks their ``SparsePoly``
-    arithmetic reads.
+    arithmetic reads.  ``s_power_f``, ``pair_mul`` and ``times_C`` are the
+    arithmetic of L[C] on pairs of elements (module doc); ``s_power_f``
+    needs a structure basis.
     """
 
     __slots__ = ("polys", "field", "params", "zero", "one", "_mod", "_lms", "_divisors")
@@ -441,7 +453,8 @@ class GroebnerBasis:
 
     def _element(self, nums: dict) -> QuotientElem:
         """The element of L represented by the kernel dict nums."""
-        return QuotientElem(_divide(nums, self._divisors, self._mod), self, _clean=False)
+        # _clean=False, passed by position: the hot path of every product
+        return QuotientElem(_divide(nums, self._divisors, self._mod), self, False)
 
     def _number(self, c):
         """The scalar c as a kernel number: an int in [0, p) over GF(p).
@@ -462,6 +475,40 @@ class GroebnerBasis:
         """
         # _divide reduces mod p and skips cancelled (zero) terms
         return self._element(_mul_into({}, p.terms, q.terms))
+
+    def s_power_f(self, e: int, n: int) -> QuotientElem:
+        """s^e * f(n) in L, for a structure basis: ``_s_power_f``, divided once."""
+        hi, lo = self.params
+        return self._element(_s_power_f(e, n, hi - lo, self._mod))
+
+    def pair_mul(self, x: tuple, y: tuple) -> tuple:
+        """The pair of (a1*C + b1*I)(a2*C + b2*I) in L[C], for x = (a1, b1), y = (a2, b2).
+
+        That is (a1*a2*t + a1*b2 + b1*a2, a1*a2*s + b1*b2), since
+        C^2 = t*C + s*I; each coordinate is summed unreduced and divided once.
+        """
+        (a1, b1), (a2, b2) = (x[0].terms, x[1].terms), (y[0].terms, y[1].terms)
+        aa = _mul_into({}, a1, a2)
+        alpha = {(es, et + 1): c for (es, et), c in aa.items()}
+        beta = {(es + 1, et): c for (es, et), c in aa.items()}
+        if x is y:
+            _mul_into(alpha, {m: 2 * c for m, c in a1.items()}, b1)
+        else:
+            _mul_into(_mul_into(alpha, a1, b2), b1, a2)
+        _mul_into(beta, b1, b2)
+        return self._element(alpha), self._element(beta)
+
+    def times_C(self, x: tuple) -> tuple:
+        """The pair of C*(a*C + b*I) = (a*t + b)*C + a*s*I in L[C], for x = (a, b).
+
+        It is also the top row of a*C + b*I.  a, a normal form, is shifted by
+        t and by s, and each coordinate is divided once: no product in L.
+        """
+        a, b = x[0].terms, x[1].terms
+        alpha = {(es, et + 1): c for (es, et), c in a.items()}
+        for m, c in b.items():
+            alpha[m] = alpha.get(m, 0) + c
+        return self._element(alpha), self._element({(es + 1, et): c for (es, et), c in a.items()})
 
     def of(self, x) -> QuotientElem:
         """x in L: an element of this ring, a BiPoly or a scalar."""
@@ -660,7 +707,8 @@ class QuotientElem(SparsePoly):
     def __init__(self, terms: dict, ring: GroebnerBasis, _clean=True):
         if _clean:
             terms = ring._element({m: ring._number(c) for m, c in terms.items()}).terms
-        super().__init__(terms, ring.field, False)
+        self.terms = terms
+        self.field = ring.field
         self.ring = ring
 
     @property

@@ -112,7 +112,11 @@ def decide_Q_semantic(i: int, j: int) -> DecisionTrace:
     is an int, so each trace value is the exact int given by the trace
     recurrence (``trace_value``); no polynomial is built.
 
-    Note: the candidate c = 1 gives r^2 - r + 1 = 0, so r has order six
+    For i != j, not both odd, only c = 1 can fire, and only it is evaluated:
+    c = 0 gives r^2 = -1, and r^(j-i) != -1 would force both exponents odd;
+    c = -1 gives r^3 = 1, r != 1, so r^n + r^-n is -1 or 2, never -2;
+    c = -2 gives r = -1 with i + j odd, so r^(j-i) = -1, which is excluded.
+    The candidate c = 1 gives r^2 - r + 1 = 0, so r has order six
     (r^3 = -1); the side condition is that neither exponent is divisible
     by 3.  The order is recorded in aux for auditability.
     """
@@ -129,24 +133,10 @@ def decide_Q_semantic(i: int, j: int) -> DecisionTrace:
             if trace_value(n, a - 2) == 0 and a != 0:  # rs = a must be nonzero
                 return mk(True, RULE_DIAG_MOD4, half_index=n, root=a - 2)
         return mk(False, RULE_NONE)
-    # i != j, not both odd: only s = 1/r remains, c = r + 1/r rational
-    for c in (0, 1, -1, -2):
-        if trace_value(i + j, c) + 2 != 0:
-            continue
-        if c == 0:
-            # r^2 = -1: r^(j-i) != -1 forces both exponents odd (not the case here)
-            continue
-        if c == 1:
-            # r^2 - r + 1 = 0: r^6 = 1 and r^3 = -1; need 3 dividing neither
-            if i % 3 != 0 and j % 3 != 0:
-                return mk(True, RULE_MOD6_LIST, root=1, root_order=6, root_cube=-1)
-            continue
-        if c == -1:
-            # r^3 = 1, r != 1: r^n + r^-n is -1 or 2, never -2; cannot fire
-            continue
-        if c == -2:
-            # r = -1 and i+j odd, so r^(j-i) = -1: excluded
-            continue
+    # i != j, not both odd: only s = 1/r remains, c = r + 1/r rational, and
+    # only c = 1 can fire: r^2 - r + 1 = 0, r^3 = -1; need 3 dividing neither
+    if i % 3 and j % 3 and trace_value(i + j, 1) + 2 == 0:
+        return mk(True, RULE_MOD6_LIST, root=1, root_order=6, root_cube=-1)
     return mk(False, RULE_NONE)
 
 
@@ -162,7 +152,18 @@ def decide_Z2(i: int, j: int) -> DecisionTrace:
 
 
 def _zp_case_V(p: int, i: int, j: int) -> bool:
-    """The deep-extension case, in the orientation (i, j)."""
+    """The deep-extension case, in the orientation (i, j).
+
+    Wherever ``decide_Zp`` reaches it, min(nu2(j - i), nu2(p - 1)) in the
+    bound equals min(nu2(j + i), nu2(p - 1)).  With a = nu2(j - i),
+    b = nu2(j + i) and v = nu2(p - 1), shared by both orientations, the two
+    differ only if a != b and min(a, b) < v, and then an earlier case fires
+    (d and e as in ``decide_Zp``, with nu2(d) = min(a, v), nu2(e) = min(b, v)):
+    a < b: case III, as nu2(d) = a < nu2(e), so d is no odd multiple of e;
+    b < a < v: case III, as nu2(d) = a != b = nu2(e);
+    b < a = v: case II;
+    b < a, a > v: case I, as then b < v.
+    """
     lhs = nu2(j - i * p)
     bound = nu2(p + 1) + min(nu2(j - i), nu2(p - 1))
     if not lhs < bound:

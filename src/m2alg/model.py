@@ -1,36 +1,38 @@
 """Explicit 2x2 witness matrices over the quotient ring A[s,t]/I.
 
 For coprime (i, j), with lo = min(i, j), hi = max(i, j), n = i + j and
-C = [[t, s], [1, 0]], the pair X = a*C + b*I with (a, b) = _x_pair(L, 1),
-Y = [[0, 1], [0, 0]], computed in the quotient L, satisfies the defining
-relations X^i Y + Y X^j = 1 and Y^2 = 0, and in fact X^lo = C and
-X^hi = [[0, s], [1, -t]] = s*C^(-1), so X^n = s*I.  For i = j = 1 the
-quotient degenerates to A[s] and X = C = [[0, s], [1, 0]].  All of this is
-re-verified at construction; a failure raises Inconsistency rather than
-returning a bad pair.  The pair's ``ring`` is L itself: the reduced basis,
-a ``GroebnerBasis``.
+C = [[t, s], [1, 0]], the pair X = a*C + b*I with a, b the coordinates of
+X^1 (``x_coordinate``), Y = [[0, 1], [0, 0]], computed in the quotient L,
+satisfies the defining relations X^i Y + Y X^j = 1 and Y^2 = 0, and in
+fact X^lo = C and X^hi = [[0, s], [1, -t]] = s*C^(-1), so X^n = s*I.  For
+i = j = 1 the quotient degenerates to A[s] and X = C = [[0, s], [1, 0]].
+All of this is re-verified at construction; a failure raises
+Inconsistency rather than returning a bad pair.  The pair's ``ring`` is L
+itself: the reduced basis, a ``GroebnerBasis``, which owns every element's
+representation and the arithmetic of L[C] below.
 
-Every power of X has one closed form, ``_x_pair``: lo is a unit mod n, so
-e = u*lo + m*n with u = e*lo^(-1) mod n, taken balanced in (-n/2, n/2],
-and X^e = s^m * C^u with C^u = f(u)*C + s*f(u-1)*I.  For i != j, s is a
-unit in L, so f extends to negative indices by f(-k) = -(-s)^(-k)*f(k),
-and the formula for C^u holds for every integer u: C^(-k) =
-(-s)^(-k)*(-f(k)*C + f(k+1)*I) is the inverse of C^k, since det C = -s.
-So X^e = a*C + b*I with
+Every power of X has one closed form, ``x_coordinate``: lo is a unit mod
+n, so e = u*lo + m*n with u = e*lo^(-1) mod n, taken balanced in
+(-n/2, n/2], and X^e = s^m * C^u with C^u = f(u)*C + s*f(u-1)*I.  For
+i != j, s is a unit in L, so f extends to negative indices by
+f(-k) = -(-s)^(-k)*f(k), and the formula for C^u holds for every integer
+u: C^(-k) = (-s)^(-k)*(-f(k)*C + f(k+1)*I) is the inverse of C^k, since
+det C = -s.  So X^e = a*C + b*I, and coordinate k of X^e (a for k = 0,
+b for k = 1) is
 
-    a = s^m * f(u),   b = s^(m+1) * f(u-1).
+    s^(m+k) * f(u-k),
 
-Each of a, b is one normal form of ``groebner._s_power_f`` (s-exponents
-folded by s^(i-j) = (-1)^(i-j)) of t-degree at most n/2, the height of
-the basis's own leading monomials.  At (1, 1), where s is no unit, n = 2
-and u is 0 or 1: the only negative index is u - 1 = -1, and s*f(-1) = 1
-keeps every s-exponent >= 0.
+one ``GroebnerBasis.s_power_f`` (s-exponents folded by
+s^(i-j) = (-1)^(i-j)), a normal form of t-degree at most n/2, the height
+of the basis's own leading monomials.  At (1, 1), where s is no unit,
+n = 2 and u is 0 or 1: the only negative index is u - 1 = -1, and
+s*f(-1) = 1 keeps every s-exponent >= 0.
 
 The top row of a*C + b*I = [[a*t + b, a*s], [a, b]] is the next pair:
 (a*t + b, a*s) is the pair of C*(a*C + b*I), as C^2 = t*C + s*I, and
 C*X^e = X^(e+lo) once X^lo = C.  So X^e = [[a(e+lo), b(e+lo)], [a(e),
 b(e)]] for every e >= 0, and the matrix model reads every entry of a
-power of X from two closed-form pairs (``freealg.MatrixModel``).
+power of X from closed-form coordinates (``freealg.MatrixModel``).
 
 The verification runs in the commutative algebra L[C] = L*C + L*I, where
 a*C + b*I is held as its pair (a, b), and (1, 0) is C, (1, -t) is
@@ -38,21 +40,20 @@ a*C + b*I is held as its pair (a, b), and (1, 0) is C, (1, -t) is
 from it only after the checks, so X lies in L[C] by construction.  With
 hi = q*lo + r and r < lo, one chain of squarings X, X^2, X^4, ... gives
 both X^lo and X^r (``_pair_powers``; each power multiplies in the squares
-its binary digits select), and X^lo is compared with C's pair.  Then
-X^hi = C^q * X^r is q C-steps (a, b) -> (a*t + b, a*s) on X^r's pair
-(``_times_C``), each a shift by t and by s and two divisions, no product,
-and X^hi is compared with (1, -t).  With Y = E12, whose square is 0,
-X^i Y + Y X^j = 1 reads (X^i)_21 = (X^j)_21 = 1 and
-(X^i)_11 + (X^j)_22 = 0, in both orientations t + b_lo + b_hi = 0 on the
-pairs; the pairs (1, 0) and (1, -t) satisfy it, so the two comparisons
-check the relation as well.  The chain uses only products in L and
-division by the certified basis, never f or the closed form's exponent
-arithmetic, and it divides once per new coordinate: the products that
-make up a coordinate are summed unreduced (``groebner._mul_into``), since
-the remainder is linear.  With C^u = f(u)*C + s*f(u-1)*I, an identity in
-A[s,t] for u >= 1 and in L for every u, and C^n = s^lo*I in L (the
-generators f(n) and f(n-1) - s^(lo-1) say so), this makes _x_pair(L, e)
-the pair of X^e for every e >= 0.
+its binary digits select, by ``GroebnerBasis.pair_mul``), and X^lo is
+compared with C's pair.  Then X^hi = C^q * X^r is q C-steps
+(a, b) -> (a*t + b, a*s) on X^r's pair (``GroebnerBasis.times_C``), each
+a shift by t and by s and two divisions, no product, and X^hi is compared
+with (1, -t).  With Y = E12, whose square is 0, X^i Y + Y X^j = 1 reads
+(X^i)_21 = (X^j)_21 = 1 and (X^i)_11 + (X^j)_22 = 0, in both orientations
+t + b_lo + b_hi = 0 on the pairs; the pairs (1, 0) and (1, -t) satisfy
+it, so the two comparisons check the relation as well.  The chain uses
+only products in L and division by the certified basis, never f or the
+closed form's exponent arithmetic, and it divides once per new
+coordinate.  With C^u = f(u)*C + s*f(u-1)*I, an identity in A[s,t] for
+u >= 1 and in L for every u, and C^n = s^lo*I in L (the generators f(n)
+and f(n-1) - s^(lo-1) say so), this makes x_coordinate(L, e, k) the
+coordinates of X^e for every e >= 0.
 """
 
 from __future__ import annotations
@@ -61,14 +62,7 @@ from dataclasses import dataclass
 
 from .errors import Inconsistency
 from .fields import QQ
-from .groebner import (
-    GroebnerBasis,
-    _divide,
-    _mul_into,
-    _oriented,
-    _s_power_f,
-    structure_basis,
-)
+from .groebner import GroebnerBasis, _oriented, structure_basis
 from .mat2 import Mat2
 
 
@@ -89,9 +83,9 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
     Accepts either orientation of (i, j); the matrices satisfy the relation
     in both orientations (the two presentations coincide).  A given gb must
     be the structure basis of the same pair over the same field.  X's pair
-    (a, b) comes from the closed form (``_x_pair``) and is verified in L[C]
-    (module doc): one chain of squarings gives X^lo and X^r, r = hi mod lo,
-    q C-steps on X^r give X^hi = C^q * X^r, and X^lo = C and
+    (a, b) comes from the closed form (``x_coordinate``) and is verified in
+    L[C] (module doc): one chain of squarings gives X^lo and X^r,
+    r = hi mod lo, q C-steps on X^r give X^hi = C^q * X^r, and X^lo = C and
     X^hi = s*C^(-1) give X^i Y + Y X^j = 1 both ways round.  X = a*C + b*I
     is then built from the verified pair.
     """
@@ -102,37 +96,17 @@ def witness_XY(i: int, j: int, field=QQ, gb: GroebnerBasis | None = None) -> Wit
             f"basis for {ring.params} over {ring.field.name} does not present"
             f" ({hi}, {lo}) over {field.name}"
         )
-    x = _x_pair(ring, 1)
-    one = ring.one.terms
+    x = (x_coordinate(ring, 1, 0), x_coordinate(ring, 1, 1))
     # X^hi = C^q * X^r once X^lo = C; r < lo, so X^lo's chain also gives X^r
     q, r = divmod(hi, lo)
     lo_pair, hi_pair = _pair_powers(ring, x, lo, r)
     for _ in range(q):
-        hi_pair = _times_C(ring, hi_pair)
-    if lo_pair != (one, {}) or hi_pair != (one, (-ring.t()).terms):
+        hi_pair = ring.times_C(hi_pair)
+    if lo_pair != (ring.one, ring.zero) or hi_pair != (ring.one, -ring.t()):
         raise Inconsistency(f"witness construction failed for (i, j) = ({i}, {j})")
     # a*C + b*I = [[a*t + b, a*s], [a, b]], its top row the pair of C*X
-    X = Mat2(ring, *map(ring.zero._new, (*_times_C(ring, x), *x)))
+    X = Mat2(ring, *ring.times_C(x), *x)
     return WitnessPair(X=X, Y=Mat2.e12(ring), i=i, j=j, ring=ring)
-
-
-def _pair_mul(ring: GroebnerBasis, x: tuple, y: tuple) -> tuple:
-    """The pair of (a1*C + b1*I)(a2*C + b2*I) in L[C], on kernel dicts.
-
-    That is (a1*a2*t + a1*b2 + b1*a2, a1*a2*s + b1*b2), since
-    C^2 = t*C + s*I; each coordinate is summed unreduced and divided once.
-    """
-    (a1, b1), (a2, b2) = x, y
-    aa = _mul_into({}, a1, a2)
-    alpha = {(es, et + 1): c for (es, et), c in aa.items()}
-    beta = {(es + 1, et): c for (es, et), c in aa.items()}
-    if x is y:
-        _mul_into(alpha, {m: 2 * c for m, c in a1.items()}, b1)
-    else:
-        _mul_into(_mul_into(alpha, a1, b2), b1, a2)
-    _mul_into(beta, b1, b2)
-    divisors, mod = ring._divisors, ring._mod
-    return _divide(alpha, divisors, mod), _divide(beta, divisors, mod)
 
 
 def _pair_powers(ring: GroebnerBasis, x: tuple, *exps: int) -> tuple:
@@ -145,44 +119,22 @@ def _pair_powers(ring: GroebnerBasis, x: tuple, *exps: int) -> tuple:
     square = x
     for k in range(max(exps).bit_length()):
         if k:
-            square = _pair_mul(ring, square, square)
+            square = ring.pair_mul(square, square)
         for n, e in enumerate(exps):
             if e >> k & 1:
                 power = powers[n]
-                powers[n] = square if power is None else _pair_mul(ring, power, square)
-    identity = ({}, ring.one.terms)
-    return tuple(identity if power is None else power for power in powers)
+                powers[n] = square if power is None else ring.pair_mul(power, square)
+    return tuple((ring.zero, ring.one) if power is None else power for power in powers)
 
 
-def _times_C(ring: GroebnerBasis, x: tuple) -> tuple:
-    """The pair of C*(a*C + b*I) = (a*t + b)*C + a*s*I, for x = (a, b).
+def x_coordinate(ring: GroebnerBasis, e: int, k: int):
+    """Coordinate k of X^e = a*C + b*I over L, the structure basis, for e >= 0.
 
-    It is also the top row of a*C + b*I.  a, a normal form, is shifted by
-    t and by s, and each coordinate is divided once: no product in L.
-    """
-    a, b = x
-    alpha = {(es, et + 1): c for (es, et), c in a.items()}
-    for m, c in b.items():
-        alpha[m] = alpha.get(m, 0) + c
-    beta = {(es + 1, et): c for (es, et), c in a.items()}
-    divisors, mod = ring._divisors, ring._mod
-    return _divide(alpha, divisors, mod), _divide(beta, divisors, mod)
-
-
-def _x_pair(ring: GroebnerBasis, e: int) -> tuple:
-    """The pair (a, b) of X^e = a*C + b*I over L, the structure basis, for e >= 0.
-
-    a = s^m * f(u) and b = s^(m+1) * f(u-1), one division each (module doc).
+    a for k = 0 and b for k = 1: s^(m+k) * f(u-k), one division (module doc).
     """
     hi, lo = ring.params
-    n, d, mod = hi + lo, hi - lo, ring._mod
+    n = hi + lo
     u = e * pow(lo, -1, n) % n
     if 2 * u > n:
         u -= n  # the balanced residue; never at (1, 1), where n = 2
-    m = (e - u * lo) // n
-    divisors = ring._divisors
-    return (
-        _divide(_s_power_f(m, u, d, mod), divisors, mod),
-        _divide(_s_power_f(m + 1, u - 1, d, mod), divisors, mod),
-    )
-
+    return ring.s_power_f((e - u * lo) // n + k, u - k)

@@ -321,17 +321,21 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     those and the one b = a^2/4 with a double root, in ascending order; the
     skipped quadratics all fail, so the first hit is the same as in a scan
     of all (a, b).  The scan runs on plain ints, and square roots come from
-    a table holding the smallest root of each square.  Split roots lie in
-    F_p and are tested with builtin ``pow``, r0 = (a + root)/2 before
-    s0 = (a - root)/2.  Inert roots are pairs c0 + c1*w in F_{p^2}, with
-    w^2 = u the smallest nonresidue, and only r0 is tested: s0 = r0^p is its
-    Frobenius conjugate, and conjugation fixes F_p, so r0^(j-i) = -1 iff
-    s0^(j-i) = -1 and r0^(i+j) = -b^i iff s0^(i+j) = -b^i.  On success x
-    is the companion matrix [[0, -b], [1, a]], which does not depend on
-    which root passed, or [[r, 0], [1, r]] for a double root r, and
-    y = E12 / (x^i)_21; the pair is checked on ints mod p with exact
-    exponents, and built as ``Mat2`` over GF(p) only for the report.  A p
-    with p^2 >= ENUM_SPACE_LIMIT is refused before anything is built.
+    a table holding the smallest root of each square.  Either way only one
+    root r0 is tested, since it passes iff the other root s0 does.  Split
+    roots lie in F_p and are tested with builtin ``pow``: r0 = (a + root)/2
+    and s0 = b/r0, so if r0 passes, s0^(i+j) = b^(i+j)/r0^(i+j) = -b^j =
+    -b^i, as b^(j-i) = 1, and s0^(j-i) = r0^(i-j), which is -1 exactly when
+    r0^(j-i) is; the same holds with r0 and s0 swapped.  Inert roots are
+    pairs c0 + c1*w in F_{p^2}, with w^2 = u the smallest nonresidue:
+    s0 = r0^p is the Frobenius conjugate of r0, and conjugation fixes F_p,
+    so r0^(j-i) = -1 iff s0^(j-i) = -1 and r0^(i+j) = -b^i iff
+    s0^(i+j) = -b^i.  On success x is the companion matrix
+    [[0, -b], [1, a]], which does not depend on the root, or
+    [[r, 0], [1, r]] for a double root r, and y = E12 / (x^i)_21; the pair
+    is checked on ints mod p with exact exponents, and built as ``Mat2``
+    over GF(p) only for the report.  A p with p^2 >= ENUM_SPACE_LIMIT is
+    refused before anything is built.
     """
     require_prime(p, odd=True)
     if p * p >= ENUM_SPACE_LIMIT:
@@ -365,11 +369,9 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
             b_i = b_pow_i[b]
             root = sqrt_table.get(disc)
             if root is not None:
-                # split: both roots lie in F_p
-                if not any(
-                    pow(r, diff, p) != p - 1 and (pow(r, i + j, p) + b_i) % p == 0
-                    for r in ((a + root) * inv2 % p, (a - root) * inv2 % p)
-                ):
+                # split: both roots lie in F_p, and one decides both
+                r0 = (a + root) * inv2 % p
+                if pow(r0, diff, p) == p - 1 or (pow(r0, i + j, p) + b_i) % p:
                     continue
             else:
                 # inert: the roots are Frobenius conjugates, and conjugation

@@ -439,7 +439,7 @@ def test_refusals_exit_2_before_any_work(capsys, monkeypatch, args, message):
     for module in (cli, groebner, model, freealg):
         monkeypatch.setattr(module, "structure_basis", refuse)
     for module in (model, freealg):
-        monkeypatch.setattr(module, "_x_pair", refuse)
+        monkeypatch.setattr(module, "x_coordinate", refuse)
     monkeypatch.setattr(oracle, "itertools", types.SimpleNamespace(product=refuse))
     monkeypatch.setattr(oracle, "oracle_roots_fp2", refuse)
     monkeypatch.setattr(cli, "enum_sweep_fp", refuse)

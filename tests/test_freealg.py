@@ -26,7 +26,7 @@ from m2alg.freealg import (
     validate_system,
 )
 from m2alg.mat2 import Mat2, mat_pow
-from m2alg.model import _x_pair
+from m2alg.model import x_coordinate
 from m2alg.poly import _join_terms, _term_text
 
 
@@ -464,8 +464,8 @@ def test_model_powers_stay_bounded():
     p = NCPoly.x(QQ, e) * NCPoly.y(QQ)
     folded = (NCPoly.x(QQ, e % M) * NCPoly.y(QQ)).scale((-1) ** ((i + j) * (e // M)))
     assert model.image(p) == model.image(folded)
-    # X^(2M) = I: the pairs of X's powers are cached under e mod 2M
-    assert len(model._pairs) <= 2 * M
+    # X^(2M) = I: the coordinates of X's powers are cached under e mod 2M
+    assert all(len(coords) <= 2 * M for coords in model._coords)
     assert reduce(p, rs) == reduce(folded, rs) == _rewrite(folded, rs)
 
 
@@ -475,8 +475,8 @@ def test_model_powers_stay_bounded_at_1_1():
     for e in (20_000, 20_001):
         p = NCPoly.x(QQ, e) * NCPoly.y(QQ)
         assert model.image(p) == mat_pow(X, e) * Y
-    # X has infinite order at (1, 1): no pair is cached
-    assert not model._pairs
+    # X has infinite order at (1, 1): no coordinate is cached
+    assert model._coords == ({}, {})
 
 
 def test_one_model_per_ring():
@@ -528,11 +528,15 @@ def test_xpow_rows_are_the_pairs_of_e_plus_lo_and_e(i, j, field):
     ring, lo = model.ring, min(i, j)
     cycle = 2 * _period(i, j)
     for e in range(2 * cycle + 3):
-        pair = tuple(map(ring.zero._new, _x_pair(ring, e)))
-        assert model._pair(e) == pair, e
+        pair = (x_coordinate(ring, e, 0), x_coordinate(ring, e, 1))
+        assert _cached_pair(model, e) == pair, e
         power = model.xpow(e)
-        assert ((power.a, power.b), (power.c, power.d)) == (model._pair(e + lo), pair), e
+        assert ((power.a, power.b), (power.c, power.d)) == (_cached_pair(model, e + lo), pair), e
         assert power == mat_pow(model.pair.X, e), e
+
+
+def _cached_pair(model, e):
+    return model._coord(e, 0), model._coord(e, 1)
 
 
 def test_xpow_divides_twice_per_cached_pair(monkeypatch):
@@ -547,11 +551,46 @@ def test_xpow_divides_twice_per_cached_pair(monkeypatch):
         calls.append(1)
         return divide(*args)
 
-    monkeypatch.setattr("m2alg.model._divide", counting)
+    monkeypatch.setattr(groebner, "_divide", counting)
     for e in range(cycle):
         model.xpow(e)
-    assert len(model._pairs) == cycle
+    assert [len(coords) for coords in model._coords] == [cycle, cycle]
     assert len(calls) == 2 * cycle, (len(calls), cycle)
+
+
+def test_word_builds_no_b_for_its_first_or_middle_runs(monkeypatch):
+    # x^a0 y x^a1 y x^a2 reads a(a0 + lo), a(a0), a(a1), a(a2) and b(a2):
+    # each coordinate is built on first read, by one division, and no b of
+    # the first or middle run is built
+    i, j = 10, 7
+    model = freealg.MatrixModel(i, j, QQ)  # a fresh model: nothing cached yet
+    a0, a1, a2 = 5, 40, 97
+    word = Word((("x", a0), ("y", 1), ("x", a1), ("y", 1), ("x", a2)))
+    divide, coordinate = groebner._divide, freealg.x_coordinate
+    calls, built = [], []
+
+    def counting(*args):
+        calls.append(1)
+        return divide(*args)
+
+    def building(ring, e, k):
+        before = len(calls)
+        c = coordinate(ring, e, k)
+        built.append((e, k, len(calls) - before))
+        return c
+
+    monkeypatch.setattr(groebner, "_divide", counting)
+    monkeypatch.setattr(freealg, "x_coordinate", building)
+    image = model.word_matrix(word)
+    assert sorted(built) == sorted(
+        [(a0 + j, 0, 1), (a0, 0, 1), (a1, 0, 1), (a2, 0, 1), (a2, 1, 1)]
+    ), built
+    assert [sorted(coords) for coords in model._coords] == [sorted({a0 + j, a0, a1, a2}), [a2]]
+    built.clear()
+    assert model.word_matrix(word) == image
+    assert not built  # the second reading is all cached
+    monkeypatch.undo()
+    assert image == _plain_product(model.pair, word)
 
 
 def test_xpow_runs_no_matrix_product(monkeypatch):
@@ -571,8 +610,9 @@ def test_xpow_runs_no_matrix_product(monkeypatch):
     powers = [model.xpow(e) for e in exponents]
     assert not calls
     monkeypatch.undo()
-    # X^e reads the pairs of e and e + lo
-    assert sorted(model._pairs) == sorted({k % cycle for e in exponents for k in (e, e + j)})
+    # X^e reads both coordinates of e and e + lo
+    keys = sorted({k % cycle for e in exponents for k in (e, e + j)})
+    assert [sorted(coords) for coords in model._coords] == [keys, keys]
     for e, power in zip(exponents, powers):
         assert power == mat_pow(model.pair.X, e)
 

@@ -21,7 +21,7 @@ from m2alg.groebner import (
     structure_basis,
 )
 from m2alg.mat2 import Mat2, mat_pow
-from m2alg.model import _x_pair, witness_XY
+from m2alg.model import witness_XY, x_coordinate
 from m2alg.poly import BiPoly, SparsePoly, UniPoly, order_key, parse_bipoly
 from m2alg.sequences import f_st, fbar
 
@@ -362,14 +362,16 @@ def test_divide_steps_down_and_rarely_calls_max(monkeypatch):
     """The sweep steps to the next lower level and s-exponent, and calls max
     only after as many misses as there are pending entries.  At (401, 400)
     the f's fill every other t-level, which once took a max per level; a
-    division now takes O(1) of them, and sparse inputs still jump their gaps."""
+    division now takes none, and sparse inputs still jump their gaps.  The
+    counts are exact: a gap of as many misses as there are pending levels,
+    or terms in the level, is stepped through, and one more miss jumps it."""
     ring = structure_basis(401, 400)
     n, lo = 801, 400
     # the pairs (a, b) of X^e at balanced residues u near n/2, entries of
     # t-degree up to 400, and of X^(e+lo), whose a is X^e's top left entry
     es = [u * lo % n for u in (400, 300, 201)]
-    xs = [tuple(map(ring.zero._new, _x_pair(ring, e))) for e in es]
-    top = tuple(map(ring.zero._new, _x_pair(ring, es[1] + lo)))
+    xs = [(x_coordinate(ring, e, 0), x_coordinate(ring, e, 1)) for e in es]
+    top = (x_coordinate(ring, es[1] + lo, 0),)
     products = [
         _kernel_product(xs[0][0], xs[1][1], 0),
         _kernel_product(top[0], xs[2][1], 0),
@@ -385,13 +387,23 @@ def test_divide_steps_down_and_rarely_calls_max(monkeypatch):
     for p in products:
         calls.clear()
         remainder = groebner._divide(p, ring._divisors, 0)
-        assert len(calls) <= 2, len(calls)
+        assert len(calls) == 0, len(calls)
         assert remainder == _heap_divide(p, ring._divisors, 0)
         assert max(et for _, et in p) > 400  # past the staircase, n//2
-    sparse = {(0, 10**9): 1, (10**9, 0): 2, (0, 0): 3}
-    calls.clear()
-    assert groebner._divide(sparse, [], 0) == sparse
-    assert len(calls) <= 4, len(calls)
+    sparse = [
+        ({(0, 10**9): 1, (10**9, 0): 2, (0, 0): 3}, 3),
+        # a gap of 2 levels below 2 pending ones, then one of 3 levels
+        ({(0, 9): 1, (0, 6): 1, (0, 4): 1, (0, 0): 1}, 1),
+        # the same gaps in s-exponents within one level
+        ({(9, 0): 1, (6, 0): 1, (4, 0): 1, (0, 0): 1}, 1),
+        # level 5 starts at s-exponent 9 of level 0: a gap of 2 misses
+        ({(7, 5): 1, (6, 5): 1, (9, 0): 1}, 1),
+        ({(9, 5): 1, (7, 5): 1, (4, 5): 1, (0, 5): 1, (0, 2): 1}, 3),
+    ]
+    for p, jumps in sparse:
+        calls.clear()
+        assert groebner._divide(p, [], 0) == p
+        assert len(calls) == jumps, (p, len(calls))
 
 
 # Ring axioms for the arithmetic on kernel numbers, at pairs where i + j
@@ -777,6 +789,42 @@ def test_structure_grid_division_count(monkeypatch):
             nonzero = [k for k, r in enumerate(remainders) if r]
             assert nonzero == ([] if (i + j) % 2 else [0]), (i, j, field, remainders)
     assert calls <= 238, calls
+
+
+def test_buchberger_divides_a_fixed_number_of_spolys(monkeypatch):
+    """Gebauer and Moeller's update leaves an exact number of S-polynomials.
+
+    Pinned on structure ideals over Q, and on a seeded batch of ideals over
+    Q and GF(5) with up to four generators of bidegree <= (4, 4).  A
+    criterion that keeps pairs it should drop divides more (the new-pair
+    criterion with < for <= took 14 at (7, 3), and 748 or 719 on the batch).
+    """
+    calls = []
+    real = groebner._spoly
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_spoly", counting)
+    want = {(5, 1): 7, (7, 1): 10, (7, 3): 13, (9, 1): 13, (9, 5): 19, (13, 8): 28}
+    for (i, j), count in want.items():
+        calls.clear()
+        buchberger(build_ideal_I(i, j, QQ))
+        assert len(calls) == count, (i, j, len(calls))
+    calls.clear()
+    for field in (QQ, GF(5)):
+        rng = random.Random(11)
+        for _ in range(40):
+            gens = []
+            for _ in range(rng.randint(2, 4)):
+                terms = {
+                    (rng.randint(0, 4), rng.randint(0, 4)): field.of(rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 4))
+                }
+                gens.append(BiPoly(terms, field))
+            buchberger(gens, field)
+    assert len(calls) == 701, len(calls)
 
 
 def test_structure_basis_runs_no_buchberger(monkeypatch):

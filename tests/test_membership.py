@@ -128,6 +128,25 @@ def test_decide_zp_goldens():
     assert decide_Zp(7, 2, 4).verdict == decide_Zp(7, 4, 2).verdict
 
 
+def test_case_v_bound_reads_j_plus_i_alike():
+    """Where decide_Zp reaches case V, min(nu2(j - i), nu2(p - 1)) in its
+    bound equals min(nu2(j + i), nu2(p - 1)) (``_zp_case_V``'s docstring),
+    so a case V written with j + i there is the same procedure.  Swept over
+    the odd primes p < 60 and 1 <= i, j <= 60."""
+    reached = differ = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+        for i in range(1, 61):
+            for j in range(1, 61):
+                t = decide_Zp(p, i, j)
+                if t.fired_rule not in ("ZP_CASE_V", "NONE"):
+                    continue
+                reached += 1
+                a, b, v = t.aux["nu2_j_minus_i"], t.aux["nu2_i_plus_j"], t.aux["nu2_p_minus_1"]
+                differ += a != b
+                assert min(a, v) == min(b, v), (p, i, j)
+    assert (reached, differ) == (35063, 3241)
+
+
 def test_decide_zp_aux_quantities():
     t = decide_Zp(5, 2, 6)
     assert t.aux["nu2_j_minus_i"] == 2

@@ -9,10 +9,10 @@ import pytest
 from m2alg import groebner, mat2, model
 from m2alg.errors import Inconsistency
 from m2alg.fields import GF, QQ
-from m2alg.groebner import QuotientElem, structure_basis
+from m2alg.groebner import GroebnerBasis, QuotientElem, structure_basis
 from m2alg.mat2 import Mat2, mat_pow
 from m2alg.freealg import matrix_model
-from m2alg.model import _pair_powers, _x_pair, witness_XY
+from m2alg.model import _pair_powers, witness_XY, x_coordinate
 from m2alg.sequences import f_st
 
 FIELDS = [QQ, GF(2), GF(3)]
@@ -37,21 +37,19 @@ def test_pair_power_matches_mat_pow(i, j, field):
     rng = random.Random(i * 100 + j)
     a, b = _random_element(ring, rng), _random_element(ring, rng)
     m = _in_L_of_C(ring, a, b)
-    x = (a.terms, b.terms)
     for e in range(41):
         # one chain for e and a smaller exponent, as the witness check runs it
-        for power, k in zip(_pair_powers(ring, x, e, e // 3), (e, e // 3)):
-            alpha, beta = (ring.zero._new(c) for c in power)
-            assert _in_L_of_C(ring, alpha, beta) == mat_pow(m, k), (e, k)
+        for power, k in zip(_pair_powers(ring, (a, b), e, e // 3), (e, e // 3)):
+            assert _in_L_of_C(ring, *power) == mat_pow(m, k), (e, k)
 
 
-def _negated_b(pair_of, ring, e):
-    a, b = pair_of(ring, e)
-    return a, (-ring.zero._new(b)).terms
+def _negated_b(coordinate, ring, e, k):
+    c = coordinate(ring, e, k)
+    return -c if k else c
 
 
-def _squared(pair_of, ring, e):
-    return pair_of(ring, 2 * e)
+def _squared(coordinate, ring, e, k):
+    return coordinate(ring, 2 * e, k)
 
 
 @pytest.mark.parametrize(
@@ -62,8 +60,8 @@ def _squared(pair_of, ring, e):
 @pytest.mark.parametrize("i,j", LADDER_PAIRS)
 def test_witness_refuses_a_wrong_X(i, j, wrong, fields, monkeypatch):
     # -b = b over GF(2), so the negation is no mutation there
-    pair_of = model._x_pair
-    monkeypatch.setattr(model, "_x_pair", lambda ring, e: wrong(pair_of, ring, e))
+    coordinate = model.x_coordinate
+    monkeypatch.setattr(model, "x_coordinate", lambda ring, e, k: wrong(coordinate, ring, e, k))
     for field in fields:
         with pytest.raises(Inconsistency):
             witness_XY(i, j, field)
@@ -99,7 +97,7 @@ def test_witness_refuses_wrong_powers_that_keep_the_relation(i, j, field, monkey
         s, t, one = ring.s(), ring.t(), ring.one
         s_inv = ring.s(d - 1) * (-1) ** d  # from s^d = (-1)^d
         x_r = (-(t + s) * s_inv, one + t * (t + s) * s_inv)
-        return (one.terms, s.terms), tuple(c.terms for c in x_r)
+        return (one, s), x_r
 
     monkeypatch.setattr(model, "_pair_powers", wrong_chain)
     with pytest.raises(Inconsistency):
@@ -117,7 +115,7 @@ def test_witness_refuses_a_wrong_X_lo_alone(i, j, field, monkeypatch):
         powers = chain(ring, x, *exps)
         if exps[0] != lo:
             return powers
-        return ((ring.one.terms, ring.s().terms), *powers[1:])
+        return ((ring.one, ring.s()), *powers[1:])
 
     monkeypatch.setattr(model, "_pair_powers", wrong_chain)
     with pytest.raises(Inconsistency):
@@ -139,7 +137,7 @@ def test_witness_makes_the_chains_pair_products(i, j, field, monkeypatch):
     q, r = divmod(i, j)
     ring = structure_basis(i, j, field)
     products, steps = [], []
-    pair_mul, times_C = model._pair_mul, model._times_C
+    pair_mul, times_C = GroebnerBasis.pair_mul, GroebnerBasis.times_C
 
     def counting(*args):
         products.append(1)
@@ -149,8 +147,8 @@ def test_witness_makes_the_chains_pair_products(i, j, field, monkeypatch):
         steps.append(1)
         return times_C(*args)
 
-    monkeypatch.setattr(model, "_pair_mul", counting)
-    monkeypatch.setattr(model, "_times_C", counting_steps)
+    monkeypatch.setattr(GroebnerBasis, "pair_mul", counting)
+    monkeypatch.setattr(GroebnerBasis, "times_C", counting_steps)
     witness_XY(i, j, field, gb=ring)
     assert len(products) == _chain_products(j, r), (len(products), _chain_products(j, r))
     assert len(steps) == q + 1, (len(steps), q)
@@ -206,9 +204,10 @@ def test_x_power_divides_nothing_deep(monkeypatch):
         degrees.append(max((et for _, et in p), default=-1))
         return divide(p, divisors, mod)
 
-    monkeypatch.setattr(model, "_divide", recording)
+    monkeypatch.setattr(groebner, "_divide", recording)
     for e in range(n):
-        _x_pair(ring, e)
+        for k in (0, 1):
+            x_coordinate(ring, e, k)
     assert degrees and max(degrees) <= n // 2, max(degrees)
 
 
@@ -217,13 +216,13 @@ def test_x_power_divides_nothing_deep(monkeypatch):
 def test_f_at_negative_index(i, j, field):
     # s is a unit in L, and f(-k) = -(-s)^(-k) * f(k) continues the recursion
     ring = structure_basis(i, j, field)
-    d, mod = i - j, ring._mod
+    d = i - j
     s, t = ring.s(), ring.t()
     s_inv = ring.s(d - 1) * (-1) ** d  # from s^d = (-1)^d
     assert s * s_inv == ring.one
 
     def f(n, e=0):
-        return ring._element(groebner._s_power_f(e, n, d, mod))
+        return ring.s_power_f(e, n)
 
     for n in range(-12, 13):
         assert f(n) == t * f(n - 1) + s * f(n - 2), n
@@ -239,7 +238,7 @@ def test_f_at_negative_index(i, j, field):
 def test_witness_refuses_a_wrong_power_of_C_in_X_hi(i, j, field, monkeypatch):
     # hi = q*lo + r with q = 3: X^lo = C holds, and one C-step too many
     # makes C^(q+1) * X^r, so the pair of X^hi is X^(hi+lo)'s
-    times_C = model._times_C
+    times_C = GroebnerBasis.times_C
     patched = []
 
     def one_step_too_many(ring, x):
@@ -248,7 +247,7 @@ def test_witness_refuses_a_wrong_power_of_C_in_X_hi(i, j, field, monkeypatch):
             x = times_C(ring, x)
         return times_C(ring, x)
 
-    monkeypatch.setattr(model, "_times_C", one_step_too_many)
+    monkeypatch.setattr(GroebnerBasis, "times_C", one_step_too_many)
     with pytest.raises(Inconsistency):
         witness_XY(i, j, field)
     assert patched == [1]
