@@ -193,8 +193,6 @@ class NCPoly(SparsePoly):
     def _coerce(self, other):
         if isinstance(other, NCPoly):
             return other
-        if isinstance(other, Word):
-            return NCPoly.of_word(other, self.field)
         return NCPoly.of_word(Word.one(), self.field, self.field.of(other))
 
     def lmul_word(self, w: Word):
@@ -215,10 +213,7 @@ class NCPoly(SparsePoly):
 
 def parse_word_expr(text: str, field=QQ) -> NCPoly:
     """Parse expressions like ``x^2*y + y*x - 1`` (order of factors matters)."""
-    result = NCPoly.zero(field)
-    for coeff, factors in _parse_terms(text, field, ("x", "y")):
-        result = result + NCPoly.of_word(Word(factors), field, coeff)
-    return result
+    return NCPoly(_parse_terms(text, field, ("x", "y"), Word), field)
 
 
 @dataclass(frozen=True)
@@ -689,17 +684,6 @@ class ValidationReport:
             or self.normal_form_escapes
         )
 
-    def to_dict(self):
-        return {
-            "i": self.i,
-            "j": self.j,
-            "words_checked": self.words_checked,
-            "soundness_failures": list(self.soundness_failures),
-            "confluence_divergences": list(self.confluence_divergences),
-            "normal_form_escapes": list(self.normal_form_escapes),
-            "ok": self.ok,
-        }
-
 
 def _word_corpus(rng, n_random: int, max_len: int, exhaustive_len):
     if exhaustive_len is not None:
@@ -762,10 +746,6 @@ class IdentityReport:
     @property
     def ok(self) -> bool:
         return all(ok for _, ok in self.entries)
-
-    @property
-    def failures(self) -> list:
-        return [name for name, ok in self.entries if not ok]
 
     def to_dict(self):
         return {

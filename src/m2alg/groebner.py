@@ -420,11 +420,11 @@ class GroebnerBasis:
     basis is made.
 
     The basis is also the ring L = A[s,t]/I: ``zero``, ``one``, ``of``,
-    ``s``, ``t``, ``name`` and ``random_element`` are the protocol ``Mat2``
-    reads, and its elements are ``QuotientElem``s, the normal forms on
-    kernel numbers.  ``_mod`` (p over GF(p), 0 over Q) and ``_number``
-    (a scalar as a kernel number) are the two hooks their ``SparsePoly``
-    arithmetic reads.  ``s_power_f``, ``pair_mul`` and ``times_C`` are the
+    ``s``, ``t`` and ``name`` are the protocol ``Mat2`` reads, and its
+    elements are ``QuotientElem``s, the normal forms on kernel numbers.
+    ``_mod`` (p over GF(p), 0 over Q) and ``_number`` (a scalar as a
+    kernel number) are the two hooks their ``SparsePoly`` arithmetic
+    reads.  ``s_power_f``, ``pair_mul`` and ``times_C`` are the
     arithmetic of L[C] on pairs of elements (module doc); ``s_power_f``
     needs a structure basis.
     """
@@ -533,12 +533,6 @@ class GroebnerBasis:
     @property
     def name(self):
         return f"{self.field.name}[s,t]/I"
-
-    def random_element(self, rng) -> QuotientElem:
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            terms[(rng.randint(0, 2), rng.randint(0, 2))] = self.field.random_element(rng)
-        return self.of(BiPoly(terms, self.field))
 
     def is_trivial(self) -> bool:
         """True iff 1 is in the ideal, i.e. the basis is {1}."""

@@ -112,6 +112,14 @@ def decide_Q_semantic(i: int, j: int) -> DecisionTrace:
     is an int, so each trace value is the exact int given by the trace
     recurrence (``trace_value``); no polynomial is built.
 
+    For i = j, even, only a = 2 can fire, and only it is evaluated: with
+    n = i/2 and z + 1/z = a - 2, the trace value is z^n + z^-n, and
+    a = 1 gives z^3 = 1, z != 1, so z^n + z^-n is -1 or 2, never 0;
+    a = -1 and a = -2 give a real negative z, and z^n + z^-n = 0 would
+    need z^(2n) = -1.
+    The candidate a = 2 gives z^2 = -1, so the value is 0 exactly when n
+    is odd.
+
     For i != j, not both odd, only c = 1 can fire, and only it is evaluated:
     c = 0 gives r^2 = -1, and r^(j-i) != -1 would force both exponents odd;
     c = -1 gives r^3 = 1, r != 1, so r^n + r^-n is -1 or 2, never -2;
@@ -127,11 +135,11 @@ def decide_Q_semantic(i: int, j: int) -> DecisionTrace:
         # s = -r with r = 1: x = [[0,1],[1,0]] works for any odd pair
         return mk(True, RULE_ODD_ODD)
     if i == j:
-        # i even here; roots r, s with r^i + s^i = 0, r+s = rs = a rational
+        # i even here; roots r, s with r^i + s^i = 0, r+s = rs = a rational,
+        # and only a = 2 can fire
         n = i // 2
-        for a in (2, 1, -1, -2):
-            if trace_value(n, a - 2) == 0 and a != 0:  # rs = a must be nonzero
-                return mk(True, RULE_DIAG_MOD4, half_index=n, root=a - 2)
+        if trace_value(n, 0) == 0:
+            return mk(True, RULE_DIAG_MOD4, half_index=n, root=0)
         return mk(False, RULE_NONE)
     # i != j, not both odd: only s = 1/r remains, c = r + 1/r rational, and
     # only c = 1 can fire: r^2 - r + 1 = 0, r^3 = -1; need 3 dividing neither

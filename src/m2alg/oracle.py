@@ -196,11 +196,10 @@ def enum_sweep_fp(p: int, pairs) -> dict:
     emax = max((max(i, j) for (i, j) in pairs), default=0)
     result = {pair: None for pair in pairs}
     undecided = set(pairs)
-    identity = (1 % p, 0, 0, 1 % p)
     for x in itertools.product(range(p), repeat=4):
         if not undecided:
             break
-        powers = [identity, x]
+        powers = [None, x]  # indexed by the exponent; exponents are >= 1
         cur = x
         for _ in range(emax - 1):
             cur = _mul4(cur, x, p)

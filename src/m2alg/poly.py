@@ -12,6 +12,12 @@ The monomial order used everywhere for s and t (display, Groebner bases,
 normal forms) is lexicographic with t > s: compare the t-exponent first,
 then the s-exponent.  Canonical text is written descending in that order,
 e.g. ``t^3 - t^2 - 2*t + 1`` or ``t^6 + 5*s*t^4 + 6*s^2*t^2 + s^3``.
+
+One parser, ``_parse_terms``, reads all three kinds of expression
+(``parse_bipoly``, ``parse_unipoly`` and ``freealg.parse_word_expr``): it
+sums the terms in one pass into one dict, keyed by the monomial its caller
+makes of each term's factors, and the caller builds its polynomial from
+that dict once.
 """
 
 from __future__ import annotations
@@ -309,15 +315,6 @@ class BiPolyRing:
             return n
         return BiPoly.const(n, self.field)
 
-    def __eq__(self, other):
-        return isinstance(other, BiPolyRing) and other.field == self.field
-
-    def __hash__(self):
-        return hash(("BiPolyRing", self.field))
-
-    def __repr__(self):
-        return self.name
-
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z]|\^|\*|\+|-)")
 
@@ -343,16 +340,19 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _parse_terms(text: str, field, variables):
-    """Yield (coeff, [(var, exp), ...]) for each signed term of text.
+def _parse_terms(text: str, field, variables, monomial) -> dict:
+    """The summed terms of text: {monomial(factors): coefficient}, zeros kept.
 
     Grammar: terms joined by + / -, each term a '*'-separated product of
     rational coefficients and variable factors ``v`` or ``v^k`` (the '*'
-    may be omitted, but each '*' stands between two factors).  Factors keep
-    their order, so the caller decides whether variables commute.  Anything
+    may be omitted, but each '*' stands between two factors).  A term's
+    factors are passed to ``monomial`` as a list of (var, exp) pairs in
+    their order, so the caller decides whether variables commute.  Terms
+    with one monomial are summed as they are read, in one pass.  Anything
     else, a zero denominator included, raises ValueError.
     """
     tokens = _tokenize(text)
+    terms: dict = {}
     pos = 0
     while True:
         coeff = field.one
@@ -387,9 +387,11 @@ def _parse_terms(text: str, field, variables):
             empty = False
         if empty:
             raise ValueError("empty term")
-        yield coeff, factors
+        mono = monomial(factors)
+        v = terms.get(mono)
+        terms[mono] = coeff if v is None else v + coeff
         if pos == len(tokens):
-            return
+            return terms
 
 
 def _exponent(factors, var) -> int:
@@ -398,16 +400,10 @@ def _exponent(factors, var) -> int:
 
 def parse_bipoly(text: str, field) -> BiPoly:
     """Inverse of BiPoly.text() on canonical output."""
-    terms: dict = {}
-    for coeff, factors in _parse_terms(text, field, ("s", "t")):
-        mono = (_exponent(factors, "s"), _exponent(factors, "t"))
-        terms[mono] = terms.get(mono, field.zero) + coeff
-    return BiPoly(terms, field)
+    mono = lambda factors: (_exponent(factors, "s"), _exponent(factors, "t"))
+    return BiPoly(_parse_terms(text, field, ("s", "t"), mono), field)
 
 
 def parse_unipoly(text: str, field, var="t") -> UniPoly:
-    terms: dict = {}
-    for coeff, factors in _parse_terms(text, field, (var,)):
-        k = _exponent(factors, var)
-        terms[k] = terms.get(k, field.zero) + coeff
-    return UniPoly(terms, field, var=var)
+    mono = lambda factors: _exponent(factors, var)
+    return UniPoly(_parse_terms(text, field, (var,), mono), field, var=var)

@@ -335,7 +335,7 @@ def test_criterion_8_field_lemma_suites(capsys):
 def test_criterion_9_rewriting_soundness(capsys):
     with criterion(9, "rewriting soundness", capsys=capsys):
         rep = validate_system(build_rewrite_system(1, 1), exhaustive_len=6)
-        assert rep.ok, rep.to_dict()
+        assert rep.ok, rep
         assert rep.words_checked == 2**7 - 2
         for i, j in coprime_pairs(5):
             rs = build_rewrite_system(i, j)

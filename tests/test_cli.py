@@ -15,6 +15,9 @@ import pytest
 from m2alg import cli, freealg, groebner, model, oracle
 from m2alg.cli import main
 from m2alg.errors import Inconsistency
+from m2alg.fields import QQ
+from m2alg.freealg import NCPoly
+from m2alg.mat2 import PiReport
 
 
 def run_cli(args, capsys):
@@ -603,6 +606,189 @@ def test_selftest_membership_checks_read_table_rows(capsys, monkeypatch):
     assert code == 1
     failed = [c["name"] for c in record["result"]["checks"] if not c["ok"]]
     assert failed == [name for name in SELFTEST_CHECKS if name.startswith("membership-")]
+
+
+class _NonDistributive(int):
+    """An int whose products are one too large: (a + b)*c != a*c + b*c."""
+
+    def __mul__(self, other):
+        return int(self) * int(other) + 1
+
+    __rmul__ = __mul__
+
+
+class _NoInverse(int):
+    """An int that 1 / a sends to 0, so a * (1 / a) != 1."""
+
+    def __rtruediv__(self, other):
+        return 0
+
+
+def _fake_gf5(element_type):
+    """Replace GF(5), which only the field-axioms check uses, by int elements."""
+    real = cli.GF
+    fake = types.SimpleNamespace(
+        zero=0, one=1, random_element=lambda rng: element_type(rng.randint(1, 9))
+    )
+    return {"GF": lambda p: fake if p == 5 else real(p)}
+
+
+def _remap(name, pairs):
+    """cli.name, answering for each pair in pairs with the value of its image."""
+    real = getattr(cli, name)
+    return {name: lambda i, j, field: real(*pairs.get((i, j), (i, j)), field)}
+
+
+def _selective(name, pick, value):
+    """cli.name, answering value(args) where pick(args) holds."""
+    real = getattr(cli, name)
+    return {name: lambda *args: value(args) if pick(args) else real(*args)}
+
+
+def _raise_inconsistency(*args, **kwargs):
+    raise Inconsistency("synthetic cross-check failure")
+
+
+# each entry breaks the library call of one selftest check, in `cli` or, for
+# the rewriting check's late imports, in `freealg`
+SELFTEST_BREAKS = {
+    "field-distributivity": ("field-axioms", lambda: _fake_gf5(_NonDistributive)),
+    "field-inverse": ("field-axioms", lambda: _fake_gf5(_NoInverse)),
+    # twice f still satisfies f's recursion: only the f(7) literal tells
+    "f7-literal": (
+        "sequence-recursions",
+        lambda: {"f_st": lambda n, real=cli.f_st: real(n).scale(2)},
+    ),
+    "f-recursion": (
+        "sequence-recursions",
+        lambda: {"f_st": lambda n, real=cli.f_st: real(n) + (1 if n == 30 else 0)},
+    ),
+    "basis-2-1": ("structure-bases", lambda: _remap("structure_basis", {(2, 1): (3, 2)})),
+    "basis-4-3": ("structure-bases", lambda: _remap("structure_basis", {(4, 3): (5, 4)})),
+    "basis-vs-buchberger": (
+        "structure-bases",
+        lambda: {"buchberger": lambda ideal: cli.structure_basis(5, 4, ideal.field)},
+    ),
+    "basis-dimension": (
+        "structure-bases",
+        lambda: {
+            **_remap("structure_basis", {(3, 1): (3, 2)}),
+            **_remap("build_ideal_I", {(3, 1): (3, 2)}),
+        },
+    ),
+    "witness": ("structure-bases", lambda: {"witness_XY": _raise_inconsistency}),
+    "validate-system": (
+        "rewriting",
+        lambda: {
+            "freealg.validate_system": lambda rs, **kw: freealg.ValidationReport(
+                rs.i, rs.j, soundness_failures=["y"]
+            )
+        },
+    ),
+    "certify-normal-forms": (
+        "rewriting",
+        lambda: {"freealg.certify_normal_forms": lambda rs: False},
+    ),
+    "check-identities": (
+        "rewriting",
+        lambda: {
+            "freealg.check_identities": lambda i, j, n_max: freealg.IdentityReport(
+                i, j, [("x^i*y + y*x^j = 1", False)]
+            )
+        },
+    ),
+    "enumeration-fp": (
+        "membership-fp-vs-enumeration",
+        lambda: _selective(
+            "enum_sweep_fp", lambda args: args[0] != 2, lambda args: dict.fromkeys(args[1])
+        ),
+    ),
+    "enumeration-f2": (
+        "membership-z2-vs-enumeration",
+        lambda: _selective(
+            "enum_sweep_fp", lambda args: args[0] == 2, lambda args: dict.fromkeys(args[1])
+        ),
+    ),
+    "q-semantic": (
+        "membership-q-two-routes",
+        lambda: {"decide_Q_semantic": lambda i, j: types.SimpleNamespace(verdict=False)},
+    ),
+    "q-witness": (
+        "membership-q-two-routes",
+        lambda: {"construct_witness_Q": lambda i, j: types.SimpleNamespace(verified=False)},
+    ),
+    # only the last pair of the sweep disagrees, so every j is visited
+    "corollaries": (
+        "corollary-congruences-p3",
+        lambda: _selective(
+            "decide_corollaries",
+            lambda args: args[1:] == (1, cli.SELFTEST_BOUNDS["corollary_p3_max"]),
+            lambda args: types.SimpleNamespace(
+                verdict=not cli.decide("fp", *args[1:], p=3).verdict
+            ),
+        ),
+    ),
+    "pi-identities": (
+        "pi-identities",
+        lambda: {"pi_identity_check": lambda ring, samples, rng: PiReport(samples, 1, 0)},
+    ),
+}
+
+# smaller sweeps than selftest's own, so that each broken run stays short
+SMALL_SELFTEST_BOUNDS = dict(
+    cli.SELFTEST_BOUNDS,
+    primes_enum=(3,),
+    enum_max=4,
+    z2_max=4,
+    q_max=6,
+    structure_max_i=3,
+    rewrite_words=10,
+    corollary_p3_max=8,
+    pi_samples=5,
+)
+
+
+def test_selftest_passes_with_small_bounds(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SELFTEST_BOUNDS", SMALL_SELFTEST_BOUNDS)
+    code, record, err = run_json(["selftest"], capsys)
+    assert code == 0 and record["result"]["ok"], err
+
+
+@pytest.mark.parametrize("check,patches", SELFTEST_BREAKS.values(), ids=SELFTEST_BREAKS.keys())
+def test_selftest_fails_exactly_the_broken_check(capsys, monkeypatch, check, patches):
+    monkeypatch.setattr(cli, "SELFTEST_BOUNDS", SMALL_SELFTEST_BOUNDS)
+    for name, value in patches().items():
+        module, _, attr = name.rpartition(".")
+        monkeypatch.setattr(freealg if module else cli, attr, value)
+    code, record, err = run_json(["selftest"], capsys)
+    assert code == 1
+    assert [c["name"] for c in record["result"]["checks"] if not c["ok"]] == [check]
+    assert [line for line in err.splitlines() if line.endswith(": FAIL")] == [
+        f"[selftest] {check}: FAIL"
+    ]
+
+
+def test_table_exits_1_on_disagreement_rows(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enum_sweep_fp", lambda p, pairs: dict.fromkeys(pairs))
+    args = ["table", "--field", "fp", "--p", "3", "--max", "3", "--oracle", "--threads", "1"]
+    code, out, err = run_cli(args, capsys)
+    rows = [json.loads(line) for line in out.splitlines()]
+    members = sum(row["verdict"] for row in rows)
+    assert code == 1 and len(rows) == 9 and members > 0
+    assert [row["agrees"] for row in rows] == [not row["verdict"] for row in rows]
+    assert err == f"inconsistency: {members} disagreement rows\n"
+
+
+def test_reduce_exits_1_when_the_model_refutes_the_normal_form(capsys, monkeypatch):
+    real, yx = freealg.reduce, freealg.parse_word_expr("y*x", QQ)
+
+    def off_by_one(p, rs):  # only for the input: the rules' own check still passes
+        return real(p, rs) + NCPoly.one(QQ) if p == yx else real(p, rs)
+
+    monkeypatch.setattr(freealg, "reduce", off_by_one)
+    code, out, err = run_cli(["reduce", "3", "2", "y*x"], capsys)
+    assert code == 1 and out == ""
+    assert err == "inconsistency: normal form differs from input in the model\n"
 
 
 def test_readme_synopsis_matches_parser():

@@ -1,4 +1,6 @@
 import math
+import operator
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -17,6 +19,8 @@ from m2alg.fields import (
     INF,
     MR_BOUND,
     QQ,
+    Fp2Elem,
+    QuadExtField,
     is_odd_multiple,
     is_prime,
     nu2,
@@ -188,6 +192,8 @@ def test_smallest_nonresidue():
     assert smallest_nonresidue(7) == 3
     assert smallest_nonresidue(11) == 2
     assert smallest_nonresidue(13) == 2
+    with pytest.raises(ValueError, match="no nonresidue mod 2"):
+        smallest_nonresidue(2)  # every element of F_2 is a square
 
 
 def test_fp2_frobenius_examples():
@@ -221,6 +227,50 @@ def test_fp2_field_axioms(a1, b1, a2, b2):
     assert (z1 + z2) * z1 == z1 * z1 + z2 * z1
     if z1:
         assert z1 * z1.inverse() == f49.one
+
+
+def test_fp2_difference_and_reflected_operators():
+    f49 = GF2(7)  # w^2 = 3
+    z, v = f49.make(3, 5), f49.make(1, 2)
+    assert z - v == f49.make(2, 3)
+    assert v - z == f49.make(5, 4)
+    # an int or an F_7 element on the left: Fp2Elem's reflected methods
+    assert 1 - z == GF(7).one - z == f49.make(5, 2)
+    assert 1 / z == GF(7).one / z == f49.make(6, 4)  # (3 + 5w)(6 + 4w) = 78 + 42w = 1
+    assert 3 / z * z == f49.of(3)
+
+
+@pytest.mark.parametrize("value", [GF(7).of(3), GF2(7).make(3, 5)], ids=["Fp", "Fp2"])
+def test_arithmetic_with_a_foreign_operand_is_refused(value):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(value, object())
+        with pytest.raises(TypeError):
+            op(object(), value)
+
+
+def test_elements_of_another_p_are_refused():
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        GF(7).of(GF(5).one)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        GF2(7).of(GF2(5).one)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        GF2(7).one + GF2(5).one
+    z = GF2(7).make(3, 5)
+    assert GF2(7).of(z) is z
+
+
+def test_quad_ext_field_protocol():
+    f49 = GF2(7)
+    draws = [f49.random_element(random.Random(seed)) for seed in range(20)]
+    assert all(type(z) is Fp2Elem and z.field is f49 for z in draws)
+    assert len(set(draws)) > 10
+    z = f49.make(3, 5)
+    assert repr(z) == "(3+5w)" and repr(f49.make(3, 0)) == "3"
+    assert f49.coeff_text(z) == (False, "(3+5w)")
+    other = QuadExtField(7)  # not the interned one
+    assert other is not f49 and other == f49 and hash(other) == hash(f49)
+    assert f49 != GF2(5) and f49 != GF(7)
 
 
 def test_fp2_generator_and_order():

@@ -150,6 +150,49 @@ def test_parse_word_expr():
         parse_word_expr("q + 1", QQ)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty term"),
+        ("x +", "empty term"),
+        ("x $", "cannot parse near"),
+        ("x*", "empty factor"),
+    ],
+)
+def test_parse_word_expr_refuses(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_word_expr(text, QQ)
+
+
+def test_parse_word_expr_ignores_trailing_blanks():
+    assert parse_word_expr("x ", QQ) == NCPoly.x(QQ)
+    assert parse_word_expr("2*y*x  ", GF(3)) == parse_word_expr("2*y*x", GF(3))
+
+
+def test_parse_word_expr_sums_terms_without_adding_polynomials(monkeypatch):
+    # 50 terms on 25 words: the even-k words cancel, the odd-k ones add up
+    text = " + ".join(
+        f"{k}*x^{k}*y - {k}*x^{k}*y" if k % 2 == 0 else f"{k}*x^{k}*y + {2 * k}*x^{k}*y"
+        for k in range(1, 26)
+    )
+    want = {Word((("x", k), ("y", 1))): QQ.of(3 * k) for k in range(1, 26, 2)}
+
+    def refuse(self, other):
+        raise AssertionError("NCPoly addition")
+
+    monkeypatch.setattr(NCPoly, "__add__", refuse)
+    monkeypatch.setattr(NCPoly, "__radd__", refuse)
+    assert parse_word_expr(text, QQ).terms == want
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+def test_ncpoly_scalar_products_on_either_side(field):
+    p = parse_word_expr("x*y - 2*y*x + 1", field)
+    assert 2 * p == p * 2 == p.scale(2)
+    assert field.of(5) * p == p.scale(5)
+    assert repr(w("xxyx")) == "x^2*y*x"
+
+
 def test_build_rewrite_system_goldens():
     rs = build_rewrite_system(1, 1)
     assert rs.xpow is None
@@ -269,7 +312,7 @@ def test_validate_exhaustive_1_1():
     for field in (QQ, GF(2), GF(3)):
         rs = build_rewrite_system(1, 1, field)
         rep = validate_system(rs, exhaustive_len=10)
-        assert rep.ok, (field.name, rep.to_dict())
+        assert rep.ok, (field.name, rep)
         assert rep.words_checked == 2**11 - 2
 
 
@@ -285,14 +328,14 @@ def test_validate_random_2_1_and_3_2():
     for i, j in [(2, 1), (3, 2)]:
         rs = build_rewrite_system(i, j)
         rep = validate_system(rs, n_random=150, max_len=10, seed=3)
-        assert rep.ok, rep.to_dict()
+        assert rep.ok, rep
         assert rep.words_checked == 150
 
 
 def test_check_identities_pairs():
     for i, j in [(2, 1), (3, 2), (1, 1)]:
         rep = check_identities(i, j, n_max=6)
-        assert rep.ok, (i, j, rep.failures)
+        assert rep.ok, (i, j, rep)
     # seventeen matrix-unit relations are part of the report
     rep = check_identities(2, 1, n_max=1)
     unit_checks = [n for n, _ in rep.entries if n.startswith("e")]
@@ -301,7 +344,7 @@ def test_check_identities_pairs():
 
 def test_check_identities_over_fp():
     rep = check_identities(3, 2, n_max=4, field=GF(3))
-    assert rep.ok, rep.failures
+    assert rep.ok, rep
 
 
 def test_check_identities_rejects():
@@ -366,6 +409,38 @@ def test_certify_normal_forms_detects_failures():
     rs = build_rewrite_system(1, 1)
     broken = dataclasses.replace(rs, yx_rhs=parse_word_expr("1 + x*y", QQ))
     assert not certify_normal_forms(broken)
+
+
+def test_certify_normal_forms_at_1_1_needs_a_decreasing_rule():
+    # y*x -> y*x never terminates, yet the overlap y*y*x resolves (y*y*x is
+    # zero at once), so only the order check refuses it
+    rs = build_rewrite_system(1, 1)
+    assert not certify_normal_forms(dataclasses.replace(rs, yx_rhs=parse_word_expr("y*x", QQ)))
+
+
+def test_validate_system_reports_each_failure():
+    # reduce writes normal forms on rs.basis: with y*x put in front of every
+    # basis word, each normal form is wrong in the model, differs from the
+    # heap engine's, and holds words that a rule rewrites
+    rs = build_rewrite_system(3, 2)
+    broken = dataclasses.replace(rs, basis=tuple(w("yx") * u for u in rs.basis))
+    rep = validate_system(broken, n_random=5, max_len=4, seed=0)
+    assert rep.words_checked == 5 and not rep.ok
+    assert rep.soundness_failures == ["y*x", "y", "y*x"]
+    assert rep.confluence_divergences == rep.normal_form_escapes == rep.soundness_failures
+
+
+def test_build_sanity_check_refuses_broken_rules():
+    rs = build_rewrite_system(3, 2)
+    s, jinv, *rest = rs.walk
+    # a wrong inverse of j mod i + j breaks the defining relations
+    wrong_walk = dataclasses.replace(rs, walk=(s, jinv + 1, *rest))
+    # a wrong rule for x^N leaves the relations alone
+    N, xrhs = rs.xpow
+    wrong_xpow = dataclasses.replace(rs, xpow=(N, xrhs + NCPoly.one(QQ)))
+    for broken in (wrong_walk, wrong_xpow):
+        with pytest.raises(Inconsistency, match="rule construction broken"):
+            freealg._build_sanity_check(broken)
 
 
 def test_certify_normal_forms_detects_mutations(monkeypatch):
@@ -673,6 +748,13 @@ def test_model_requires_y_to_be_e12(monkeypatch):
 
     monkeypatch.setattr(freealg, "witness_XY", with_e21)
     with pytest.raises(Inconsistency):
+        freealg.MatrixModel(5, 4, QQ)
+
+
+def test_model_requires_s_to_the_d_to_be_a_sign(monkeypatch):
+    # the witness check never reads ring.s, so only the model's own check sees this
+    monkeypatch.setattr(groebner.GroebnerBasis, "s", lambda ring, e=1: ring.one)
+    with pytest.raises(Inconsistency, match="s\\^1 is not -1"):
         freealg.MatrixModel(5, 4, QQ)
 
 

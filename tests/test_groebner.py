@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_element
 from m2alg import freealg, groebner
 from m2alg.errors import Inconsistency, UnsupportedParameters
-from m2alg.fields import GF, QQ, FpElem
+from m2alg.fields import GF, GF2, QQ, FpElem
 from m2alg.freealg import matrix_model, parse_word_expr
 from m2alg.groebner import (
     INFINITE,
@@ -61,6 +62,21 @@ def test_build_ideal_rejects_non_coprime():
             build(6, 3)
         with pytest.raises(UnsupportedParameters):
             build(0, 1)
+
+
+def test_bases_need_q_or_a_prime_field():
+    with pytest.raises(UnsupportedParameters, match="Q or GF\\(p\\), not GF2\\(7\\)"):
+        structure_basis(2, 1, GF2(7))
+    with pytest.raises(UnsupportedParameters, match="Q or GF\\(p\\)"):
+        buchberger([BiPoly.t(GF2(7))], GF2(7))
+
+
+def test_basis_protocol_members():
+    gb = structure_basis(4, 3)
+    assert repr(gb) == "{s + 1, t^3 - t^2 - 2*t + 1}"
+    assert repr(INFINITE) == "INFINITE"
+    assert gb == structure_basis(4, 3, QQ) and gb != structure_basis(4, 3, GF(3))
+    assert gb != 1 and gb != gb.polys
 
 
 def test_reduced_basis_goldens():
@@ -182,7 +198,7 @@ def _draw_operand(ring, rng):
         return rng.randint(-4, 4)
     if kind == 3:
         return ring.field.random_element(rng)
-    return ring.random_element(rng)
+    return random_element(ring, rng)
 
 
 def _as_poly(ring, x):
@@ -196,7 +212,7 @@ def test_normal_form_respects_multiplication():
         ring = structure_basis(4, 3, field)
         rng = random.Random(7)
         for _ in range(300):
-            p = ring.random_element(rng) if rng.random() < 0.5 else ring.of(_draw_operand(ring, rng))
+            p = random_element(ring, rng) if rng.random() < 0.5 else ring.of(_draw_operand(ring, rng))
             q = _draw_operand(ring, rng)
             direct = ring.normal_form(_as_poly(ring, p) * _as_poly(ring, q))
             assert (p * q).bipoly() == direct
@@ -399,6 +415,8 @@ def test_divide_steps_down_and_rarely_calls_max(monkeypatch):
         # level 5 starts at s-exponent 9 of level 0: a gap of 2 misses
         ({(7, 5): 1, (6, 5): 1, (9, 0): 1}, 1),
         ({(9, 5): 1, (7, 5): 1, (4, 5): 1, (0, 5): 1, (0, 2): 1}, 3),
+        # the miss at level 1 does not count toward the gap within level 0
+        ({(1, 2): 1, (0, 0): 1}, 0),
     ]
     for p, jumps in sparse:
         calls.clear()

@@ -176,6 +176,34 @@ def test_pi_identities_randomized():
     assert rep.ok
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=["Q", "F7"])
+def test_pi_checks_count_failures_of_a_broken_product(monkeypatch, ring):
+    # a product whose (2,1) entry picks up other.c: the Hall check sees k^2
+    # fail to commute, and the accumulated S_4 sum is no longer zero
+    real = Mat2.__mul__
+
+    def broken(self, other):
+        m = real(self, other)
+        return Mat2(self.ring, m.a, m.b, m.c + other.c, m.d)
+
+    monkeypatch.setattr(Mat2, "__mul__", broken)
+    rep = pi_identity_check(ring, 10, random.Random(0))
+    assert rep.hall_failures > 0 and rep.s4_failures > 0
+    assert not rep.ok
+
+
+def test_mat2_difference_hash_repr_and_refusals():
+    a = rows(QQ, ((1, 2), (3, 4)))
+    b = rows(QQ, ((5, 7), (11, 13)))
+    assert (a - b).rows() == ((-4, -5), (-8, -9))
+    assert (b - a).rows() == ((4, 5), (8, 9))
+    assert hash(a) == hash(rows(QQ, ((1, 2), (3, 4))))
+    assert repr(a) == "[[1, 2], [3, 4]]"
+    assert a != 1 and 1 != a
+    with pytest.raises(TypeError):
+        a * 2
+
+
 def test_s4_vanishes_on_specific_quadruple():
     ring = GF(5)
     ms = [

@@ -72,6 +72,25 @@ def test_enum_sweep_matches_single_queries():
         assert single.found == (table[(i, j)] is not None), (i, j)
 
 
+def test_enum_sweep_takes_pairs_from_a_generator():
+    pairs = [(i, j) for i in range(1, 6) for j in range(1, 6)]
+    assert enum_sweep_fp(3, (pair for pair in pairs)) == enum_sweep_fp(3, pairs)
+
+
+def test_enum_full_mode_raises_when_the_scans_disagree(monkeypatch):
+    monkeypatch.setattr(oracle, "_full_enum", lambda p, i, j: None)
+    with pytest.raises(Inconsistency, match="restricting y to E12"):
+        oracle_enum_fp(3, 1, 1, full=True)
+
+
+def test_q_witness_raises_when_the_two_q_routes_disagree(monkeypatch):
+    real = oracle.decide_Q_semantic
+    monkeypatch.setattr(oracle, "decide_Q_semantic", lambda i, j: real(4, 4))  # a non-member
+    with pytest.raises(Inconsistency, match="routes disagree at \\(2, 2\\)"):
+        construct_witness_Q(2, 2)
+    assert construct_witness_Q(3, 5).found  # odd-odd asks no root
+
+
 def test_enum_sweep_of_no_pairs_is_empty():
     assert enum_sweep_fp(3, []) == {}
     assert enum_sweep_fp(2, iter(())) == {}

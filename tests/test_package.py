@@ -74,6 +74,16 @@ def test_exports_resolve_to_their_submodule_objects():
             assert getattr(m2alg, name) is getattr(sub, name), name
 
 
+def test_submodule_attribute_imports_on_first_use(monkeypatch):
+    # unload m2alg.freealg, so that the attribute goes through the package's
+    # __getattr__ as in a fresh interpreter; the loaded module comes back after
+    monkeypatch.delattr(m2alg, "freealg", raising=False)
+    monkeypatch.delitem(sys.modules, "m2alg.freealg", raising=False)
+    module = m2alg.freealg
+    assert module is sys.modules["m2alg.freealg"]
+    assert module.__name__ == "m2alg.freealg" and callable(module.reduce)
+
+
 def test_dir_lists_every_export():
     exported = [
         name

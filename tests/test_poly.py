@@ -4,11 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_element
 from m2alg.fields import GF, GF2, QQ, FpElem
 from m2alg.freealg import NCPoly, Word
 from m2alg.groebner import structure_basis
 from m2alg.poly import (
     BiPoly,
+    BiPolyRing,
     NEG_INF,
     UniPoly,
     parse_bipoly,
@@ -127,6 +129,21 @@ def test_round_trip_over_fp():
     assert parse_bipoly(p.text(), f3) == p
 
 
+def test_parsers_sum_repeated_monomials():
+    # one pass: s*t and t*s are one monomial, and a sum that cancels is dropped
+    assert parse_bipoly("s*t + 2*t*s - 3*s*t + s^2 + 1/2 + 1/2", QQ) == parse_bipoly("s^2 + 1", QQ)
+    assert parse_unipoly("x^2 + 2 - x*x + 3*x", QQ, var="x") == UniPoly.of_ints([2, 3], QQ, var="x")
+    assert parse_bipoly("t + 2*t", GF(3)).is_zero()
+
+
+def test_bipoly_ring_of():
+    ring = BiPolyRing(GF(5))
+    p = parse_bipoly("s*t + 2", GF(5))
+    assert ring.of(p) is p
+    assert ring.of(7) == BiPoly.const(2, GF(5))
+    assert ring.name == "F5[s,t]"
+
+
 # monomial k in {0, 1} of each polynomial type, so equal pairs are common
 _MONOS = {
     "uni-t": lambda k: k,
@@ -178,7 +195,7 @@ def ring_values(draw):
     kind = draw(st.sampled_from(["L", "fp", "fp2"]))
     if kind == "L":
         ring = draw(st.sampled_from(_RINGS))
-        return ring.random_element(random.Random(draw(st.integers(0, 3))))
+        return random_element(ring, random.Random(draw(st.integers(0, 3))))
     if kind == "fp":
         return GF(draw(st.sampled_from([5, 7]))).of(draw(st.integers(-7, 7)))
     return GF2(7).make(draw(st.integers(-7, 7)), draw(st.integers(0, 1)))

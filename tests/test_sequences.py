@@ -171,8 +171,17 @@ def test_companion_power_golden():
 
 
 def test_companion_power_requires_positive():
-    with pytest.raises(ValueError):
+    # companion_power(0) would reach f_coeffs(-1), whose own guard speaks of
+    # an index: the message shows which guard refused
+    with pytest.raises(ValueError, match="power index must be >= 1"):
         companion_power(0)
+
+
+def test_trace_families_refuse_negative_indices():
+    with pytest.raises(ValueError, match="index must be nonnegative"):
+        trace_poly(-1)
+    with pytest.raises(ValueError, match="index must be nonnegative"):
+        trace_value(-1, 0)
 
 
 def test_companion_power_matches_iterated_multiplication():
