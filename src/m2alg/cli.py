@@ -3,7 +3,10 @@
 Single queries print one pretty JSON record; ``table`` prints JSON lines
 (one record per (i, j), streamable and diffable).  Identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 internal
-inconsistency (a cross-check failed), 2 usage error.
+inconsistency (a cross-check failed), 2 usage error, 141 stdout closed by
+its reader.  Each ``cmd_*`` returns its params, result and summary line
+(``table`` writes its rows itself), and ``main`` alone writes the record,
+prints the summary under ``--verbose`` and picks the exit code.
 """
 
 from __future__ import annotations
@@ -51,53 +54,28 @@ SELFTEST_BOUNDS = {
 }
 
 
-def _record(command: str, params: dict, result) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "params": params,
-        "result": result,
-    }
-
-
-def _emit(record: dict, pretty=True):
-    if pretty:
-        # written piece by piece: a large record is never one string
-        json.dump(record, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-
-
-def _verbose(args, text: str):
-    if getattr(args, "verbose", False):
-        print(text, file=sys.stderr)
-
-
-def _field_of(parser, args):
+def _field_of(args):
     """The field --field names; GF refuses a --p that is not prime."""
     if args.field == "q":
         return QQ
     if args.field == "f2":
         return GF(2)
     if args.p is None:
-        parser.error("--p is required with --field fp")
+        raise UnsupportedParameters("--p is required with --field fp")
     return GF(args.p)
 
 
-def cmd_decide(parser, args) -> int:
-    _field_of(parser, args)  # refuses a missing or composite --p first
+def cmd_decide(args):
+    _field_of(args)  # refuses a missing or composite --p first
     trace = decide(args.field, args.i, args.j, p=args.p)
     params = {"field": args.field, "i": args.i, "j": args.j}
     if args.p is not None:
         params["p"] = args.p
-    _emit(_record("decide", params, trace.to_dict()))
-    _verbose(args, f"member: {trace.verdict} via {trace.fired_rule}")
-    return 0
+    return params, trace.to_dict(), f"member: {trace.verdict} via {trace.fired_rule}"
 
 
-def cmd_structure(parser, args) -> int:
-    field = _field_of(parser, args)
+def cmd_structure(args):
+    field = _field_of(args)
     ideal = build_ideal_I(args.i, args.j, field)
     gb = structure_basis(args.i, args.j, field)
     monomials = _quotient_basis_names(gb)
@@ -110,13 +88,11 @@ def cmd_structure(parser, args) -> int:
         "trivial": gb.is_trivial(),
     }
     params = {"i": args.i, "j": args.j, "field": args.field, "p": args.p}
-    _emit(_record("structure", params, result))
-    _verbose(args, f"basis size {len(gb.polys)}, dimension {dimension}")
-    return 0
+    return params, result, f"basis size {len(gb.polys)}, dimension {dimension}"
 
 
-def cmd_witness(parser, args) -> int:
-    field = _field_of(parser, args)
+def cmd_witness(args):
+    field = _field_of(args)
     pair = witness_XY(args.i, args.j, field)
     monomials = _quotient_basis_names(pair.ring)
     result = {
@@ -126,10 +102,8 @@ def cmd_witness(parser, args) -> int:
         "quotient_basis": monomials,
     }
     params = {"i": args.i, "j": args.j, "field": args.field, "p": args.p}
-    _emit(_record("witness", params, result))
     dimension = monomials if monomials == "infinite" else len(monomials)
-    _verbose(args, f"quotient dimension {dimension}")
-    return 0
+    return params, result, f"quotient dimension {dimension}"
 
 
 def _quotient_basis_names(gb):
@@ -137,27 +111,23 @@ def _quotient_basis_names(gb):
     return "infinite" if qb is INFINITE else [_mono_text(m) or "1" for m in qb]
 
 
-def cmd_oracle(parser, args) -> int:
+def cmd_oracle(args):
     report = oracle_enum_fp(args.p, args.i, args.j, full=args.full)
     params = {"p": args.p, "i": args.i, "j": args.j, "full": args.full}
-    _emit(_record("oracle", params, report.to_dict()))
-    _verbose(args, f"found: {report.found}")
-    return 0
+    return params, report.to_dict(), f"found: {report.found}"
 
 
-def cmd_verify(parser, args) -> int:
+def cmd_verify(args):
     if args.nmax < 0:
-        parser.error("--nmax must be >= 0")
+        raise UnsupportedParameters("--nmax must be >= 0")
     from .freealg import check_identities
 
     report = check_identities(args.i, args.j, n_max=args.nmax)
     params = {"i": args.i, "j": args.j, "nmax": args.nmax}
-    _emit(_record("verify", params, report.to_dict()))
-    _verbose(args, f"{len(report.entries)} identities, ok={report.ok}")
-    return 0 if report.ok else 1
+    return params, report.to_dict(), f"{len(report.entries)} identities, ok={report.ok}"
 
 
-def cmd_reduce(parser, args) -> int:
+def cmd_reduce(args):
     from .freealg import build_rewrite_system, matrix_model, parse_word_expr
     from .freealg import reduce as nc_reduce
 
@@ -165,17 +135,14 @@ def cmd_reduce(parser, args) -> int:
     try:
         expr = parse_word_expr(args.expr, QQ)
     except ValueError as exc:
-        parser.error(f"bad expression: {exc}")
+        raise UnsupportedParameters(f"bad expression: {exc}")
     nf = nc_reduce(expr, rs)
     model = matrix_model(args.i, args.j, QQ)
-    sound = model.image(expr) == model.image(nf)
-    if not sound:
-        print("inconsistency: normal form differs from input in the model", file=sys.stderr)
-        return 1
+    if model.image(expr) != model.image(nf):
+        raise Inconsistency("normal form differs from input in the model")
     result = {"input": expr.text(), "normal_form": nf.text(), "model_checked": True}
-    _emit(_record("reduce", {"i": args.i, "j": args.j, "expr": args.expr}, result))
-    _verbose(args, f"normal form: {len(nf.terms)} terms")
-    return 0
+    params = {"i": args.i, "j": args.j, "expr": args.expr}
+    return params, result, f"normal form: {len(nf.terms)} terms"
 
 
 def _table_chunk(task):
@@ -205,12 +172,13 @@ def _table_chunk(task):
     return rows
 
 
-def cmd_table(parser, args) -> int:
+def cmd_table(args):
+    """Writes its rows as it goes and returns no record."""
     if args.max < 1:
-        parser.error("--max must be >= 1")
+        raise UnsupportedParameters("--max must be >= 1")
     if args.threads < 0:
-        parser.error("--threads must be >= 0")
-    field = _field_of(parser, args)
+        raise UnsupportedParameters("--threads must be >= 0")
+    field = _field_of(args)
     kind, p = ("q", None) if field is QQ else ("fp", field.p)
     cpus = os.cpu_count() or 1
     threads = min(args.threads or cpus, cpus, args.max)
@@ -226,18 +194,13 @@ def cmd_table(parser, args) -> int:
     else:
         chunks = map(_table_chunk, tasks)
     rows = [row for chunk in chunks for row in chunk]
-    disagreements = 0
     for row in rows:
-        record = dict(row)
-        record["schema_version"] = SCHEMA_VERSION
-        _emit(record, pretty=False)
-        if args.oracle and not row.get("agrees", True):
-            disagreements += 1
+        line = dict(row, schema_version=SCHEMA_VERSION)
+        print(json.dumps(line, sort_keys=True, separators=(",", ":")))
+    disagreements = sum(not row.get("agrees", True) for row in rows)
     if disagreements:
-        print(f"inconsistency: {disagreements} disagreement rows", file=sys.stderr)
-        return 1
-    _verbose(args, f"{len(rows)} records")
-    return 0
+        raise Inconsistency(f"{disagreements} disagreement rows")
+    return None, None, f"{len(rows)} records"
 
 
 def _selftest_checks():
@@ -347,9 +310,9 @@ def _selftest_checks():
     ]
 
 
-def cmd_selftest(parser, args) -> int:
+def cmd_selftest(args):
+    """Prints one progress line per check on stderr as it runs."""
     results = []
-    ok_all = True
     for name, fn in _selftest_checks():
         try:
             ok = bool(fn())
@@ -358,16 +321,9 @@ def cmd_selftest(parser, args) -> int:
             print(f"[selftest] {name}: ERROR {exc}", file=sys.stderr)
         results.append({"name": name, "ok": ok})
         print(f"[selftest] {name}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
-        ok_all = ok_all and ok
-    _emit(
-        _record(
-            "selftest",
-            {"config": SELFTEST_BOUNDS},
-            {"checks": results, "ok": ok_all},
-        )
-    )
-    _verbose(args, f"{len(results)} checks, ok={ok_all}")
-    return 0 if ok_all else 1
+    ok_all = all(r["ok"] for r in results)
+    result = {"checks": results, "ok": ok_all}
+    return {"config": SELFTEST_BOUNDS}, result, f"{len(results)} checks, ok={ok_all}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,61 +337,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"m2alg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, field_default="q"):
-        sp.add_argument("--field", choices=("q", "f2", "fp"), default=field_default)
+    def command(name, fn, help, pair=True):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(fn=fn)
+        if pair:
+            sp.add_argument("i", type=int)
+            sp.add_argument("j", type=int)
+        return sp
+
+    def field(sp):
+        sp.add_argument("--field", choices=("q", "f2", "fp"), default="q")
         sp.add_argument("--p", type=int, default=None, help="prime for --field fp")
-        sp.add_argument("--verbose", action="store_true")
 
-    sp = sub.add_parser("decide", help="membership verdict with the fired rule")
-    sp.add_argument("i", type=int)
-    sp.add_argument("j", type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_decide)
-
-    sp = sub.add_parser("structure", help="structure ideal, reduced basis, quotient")
-    sp.add_argument("i", type=int)
-    sp.add_argument("j", type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_structure)
-
-    sp = sub.add_parser("witness", help="witness matrices over the quotient ring")
-    sp.add_argument("i", type=int)
-    sp.add_argument("j", type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_witness)
-
-    sp = sub.add_parser("oracle", help="brute-force search over F_p")
-    sp.add_argument("i", type=int)
-    sp.add_argument("j", type=int)
+    field(command("decide", cmd_decide, "membership verdict with the fired rule"))
+    field(command("structure", cmd_structure, "structure ideal, reduced basis, quotient"))
+    field(command("witness", cmd_witness, "witness matrices over the quotient ring"))
+    sp = command("oracle", cmd_oracle, "brute-force search over F_p")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--full", action="store_true", help="also scan all square-zero y (p <= 3)")
-    sp.add_argument("--verbose", action="store_true")
-    sp.set_defaults(fn=cmd_oracle)
-
-    sp = sub.add_parser("verify", help="check the derived ring identities")
-    sp.add_argument("i", type=int)
-    sp.add_argument("j", type=int)
+    sp = command("verify", cmd_verify, "check the derived ring identities")
     sp.add_argument("--nmax", type=int, default=6)
-    sp.add_argument("--verbose", action="store_true")
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("reduce", help="normal form of a word expression")
-    sp.add_argument("i", type=int)
-    sp.add_argument("j", type=int)
+    sp = command("reduce", cmd_reduce, "normal form of a word expression")
     sp.add_argument("expr", type=str)
-    sp.add_argument("--verbose", action="store_true")
-    sp.set_defaults(fn=cmd_reduce)
-
-    sp = sub.add_parser("table", help="JSON-lines sweep over 1 <= i, j <= N")
+    sp = command("table", cmd_table, "JSON-lines sweep over 1 <= i, j <= N", pair=False)
     sp.add_argument("--max", type=int, required=True)
     sp.add_argument("--oracle", action="store_true", help="add oracle agreement column")
     sp.add_argument("--threads", type=int, default=0, help="worker pool size (0 = auto)")
-    common(sp)
-    sp.set_defaults(fn=cmd_table)
-
-    sp = sub.add_parser("selftest", help="run the built-in property suites")
-    sp.add_argument("--verbose", action="store_true")
-    sp.set_defaults(fn=cmd_selftest)
+    field(sp)
+    command("selftest", cmd_selftest, "run the built-in property suites", pair=False)
+    for sp in sub.choices.values():  # last, so that it ends each usage line
+        sp.add_argument("--verbose", action="store_true")
     return parser
 
 
@@ -451,7 +382,20 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.fn(parser, args)
+        params, result, summary = args.fn(args)
+        if result is not None:
+            record = {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "params": params,
+                "result": result,
+            }
+            # written piece by piece: a large record is never one string
+            json.dump(record, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
+        if args.verbose:
+            print(summary, file=sys.stderr)
+        return 0 if result is None or result.get("ok", True) else 1
     except UnsupportedParameters as exc:
         parser.error(str(exc))
     except Inconsistency as exc:

@@ -449,7 +449,10 @@ def _rewrite(p: NCPoly, rs: RewriteSystem) -> NCPoly:
     decreases the measure (y-count, inter-run x-exponent vector, degree)
     lexicographically, so rewriting always terminates.  Yet a word such
     as y x^n at (1, 1) takes n steps, so more than REWRITE_FUEL steps
-    raise RewriteFuelExhausted.
+    raise RewriteFuelExhausted.  No two words share a measure, and words
+    are popped in decreasing measure while each rewrite pushes strictly
+    smaller ones, so a word is popped at most once: a normal word is
+    stored once, with its final, nonzero coefficient.
     """
     field = p.field
 
@@ -470,12 +473,7 @@ def _rewrite(p: NCPoly, rs: RewriteSystem) -> NCPoly:
             continue  # stale heap entry
         repl = _step(w, rs)
         if repl is None:
-            v = normal.get(w)
-            v = c if v is None else v + c
-            if v:
-                normal[w] = v
-            elif w in normal:
-                del normal[w]
+            normal[w] = c
             continue
         steps += 1
         if steps > REWRITE_FUEL:

@@ -263,16 +263,20 @@ class PiReport:
     samples: int
     hall_failures: int = 0
     s4_failures: int = 0
+    sub_failures: int = 0
 
     @property
     def ok(self) -> bool:
-        return self.hall_failures == 0 and self.s4_failures == 0
+        return self.hall_failures == self.s4_failures == self.sub_failures == 0
 
 
 def pi_identity_check(ring, samples: int, rng) -> PiReport:
     """Randomized verification that M_2(ring) satisfies the two identities.
 
     The theorems guarantee both; this validates the matrix arithmetic.
+    Neither identity sees a wrong off-diagonal difference (the Hall
+    commutator keeps trace 0, so its square stays scalar, and S_4 only
+    adds and negates), so each sample also checks (x - y) + y == x.
     """
     rand = lambda: Mat2(
         ring,
@@ -283,8 +287,11 @@ def pi_identity_check(ring, samples: int, rng) -> PiReport:
     )
     report = PiReport(samples=samples)
     for _ in range(samples):
-        if not hall_identity_holds(rand(), rand(), rand()):
+        x, y, z = rand(), rand(), rand()
+        if not hall_identity_holds(x, y, z):
             report.hall_failures += 1
+        if (x - y) + y != x:
+            report.sub_failures += 1
         if not standard_identity_s4(rand(), rand(), rand(), rand()).is_zero():
             report.s4_failures += 1
     return report

@@ -17,7 +17,7 @@ from m2alg.cli import main
 from m2alg.errors import Inconsistency
 from m2alg.fields import QQ
 from m2alg.freealg import NCPoly
-from m2alg.mat2 import PiReport
+from m2alg.mat2 import Mat2, PiReport
 
 
 def run_cli(args, capsys):
@@ -766,6 +766,30 @@ def test_selftest_fails_exactly_the_broken_check(capsys, monkeypatch, check, pat
     assert [line for line in err.splitlines() if line.endswith(": FAIL")] == [
         f"[selftest] {check}: FAIL"
     ]
+
+
+def _sub_adding_c(self, other):
+    """Mat2.__sub__ with its (2,1) entry added instead of subtracted."""
+    return Mat2(self.ring, self.a - other.a, self.b - other.b, self.c + other.c, self.d - other.d)
+
+
+def test_selftest_sees_a_wrong_matrix_difference(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SELFTEST_BOUNDS", SMALL_SELFTEST_BOUNDS)
+    monkeypatch.setattr(Mat2, "__sub__", _sub_adding_c)
+    code, record, err = run_json(["selftest"], capsys)
+    assert code == 1
+    assert [c["name"] for c in record["result"]["checks"] if not c["ok"]] == ["pi-identities"]
+    assert "[selftest] pi-identities: FAIL" in err.splitlines()
+
+
+def test_verify_exits_1_when_an_identity_fails(capsys, monkeypatch):
+    report = freealg.IdentityReport(2, 1, [("x^i*y + y*x^j = 1", False)])
+    monkeypatch.setattr(freealg, "check_identities", lambda i, j, n_max: report)
+    code, out, err = run_cli(["verify", "2", "1", "--verbose"], capsys)
+    assert code == 1
+    assert json.loads(out)["result"]["ok"] is False
+    assert out.count('"schema_version"') == 1
+    assert err == "1 identities, ok=False\n"
 
 
 def test_table_exits_1_on_disagreement_rows(capsys, monkeypatch):

@@ -190,3 +190,18 @@ def test_library_messages_name_no_cli_flag():
         if "--" in text
     ]
     assert not flagged
+
+
+def test_only_the_cli_writes_to_stdout_or_stderr():
+    # the library computes and the command line writes: no module other
+    # than cli.py calls print or names sys.stdout or sys.stderr
+    src = Path(m2alg.__file__).resolve().parent
+    flagged = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id == "print")
+        or (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"))
+    ]
+    assert not flagged
