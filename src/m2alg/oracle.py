@@ -12,20 +12,24 @@ matrices satisfying x^i y + y x^j = 1, y^2 = 0.
 * ``oracle_roots_fp2``: decides via the root analysis of x^2 - ax + b over
   F_p and its quadratic extension.  The scan is plain int arithmetic and
   visits only the quadratics that can pass: for each a, the b's with
-  b^(j-i) = 1 and the one b with a double root.  Square roots come from a
-  per-call table of smallest roots.  Split roots are tested in F_p with
-  builtin ``pow``.  Inert roots are int pairs in F_{p^2}, and only one of
-  the two is tested, since its Frobenius conjugate gets the same verdict.
-  x is built from the root data.
+  b^(j-i) = 1, which are the g-th roots of unity for g = gcd(|j-i|, p-1),
+  and the one b with a double root.  What depends on p alone (the
+  nonresidue u with its inverse, 1/2 and a table of smallest square roots)
+  is built once per prime and kept for the last ``PRIME_TABLES_KEPT``
+  primes; the roots of unity are kept per (p, g).  Split roots are tested
+  in F_p with builtin ``pow``.  Inert roots are int pairs in F_{p^2}, and
+  only one of the two is tested, since its Frobenius conjugate gets the
+  same verdict.  x is built from the root data.
 * ``construct_witness_Q``: builds verified rational witnesses for members
   over Q; x, from the semantic root data, is an integer matrix.
 
 All three find x as an int 4-tuple, and ``_e12_scale`` checks it on ints,
 mod p or over Z, with the exact exponents: it returns the c with
-x^i E12 + E12 x^j = c*I, and the witness is (x, E12/c).  Only then are x
-and y built as ``Mat2`` over GF(p) or Q, once, for the ``WitnessReport``;
-``Mat2`` is the report form, not the arithmetic.  ``verify_pair`` is the
-independent ``Mat2`` check of a reported pair.
+x^i E12 + E12 x^j = c*I, and the witness is (x, E12/c).  The
+``WitnessReport`` keeps that int x and c; its ``x`` and ``y`` are ``Mat2``
+over GF(p) or Q, built only when read (by ``to_dict``, ``verify_pair`` or
+a test), so ``Mat2`` is the report form, not the arithmetic.
+``verify_pair`` is the independent ``Mat2`` check of a reported pair.
 
 Parameters are refused before any scan or table is built: exponents below
 1 by ``fields.require_exponents``, a p that is not prime (or p = 2 for the
@@ -35,7 +39,9 @@ whose search space reaches ``ENUM_SPACE_LIMIT``.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -57,20 +63,48 @@ CONSTRUCT_Q = "CONSTRUCT_Q"
 # quadratics and is held to the same limit.
 ENUM_SPACE_LIMIT = 2**32
 
+# the roots scan keeps its per-prime tables for this many primes; a table
+# holds (p+1)/2 roots, so at p = 65521 (the largest prime the scan takes)
+# one holds 32761 entries, and the bound caps that memory
+PRIME_TABLES_KEPT = 8
+
 
 @dataclass
 class WitnessReport:
-    """Search verdict plus the verified witness when one exists."""
+    """Search verdict plus the verified witness when one exists.
+
+    ``witness`` is x as an int 4-tuple (a, b, c, d), row-major, over F_p
+    when ``p`` is set and over Z otherwise, and ``scale`` is the c with
+    x^i E12 + E12 x^j = c*I, both checked by ``_e12_scale``.  ``x`` and
+    ``y`` = E12/c are built as ``Mat2`` over GF(p) or Q on each read.
+    """
 
     found: bool
     method: str
     i: int
     j: int
     p: int | None = None
-    x: Mat2 | None = None
-    y: Mat2 | None = None
+    witness: tuple | None = None
+    scale: int | None = None
     verified: bool = False
     details: dict = dc_field(default_factory=dict)
+
+    def _ring(self):
+        return GF(self.p) if self.p else QQ
+
+    @property
+    def x(self) -> Mat2 | None:
+        if self.witness is None:
+            return None
+        return Mat2.of_rows(self._ring(), (self.witness[:2], self.witness[2:]))
+
+    @property
+    def y(self) -> Mat2 | None:
+        if self.witness is None:
+            return None
+        ring = self._ring()
+        inv = pow(self.scale, -1, self.p) if self.p else Fraction(1, self.scale)
+        return Mat2(ring, ring.zero, ring.of(inv), ring.zero, ring.zero)
 
     def to_dict(self):
         def mat(m):
@@ -115,22 +149,36 @@ def _mul4(u, v, p):
     return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
 
 
-def _mulz(u, v):
-    """u * v over Z; ``_mul4`` stays free of a branch for this case."""
-    a, b, c, d = u
-    e, f, g, h = v
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def _pow4(u, e, p):
-    """u^e by square-and-multiply: mod p, or over Z when p = 0."""
-    result = (1, 0, 0, 1)
-    while e:
-        if e & 1:
-            result = _mul4(result, u, p) if p else _mulz(result, u)
-        u = _mul4(u, u, p) if p else _mulz(u, u)
-        e >>= 1
-    return result
+    """u^e by a Cayley-Hamilton ladder: mod p, or over Z when p = 0.
+
+    u^2 = tau*u - delta*I with tau = tr u and delta = det u, over any
+    commutative ring, so u^e = alpha*u + beta*I, and (alpha, beta) is
+    walked over the bits of e, most significant first:
+
+        squaring:   (alpha, beta) -> (alpha^2*tau + 2*alpha*beta,
+                                      beta^2 - alpha^2*delta)      5 products
+        step by u:  (alpha, beta) -> (alpha*tau + beta, -alpha*delta)   2 products
+
+    against 8 products for each matrix square or multiply.  The 4-tuple is
+    built once at the end; e = 0 gives the identity.
+    """
+    if not e:
+        return (1, 0, 0, 1)
+    a, b, c, d = u
+    tau, neg_delta = a + d, b * c - a * d
+    alpha, beta = 1, 0
+    for bit in bin(e)[3:]:
+        aa, ab = alpha * alpha, alpha * beta
+        alpha, beta = aa * tau + ab + ab, beta * beta + aa * neg_delta
+        if bit == "1":
+            alpha, beta = alpha * tau + beta, alpha * neg_delta
+        if p:
+            alpha %= p
+            beta %= p
+    if p:
+        return ((alpha * a + beta) % p, alpha * b % p, alpha * c % p, (alpha * d + beta) % p)
+    return (alpha * a + beta, alpha * b, alpha * c, alpha * d + beta)
 
 
 def _e12_scale(x, i: int, j: int, mod: int) -> int:
@@ -161,20 +209,16 @@ def _e12_scale(x, i: int, j: int, mod: int) -> int:
 
 
 def _report(method, i, j, p=None, x=None, **details) -> WitnessReport:
-    """The verdict: not found, or the int witness x checked, then built as Mat2.
+    """The verdict: not found, or the int witness x with its checked scale.
 
     x is an int 4-tuple over F_p when p is given, else over Z (a witness
-    over Q); ``_e12_scale`` checks it before anything is built.
+    over Q); ``_e12_scale`` checks it before the report says verified.
     """
     if x is None:
         return WitnessReport(False, method, i, j, p=p, details=details)
     c = _e12_scale(x, i, j, p or 0)
-    ring, inv = (GF(p), pow(c, -1, p)) if p else (QQ, Fraction(1, c))
     return WitnessReport(
-        True, method, i, j, p=p,
-        x=Mat2.of_rows(ring, (x[:2], x[2:])),
-        y=Mat2(ring, ring.zero, ring.of(inv), ring.zero, ring.zero),
-        verified=True, details=details,
+        True, method, i, j, p=p, witness=x, scale=c, verified=True, details=details
     )
 
 
@@ -308,6 +352,22 @@ def _sqrt_table(p):
     return table
 
 
+@functools.lru_cache(maxsize=PRIME_TABLES_KEPT)
+def _prime_tables(p):
+    """(u, 1/u, 1/2, square-root table) for an odd prime p, with w^2 = u.
+
+    Callers only read the table; the cache hands every caller the same one.
+    """
+    u = smallest_nonresidue(p)
+    return u, pow(u, -1, p), pow(2, -1, p), _sqrt_table(p)
+
+
+@functools.lru_cache(maxsize=4 * PRIME_TABLES_KEPT)
+def _roots_of_unity(p, g):
+    """The b in F_p^* with b^g = 1, ascending."""
+    return tuple(b for b in range(1, p) if pow(b, g, p) == 1)
+
+
 def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     """Membership over F_p via the roots of x^2 - ax + b in F_p or F_{p^2}.
 
@@ -320,34 +380,34 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     those and the one b = a^2/4 with a double root, in ascending order; the
     skipped quadratics all fail, so the first hit is the same as in a scan
     of all (a, b).  The scan runs on plain ints, and square roots come from
-    a table holding the smallest root of each square.  Either way only one
-    root r0 is tested, since it passes iff the other root s0 does.  Split
-    roots lie in F_p and are tested with builtin ``pow``: r0 = (a + root)/2
-    and s0 = b/r0, so if r0 passes, s0^(i+j) = b^(i+j)/r0^(i+j) = -b^j =
-    -b^i, as b^(j-i) = 1, and s0^(j-i) = r0^(i-j), which is -1 exactly when
-    r0^(j-i) is; the same holds with r0 and s0 swapped.  Inert roots are
-    pairs c0 + c1*w in F_{p^2}, with w^2 = u the smallest nonresidue:
-    s0 = r0^p is the Frobenius conjugate of r0, and conjugation fixes F_p,
-    so r0^(j-i) = -1 iff s0^(j-i) = -1 and r0^(i+j) = -b^i iff
-    s0^(i+j) = -b^i.  On success x is the companion matrix
+    a table holding the smallest root of each square, built once per prime
+    by ``_prime_tables``.  Either way only one root r0 is tested, since it
+    passes iff the other root s0 does.  Split roots lie in F_p and are
+    tested with builtin ``pow``: r0 = (a + root)/2 and s0 = b/r0, so if r0
+    passes, s0^(i+j) = b^(i+j)/r0^(i+j) = -b^j = -b^i, as b^(j-i) = 1, and
+    s0^(j-i) = r0^(i-j), which is -1 exactly when r0^(j-i) is; the same
+    holds with r0 and s0 swapped.  Inert roots are pairs c0 + c1*w in
+    F_{p^2}, with w^2 = u the smallest nonresidue: s0 = r0^p is the
+    Frobenius conjugate of r0, and conjugation fixes F_p, so r0^(j-i) = -1
+    iff s0^(j-i) = -1 and r0^(i+j) = -b^i iff s0^(i+j) = -b^i.  On success
+    x is the companion matrix
     [[0, -b], [1, a]], which does not depend on the root, or
     [[r, 0], [1, r]] for a double root r, and y = E12 / (x^i)_21; the pair
-    is checked on ints mod p with exact exponents, and built as ``Mat2``
-    over GF(p) only for the report.  A p with p^2 >= ENUM_SPACE_LIMIT is
-    refused before anything is built.
+    is checked on ints mod p with exact exponents, and becomes ``Mat2``
+    over GF(p) only when the report is read.  A p with p^2 >=
+    ENUM_SPACE_LIMIT is refused before any table is built or looked up.
     """
     require_prime(p, odd=True)
     if p * p >= ENUM_SPACE_LIMIT:
         raise UnsupportedParameters(f"p = {p} is too large for the roots scan: p^2 >= 2^32")
     require_exponents(i, j)
-    u = smallest_nonresidue(p)
-    u_inv = pow(u, -1, p)
-    inv2 = pow(2, -1, p)
+    u, u_inv, inv2, sqrt_table = _prime_tables(p)
     diff = abs(j - i)
-    sqrt_table = _sqrt_table(p)
     # rs = b for a separable quadratic, so (rs)^(j-i) = 1 tests b alone, and
-    # rejects both orientations at once: b^i for each b that passes
-    b_pow_i = {b: pow(b, i, p) for b in range(1, p) if pow(b, diff, p) == 1}
+    # rejects both orientations at once.  F_p^* is cyclic of order p - 1, so
+    # b^(j-i) = 1 iff b^g = 1: b^i for each of those g b's
+    g = math.gcd(diff, p - 1)
+    b_pow_i = {b: pow(b, i, p) for b in _roots_of_unity(p, g)}
     for a in range(p):
         half = a * inv2 % p
         # the admissible b's and b = (a/2)^2, the one with a double root
@@ -397,7 +457,7 @@ def construct_witness_Q(i: int, j: int) -> WitnessReport:
     a verified pair: x is the odd-odd involution, or a companion matrix
     built from the semantic procedure's integer root, and y = E12 / (x^i)_21.
     Every such x is an integer matrix, so the pair is checked exactly on
-    ints over Z, and built as ``Mat2`` over Q only for the report.
+    ints over Z, and becomes ``Mat2`` over Q only when the report is read.
     Failure to build one when membership is asserted raises Inconsistency -
     the oracle is the referee, never silent.
     """

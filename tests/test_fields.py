@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from m2alg import fields
 from m2alg.errors import UnsupportedParameters
 from m2alg.groebner import structure_basis
 from m2alg.membership import decide_ii_Zp, decide_Q, decide_Zp
@@ -130,6 +131,41 @@ def test_parameter_guards_refuse_non_ints(call):
     GF(7), GF2(7)
     with pytest.raises(TypeError, match="is not an int$"):
         call()
+
+
+def test_prime_guard_proves_each_prime_once(monkeypatch):
+    runs = []
+    real = fields.is_prime
+    monkeypatch.setattr(fields, "is_prime", lambda n: runs.append(n) or real(n))
+    fields._proven_prime.cache_clear()
+    p = 10**18 + 3
+    verdicts = {decide_Zp(p, 39, 17).verdict for _ in range(5)}
+    assert runs == [p] and len(verdicts) == 1
+    with pytest.raises(UnsupportedParameters, match="is not prime"):
+        decide_Zp(p + 2, 39, 17)
+    assert runs == [p, p + 2]
+
+
+@pytest.mark.parametrize("p", [7.0, True, False, 1.0])
+def test_prime_guard_refuses_non_ints_once_ints_are_kept(p):
+    # 7, 1 and 0 are kept first: True == 1 and 7.0 == 7 hash alike
+    for n in (7, 1, 0):
+        try:
+            fields.require_prime(n)
+        except UnsupportedParameters:
+            pass
+    with pytest.raises(TypeError, match="is not an int$"):
+        fields.require_prime(p)
+
+
+def test_prime_guard_keeps_at_most_its_bound():
+    fields._proven_prime.cache_clear()
+    for n in range(3 * fields.PRIME_VERDICTS_KEPT):
+        try:
+            fields.require_prime(n)
+        except UnsupportedParameters:
+            pass
+        assert fields._proven_prime.cache_info().currsize <= fields.PRIME_VERDICTS_KEPT
 
 
 def test_fp_arithmetic():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,9 @@ from m2alg.mat2 import Mat2, mat_pow, solve_sylvester
 from m2alg.membership import decide_Q, decide_Z2, decide_Zp
 from m2alg.oracle import (
     _e12_scale,
+    _mul4,
     _pow2,
+    _pow4,
     _sqrt_table,
     construct_witness_Q,
     enum_sweep_fp,
@@ -139,13 +142,46 @@ def test_roots_oracle_refuses_a_prime_too_large_to_scan(monkeypatch):
         raise AssertionError("built a square-root table")
 
     monkeypatch.setattr(oracle, "_sqrt_table", refuse)
-    # p^2 >= 2^32: refused before anything is built
+    kept = oracle._prime_tables.cache_info()
+    # p^2 >= 2^32: refused before anything is built or looked up
     for p in (65537, 10**9 + 7):
         with pytest.raises(UnsupportedParameters, match="too large"):
             oracle_roots_fp2(p, 2, 1)
-    # the largest prime below 2^16 passes the size test and starts building
+    assert oracle._prime_tables.cache_info() == kept
+    # the largest prime below 2^16 passes the size test and starts building;
+    # the failed build leaves no entry behind
     with pytest.raises(AssertionError, match="square-root table"):
         oracle_roots_fp2(65521, 2, 1)
+    assert oracle._prime_tables.cache_info().currsize == kept.currsize
+
+
+def test_roots_of_unity_are_kept_per_order():
+    # b^(j-i) = 1 iff b^g = 1 with g = gcd(|j-i|, p-1): over F_7 and every
+    # i, j <= 40, one entry for each divisor of 6
+    oracle._roots_of_unity.cache_clear()
+    for i in range(1, 41):
+        for j in range(1, 41):
+            oracle_roots_fp2(7, i, j)
+    assert oracle._roots_of_unity.cache_info().currsize == 4
+    assert [oracle._roots_of_unity(7, g) for g in (1, 2, 3, 6)] == [
+        (1,), (1, 6), (1, 2, 4), (1, 2, 3, 4, 5, 6)
+    ]
+
+
+def test_roots_tables_keep_at_most_their_bound():
+    oracle._prime_tables.cache_clear()
+    primes = [p for p in range(3, 90) if fields.is_prime(p)]
+    assert len(primes) > 2 * oracle.PRIME_TABLES_KEPT
+    tables, units = oracle._prime_tables, oracle._roots_of_unity
+    first = []
+    for p in primes:
+        first += [oracle_roots_fp2(p, i, j).to_dict() for i in (1, 2, 6) for j in (1, 4, 5)]
+        assert tables.cache_info().currsize <= tables.cache_info().maxsize
+        assert units.cache_info().currsize <= units.cache_info().maxsize
+    # the primes scanned first were evicted and are built again, the same
+    again = [oracle_roots_fp2(p, i, j).to_dict() for p in primes for i in (1, 2, 6) for j in (1, 4, 5)]
+    assert again == first
+    assert tables.cache_info().currsize == oracle.PRIME_TABLES_KEPT
 
 
 def _fp_sqrt(fp, c):
@@ -549,6 +585,26 @@ def test_e12_scale_rejects_a_perturbed_x():
         _e12_scale((1, 0, 0, 1), 2, 3, 0)  # c = (x^i)_21 = 0
 
 
+def _mulz(u, v):
+    a, b, c, d = u
+    e, f, g, h = v
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65521, 0], ids=["F2", "F3", "F7", "F65521", "Z"])
+def test_pow4_ladder_is_the_repeated_product(p):
+    rng = random.Random(p)
+    top = p or 7
+    cases = [(0, 0, 0, 0), (1, 0, 0, 1), (2, 4, 1, 2), (0, 1, 0, 0), (3, 9, -1, -3), (0, 0, 5, 0)]
+    cases += [tuple(rng.randrange(-top, top) for _ in range(4)) for _ in range(10)]
+    for u in cases:
+        u = tuple(v % p for v in u) if p else u
+        ref = (1, 0, 0, 1)
+        for e in range(101):
+            assert _pow4(u, e, p) == ref, (u, e, p)
+            ref = _mul4(ref, u, p) if p else _mulz(ref, u)
+
+
 def test_e12_scale_rejects_a_wrong_c(monkeypatch):
     real = oracle._pow4
     for x, mod, i, j, _ in _witness_cases():
@@ -590,3 +646,50 @@ def test_oracle_scan_and_check_run_on_ints(monkeypatch):
     assert {r.method for r in reports if r.found} == {
         oracle.ROOT_FP2, oracle.ENUM_FP, oracle.CONSTRUCT_Q
     }
+
+
+def test_reports_build_no_mat2_until_read(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("built a Mat2")
+
+    q_pairs = [(i, j) for i in range(1, 21) for j in range(1, 21)]
+    monkeypatch.setattr(Mat2, "__init__", refuse)
+    reports = [oracle_roots_fp2(7, i, j) for i in range(1, 41) for j in range(1, 41)]
+    reports += [oracle_roots_fp2(13, i, j) for i in range(1, 25) for j in range(1, 25)]
+    reports += [construct_witness_Q(i, j) for i, j in q_pairs]
+    reports += [oracle_enum_fp(3, i, j) for i in range(1, 9) for j in range(1, 9)]
+    hits = [r for r in reports if r.found]
+    assert hits and len(hits) < len(reports)
+    assert all(r.verified for r in hits)
+    assert all(r.details.get("branch") for r in hits if r.method != oracle.ENUM_FP)
+    with pytest.raises(AssertionError, match="built a Mat2"):
+        hits[0].x
+    monkeypatch.undo()
+    for r in hits:
+        assert verify_pair(r.x, r.y, r.i, r.j), (r.method, r.p, r.i, r.j)
+
+
+# sha256 of the to_dict lines, one JSON line per report in the order of
+# REPORT_DIGESTS' generators, as the reports were written when every
+# report built its Mat2 pair at once
+REPORT_DIGESTS = {
+    "roots": "b199fd152dbee63c26f1ae2bddc708c4416d867dfaeddf4d24bf05251e5b59ac",
+    "enum3": "377c322e7979028b76285bacc98cd557fb2dd8536590cc8f815e9d4a425f0082",
+    "q": "ddc177db55df159e2a24eef0e5caa01ba2fffc7c2c7e7e0e21329e157dfcfd19",
+}
+
+
+def test_report_dicts_are_byte_stable():
+    sweeps = {
+        "roots": (
+            oracle_roots_fp2(p, i, j)
+            for p in (3, 5, 7, 11, 13) for i in range(1, 41) for j in range(1, 41)
+        ),
+        "enum3": (oracle_enum_fp(3, i, j) for i in range(1, 13) for j in range(1, 13)),
+        "q": (construct_witness_Q(i, j) for i in range(1, 41) for j in range(1, 41)),
+    }
+    for name, reports in sweeps.items():
+        digest = hashlib.sha256()
+        for r in reports:
+            digest.update(json.dumps(r.to_dict(), sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == REPORT_DIGESTS[name], name
