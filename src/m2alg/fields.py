@@ -108,8 +108,8 @@ def require_exponents(i: int, j: int):
 def require_prime(p: int, odd: bool = False):
     """Refuse a p that is not a prime int, and 2 when ``odd`` asks for an odd prime.
 
-    The type is checked on every call; the primality verdict is proved once
-    and kept for the last ``PRIME_VERDICTS_KEPT`` ints.
+    The type is checked on every call; the primality verdict of the last int
+    asked about is kept, so repeated calls with one p prove it once.
     """
     _require_int(p)
     if not _proven_prime(p):
@@ -120,11 +120,9 @@ def require_prime(p: int, odd: bool = False):
 
 # every entry point calls require_prime, and Miller-Rabin takes about 0.13 ms
 # at p = 10^18 + 3 (Python 3.11, 2-core x86-64 host), so without the memo a
-# 40000-row table reruns it on every row
-PRIME_VERDICTS_KEPT = 64
-
-
-@functools.lru_cache(maxsize=PRIME_VERDICTS_KEPT, typed=True)
+# 40000-row table over one p reruns it on every row.  require_prime refuses
+# every type but int before this is read, so the key is always an int
+@functools.lru_cache(maxsize=1)
 def _proven_prime(p: int) -> bool:
     return is_prime(p)
 

@@ -14,12 +14,12 @@ matrices satisfying x^i y + y x^j = 1, y^2 = 0.
   visits only the quadratics that can pass: for each a, the b's with
   b^(j-i) = 1, which are the g-th roots of unity for g = gcd(|j-i|, p-1),
   and the one b with a double root.  What depends on p alone (the
-  nonresidue u with its inverse, 1/2 and a table of smallest square roots)
-  is built once per prime and kept for the last ``PRIME_TABLES_KEPT``
-  primes; the roots of unity are kept per (p, g).  Split roots are tested
-  in F_p with builtin ``pow``.  Inert roots are int pairs in F_{p^2}, and
-  only one of the two is tested, since its Frobenius conjugate gets the
-  same verdict.  x is built from the root data.
+  nonresidue u with its inverse, 1/2, a table of smallest square roots and
+  the roots of unity of each order g met) is built once and kept for the
+  last prime scanned.  Split roots are tested in F_p with builtin ``pow``.
+  Inert roots are int pairs in F_{p^2}, and only one of the two is tested,
+  since its Frobenius conjugate gets the same verdict.  x is built from the
+  root data.
 * ``construct_witness_Q``: builds verified rational witnesses for members
   over Q; x, from the semantic root data, is an integer matrix.
 
@@ -62,12 +62,6 @@ CONSTRUCT_Q = "CONSTRUCT_Q"
 # and larger exponents cost more per matrix.  The roots scan covers p^2
 # quadratics and is held to the same limit.
 ENUM_SPACE_LIMIT = 2**32
-
-# the roots scan keeps its per-prime tables for this many primes; a table
-# holds (p+1)/2 roots, so at p = 65521 (the largest prime the scan takes)
-# one holds 32761 entries, and the bound caps that memory
-PRIME_TABLES_KEPT = 8
-
 
 @dataclass
 class WitnessReport:
@@ -352,20 +346,19 @@ def _sqrt_table(p):
     return table
 
 
-@functools.lru_cache(maxsize=PRIME_TABLES_KEPT)
+# one prime: the only caller that repeats a prime (the membership benchmark)
+# scans its rows one prime at a time, and a table at p = 65521 holds 32761
+# entries
+@functools.lru_cache(maxsize=1)
 def _prime_tables(p):
-    """(u, 1/u, 1/2, square-root table) for an odd prime p, with w^2 = u.
+    """(u, 1/u, 1/2, square-root table, roots of unity) for an odd prime p.
 
-    Callers only read the table; the cache hands every caller the same one.
+    w^2 = u.  The last entry is {g: the b in F_p^* with b^g = 1, ascending},
+    filled by ``oracle_roots_fp2`` as each g is met.  Callers only read the
+    square-root table; the cache hands every caller the same one.
     """
     u = smallest_nonresidue(p)
-    return u, pow(u, -1, p), pow(2, -1, p), _sqrt_table(p)
-
-
-@functools.lru_cache(maxsize=4 * PRIME_TABLES_KEPT)
-def _roots_of_unity(p, g):
-    """The b in F_p^* with b^g = 1, ascending."""
-    return tuple(b for b in range(1, p) if pow(b, g, p) == 1)
+    return u, pow(u, -1, p), pow(2, -1, p), _sqrt_table(p), {}
 
 
 def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
@@ -401,13 +394,15 @@ def oracle_roots_fp2(p: int, i: int, j: int) -> WitnessReport:
     if p * p >= ENUM_SPACE_LIMIT:
         raise UnsupportedParameters(f"p = {p} is too large for the roots scan: p^2 >= 2^32")
     require_exponents(i, j)
-    u, u_inv, inv2, sqrt_table = _prime_tables(p)
+    u, u_inv, inv2, sqrt_table, roots_of_unity = _prime_tables(p)
     diff = abs(j - i)
     # rs = b for a separable quadratic, so (rs)^(j-i) = 1 tests b alone, and
     # rejects both orientations at once.  F_p^* is cyclic of order p - 1, so
     # b^(j-i) = 1 iff b^g = 1: b^i for each of those g b's
     g = math.gcd(diff, p - 1)
-    b_pow_i = {b: pow(b, i, p) for b in _roots_of_unity(p, g)}
+    if g not in roots_of_unity:
+        roots_of_unity[g] = tuple(b for b in range(1, p) if pow(b, g, p) == 1)
+    b_pow_i = {b: pow(b, i, p) for b in roots_of_unity[g]}
     for a in range(p):
         half = a * inv2 % p
         # the admissible b's and b = (a/2)^2, the one with a double root

@@ -158,30 +158,25 @@ def test_roots_oracle_refuses_a_prime_too_large_to_scan(monkeypatch):
 def test_roots_of_unity_are_kept_per_order():
     # b^(j-i) = 1 iff b^g = 1 with g = gcd(|j-i|, p-1): over F_7 and every
     # i, j <= 40, one entry for each divisor of 6
-    oracle._roots_of_unity.cache_clear()
+    oracle._prime_tables.cache_clear()
     for i in range(1, 41):
         for j in range(1, 41):
             oracle_roots_fp2(7, i, j)
-    assert oracle._roots_of_unity.cache_info().currsize == 4
-    assert [oracle._roots_of_unity(7, g) for g in (1, 2, 3, 6)] == [
-        (1,), (1, 6), (1, 2, 4), (1, 2, 3, 4, 5, 6)
-    ]
+    assert oracle._prime_tables(7)[-1] == {
+        1: (1,), 2: (1, 6), 3: (1, 2, 4), 6: (1, 2, 3, 4, 5, 6)
+    }
 
 
-def test_roots_tables_keep_at_most_their_bound():
+def test_roots_tables_keep_one_prime():
     oracle._prime_tables.cache_clear()
-    primes = [p for p in range(3, 90) if fields.is_prime(p)]
-    assert len(primes) > 2 * oracle.PRIME_TABLES_KEPT
-    tables, units = oracle._prime_tables, oracle._roots_of_unity
+    primes = [p for p in range(3, 40) if fields.is_prime(p)]
     first = []
     for p in primes:
         first += [oracle_roots_fp2(p, i, j).to_dict() for i in (1, 2, 6) for j in (1, 4, 5)]
-        assert tables.cache_info().currsize <= tables.cache_info().maxsize
-        assert units.cache_info().currsize <= units.cache_info().maxsize
-    # the primes scanned first were evicted and are built again, the same
+        assert oracle._prime_tables.cache_info().currsize == 1
+    # every prime but the last was evicted and is built again, the same
     again = [oracle_roots_fp2(p, i, j).to_dict() for p in primes for i in (1, 2, 6) for j in (1, 4, 5)]
     assert again == first
-    assert tables.cache_info().currsize == oracle.PRIME_TABLES_KEPT
 
 
 def _fp_sqrt(fp, c):
